@@ -80,10 +80,10 @@ def generate(family, n, k, j_, intervals, sigma, kind, seed, out) -> None:
             if n is None:
                 raise InvalidInstance("random-general needs --n")
             payload = generators.random_general_instance(n, seed)
+        serial.dump_instance(out, payload, meta=meta)
     except (NcmatchError, ValueError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
-    serial.dump_instance(out, payload, meta=meta)
     click.echo(json.dumps({"written": out, "meta": meta}))
 
 

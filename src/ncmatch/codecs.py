@@ -23,11 +23,22 @@ from .errors import (
 )
 
 
+_CATALAN = [1]
+
+
+def _catalan_table(n: int) -> list[int]:
+    """The shared table of Catalan numbers, grown to hold index n."""
+    table = _CATALAN
+    for k in range(len(table) - 1, n):
+        table.append(table[k] * (4 * k + 2) // (k + 2))
+    return table
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number, exactly."""
     if n < 0:
         raise ValueError("catalan is defined for n >= 0")
-    return comb(2 * n, n) // (n + 1)
+    return _catalan_table(n)[n]
 
 
 def bits_for_universe(universe_size: int) -> int:
@@ -70,36 +81,95 @@ def enumerate_trees(n: int) -> Iterator[BinaryTree | None]:
                 yield BinaryTree(left, right)
 
 
+def _preorder(t: BinaryTree) -> list[BinaryTree]:
+    """Nodes of t with every parent before its children."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.right is not None:
+            stack.append(node.right)
+        if node.left is not None:
+            stack.append(node.left)
+    return out
+
+
 def tree_rank(t: BinaryTree | None) -> int:
     """Rank of t in the canonical order of trees of its size.
 
     Trees sort by left-subtree size, then left rank (major), then right
-    rank (minor); this makes rank/unrank O(n) arithmetic steps.
+    rank (minor).  One bottom-up pass computes every subtree's size and
+    rank.  A node's offset among trees of its size is a sum of Catalan
+    products taken from the shorter end, O(min(left, right)) terms, so the
+    whole rank costs O(n log n) multiplications.
     """
     if t is None:
         return 0
-    n = tree_size(t)
-    ls = tree_size(t.left)
-    prefix = sum(catalan(k) * catalan(n - 1 - k) for k in range(ls))
-    return prefix + tree_rank(t.left) * catalan(n - 1 - ls) + tree_rank(t.right)
+    nodes = _preorder(t)
+    c = _catalan_table(len(nodes))
+    size: dict[int, int] = {id(None): 0}
+    rank: dict[int, int] = {id(None): 0}
+    for node in reversed(nodes):
+        ls = size[id(node.left)]
+        n = 1 + ls + size[id(node.right)]
+        if 2 * ls < n:
+            prefix = sum(c[k] * c[n - 1 - k] for k in range(ls))
+        else:
+            prefix = c[n] - sum(c[k] * c[n - 1 - k] for k in range(ls, n))
+        size[id(node)] = n
+        rank[id(node)] = (
+            prefix + rank[id(node.left)] * c[n - 1 - ls] + rank[id(node.right)]
+        )
+    return rank[id(t)]
 
 
 def tree_unrank(n: int, r: int) -> BinaryTree | None:
     """Inverse of tree_rank over trees with n nodes."""
-    if not 0 <= r < catalan(n):
+    c = _catalan_table(n)
+    if not 0 <= r < c[n]:
         raise RankOutOfRange(f"rank {r} out of range for {n}-node trees")
     if n == 0:
         return None
-    for ls in range(n):
-        block = catalan(ls) * catalan(n - 1 - ls)
-        if r < block:
-            left_rank, right_rank = divmod(r, catalan(n - 1 - ls))
-            return BinaryTree(
-                tree_unrank(ls, left_rank),
-                tree_unrank(n - 1 - ls, right_rank),
-            )
-        r -= block
-    raise AssertionError("unreachable: rank was range checked")
+    # split top-down into child slots, then build bottom-up: a node's
+    # children always get larger slot numbers than the node itself
+    children: list[list[int]] = []
+    todo = [(n, r, -1, 0)]  # (size, rank, parent slot, 0 left / 1 right)
+    while todo:
+        size, rank, parent, side = todo.pop()
+        slot = len(children)
+        children.append([-1, -1])
+        if parent >= 0:
+            children[parent][side] = slot
+        # find the left size ls scanning from both ends at once;
+        # below = trees with left size < lo, upto_hi = with left size < hi
+        lo, hi = 0, size - 1
+        below, upto_hi = 0, c[size] - c[hi]
+        while True:
+            block = c[lo] * c[size - 1 - lo]
+            if rank < below + block:
+                ls, rank = lo, rank - below
+                break
+            below += block
+            lo += 1
+            if rank >= upto_hi:
+                ls, rank = hi, rank - upto_hi
+                break
+            hi -= 1
+            upto_hi -= c[hi] * c[size - 1 - hi]
+        left_rank, right_rank = divmod(rank, c[size - 1 - ls])
+        if size - 1 - ls:
+            todo.append((size - 1 - ls, right_rank, slot, 1))
+        if ls:
+            todo.append((ls, left_rank, slot, 0))
+    built: list[BinaryTree | None] = [None] * len(children)
+    for slot in range(len(children) - 1, -1, -1):
+        left, right = children[slot]
+        built[slot] = BinaryTree(
+            built[left] if left >= 0 else None,
+            built[right] if right >= 0 else None,
+        )
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +221,15 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
 
 @lru_cache(maxsize=None)
 def _ballot(slots: int, open_: int) -> int:
-    """Completions of a prefix with `open_` unmatched 0s and `slots` left."""
-    if open_ < 0 or open_ > slots:
+    """Completions of a prefix with `open_` unmatched 0s and `slots` left.
+
+    By reflection: of the C(s, k) paths with k = (s - h) / 2 up-steps that
+    end at height 0, the C(s, k - 1) that dip below 0 are cut off.
+    """
+    if open_ < 0 or open_ > slots or (slots - open_) % 2:
         return 0
-    if slots == 0:
-        return 1
-    return _ballot(slots - 1, open_ + 1) + _ballot(slots - 1, open_ - 1)
+    k = (slots - open_) // 2
+    return comb(slots, k) - (comb(slots, k - 1) if k else 0)
 
 
 def dyck_rank(w: DyckWord) -> int:

@@ -21,6 +21,10 @@ class Degenerate(NcmatchError):
     """A point is collinear with a directed edge where a strict side is needed."""
 
 
+class RationalTooLarge(NcmatchError):
+    """A rational has more digits than the interpreter converts to a string."""
+
+
 class RankOutOfRange(NcmatchError):
     """A rank fell outside [0, universe)."""
 

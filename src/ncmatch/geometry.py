@@ -157,12 +157,16 @@ def orientation(a: Point, b: Point, c: Point) -> str:
     three points carry angles the answer comes from cyclic angle order
     (three distinct circle points are never collinear).
     """
-    if a.angle is not None and b.angle is not None and c.angle is not None:
-        db = (b.angle - a.angle) % 1
-        dc = (c.angle - a.angle) % 1
-        if db == 0 or dc == 0 or db == dc:
-            raise Degenerate("coincident circle points in orientation test")
-        return LEFT if db < dc else RIGHT
+    ta, tb, tc = a.angle, b.angle, c.angle
+    if ta is not None and tb is not None and tc is not None:
+        # a, b, c run counterclockwise iff exactly one step of the cycle
+        # a -> b -> c -> a wraps past angle 0; neither count reaches 2
+        # when two of the angles coincide
+        if (ta < tb) + (tb < tc) + (tc < ta) == 2:
+            return LEFT
+        if (tb < ta) + (tc < tb) + (ta < tc) == 2:
+            return RIGHT
+        raise Degenerate("coincident circle points in orientation test")
     sign = _cross_sign(a, b, c)
     if sign > 0:
         return LEFT
@@ -173,8 +177,9 @@ def orientation(a: Point, b: Point, c: Point) -> str:
 
 def _in_open_ccw_arc(a: Fraction, b: Fraction, x: Fraction) -> bool:
     """True iff angle x lies strictly inside the ccw arc from a to b."""
-    dx = (x - a) % 1
-    return 0 < dx < (b - a) % 1
+    if a < b:
+        return a < x < b
+    return a != b and (x > a or x < b)
 
 
 def _on_segment(a: Point, b: Point, x: Point) -> bool:
@@ -360,26 +365,43 @@ def _convex_hull_ccw(pts: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
+def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
+    """Counterclockwise hull position of each point, in input order.
+
+    Points that all carry angles are ranked by the exact angle sort keys;
+    anything else by the convex hull, which must contain every point.  In
+    convex position the orientation of three points is the cyclic order of
+    their ranks, so callers can trade predicates for integer comparisons.
+    """
+    if all(p.angle is not None for p in pts):
+        keys = angle_sort_keys(pts)
+        order = sorted(range(len(pts)), key=keys.__getitem__)
+    else:
+        slot = {id(p): i for i, p in enumerate(pts)}
+        hull = _convex_hull_ccw(pts)
+        if len(hull) != len(pts):
+            raise NotConvex("some point is strictly inside the hull")
+        order = [slot[id(p)] for p in hull]
+    ranks = [0] * len(pts)
+    for pos, i in enumerate(order):
+        ranks[i] = pos
+    return ranks
+
+
 def hull_order(instance: Instance) -> list[int]:
     """Clockwise cyclic hull order of all points, starting at p_1.
 
-    Returns arrival indices.  Circle instances are ordered purely by angle.
+    Returns arrival indices.
     """
-    pts = instance.points
-    if instance.geometry == CIRCLE:
-        start = pts[0].angle
-        return [
-            p.arrival_index
-            for p in sorted(pts, key=lambda p: (start - p.angle) % 1)
-        ]
-    if instance.geometry != CONVEX:
+    if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("hull order needs circle or convex geometry")
-    hull = _convex_hull_ccw(pts)
-    if len(hull) != len(pts):
-        raise NotConvex("some point is strictly inside the hull")
-    hull.reverse()  # clockwise
-    k = next(i for i, p in enumerate(hull) if p.arrival_index == 1)
-    return [p.arrival_index for p in hull[k:] + hull[:k]]
+    ranks = cyclic_ranks(instance.points)
+    m = len(ranks)
+    ccw = [0] * m
+    for i, r in enumerate(ranks):
+        ccw[r] = i + 1
+    start = ranks[0]
+    return [ccw[(start - t) % m] for t in range(m)]
 
 
 def parity(instance: Instance) -> list[int]:

@@ -17,7 +17,7 @@ from .errors import (
     NotConvex,
     NotPerfect,
 )
-from .geometry import BNM, CIRCLE, CONVEX, LEFT, Instance, Matching, Point
+from .geometry import BNM, CIRCLE, CONVEX, Instance, Matching, Point
 
 BRUTE_FORCE_CAP = 12
 
@@ -195,57 +195,75 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
 def matching_to_bt(
     blues: Sequence[Point], reds: Sequence[Point], matching: Matching
 ) -> BinaryTree:
-    """Recursive tree of a perfect non-crossing red-blue matching.
+    """Tree of a perfect non-crossing red-blue matching in convex position.
 
-    The root is the first red's edge; the left/right subtrees are built
-    from the edges lying in the left/right half-plane of that directed
-    edge (red towards blue).  The tree has one node per edge.
+    The root is the first red's edge; the left/right subtrees are the trees
+    of the edges lying in the left/right half-plane of that directed edge
+    (red towards blue).  Built in one pass: edges are inserted in red
+    arrival order, each descending from the root as the bt player does,
+    with side tests decided by comparing cyclic hull ranks.  An edge whose
+    endpoints fall on different sides of an ancestor raises
+    CrossingDetected.  O(n log n) for the hull ranks plus O(depth) integer
+    comparisons per edge.
     """
-    if len(matching) != len(reds) or len(blues) != len(reds) or not reds:
+    n = len(reds)
+    if len(matching) != n or len(blues) != n or not reds:
         raise NotPerfect("matching_to_bt needs a perfect red-blue matching")
-    blue_by_index = {p.arrival_index: p for p in blues}
-    red_by_index = {p.arrival_index: p for p in reds}
-    pairs = []
+    pts = [*blues, *reds]
+    ranks = geometry.cyclic_ranks(pts)
+    rank_of = {p.arrival_index: r for p, r in zip(pts, ranks)}
+    blue_ids = {p.arrival_index for p in blues}
+    red_ids = {p.arrival_index for p in reds}
+    partner: dict[int, int] = {}
     for a, b in matching:
-        if a in red_by_index and b in blue_by_index:
-            pairs.append((red_by_index[a], blue_by_index[b]))
-        elif b in red_by_index and a in blue_by_index:
-            pairs.append((red_by_index[b], blue_by_index[a]))
+        if a in red_ids and b in blue_ids:
+            partner[a] = b
+        elif b in red_ids and a in blue_ids:
+            partner[b] = a
         else:
             raise NotPerfect(f"edge {(a, b)} is not red-blue")
 
-    def rec(bs: list[Point], rs: list[Point], m: list[tuple[Point, Point]]) -> BinaryTree:
-        r1 = rs[0]
-        edge = next((e for e in m if e[0] is r1), None)
-        if edge is None:
-            raise NotPerfect(f"red point {r1.arrival_index} is unmatched")
-        if len(rs) == 1:
-            return BinaryTree()
-        b_l, b_r, r_l, r_r, m_l, m_r = [], [], [], [], [], []
-        for b in bs:
-            if b is edge[1]:
-                continue
-            (b_l if geometry.half_plane_side(edge, b) == LEFT else b_r).append(b)
-        for r in rs[1:]:
-            (r_l if geometry.half_plane_side(edge, r) == LEFT else r_r).append(r)
-        for e in m:
-            if e is edge:
-                continue
-            side_r = geometry.half_plane_side(edge, e[0])
-            side_b = geometry.half_plane_side(edge, e[1])
-            if side_r != side_b:
-                raise CrossingDetected(
-                    f"edge {e[0].arrival_index}-{e[1].arrival_index} straddles "
-                    f"{edge[0].arrival_index}-{edge[1].arrival_index}"
-                )
-            (m_l if side_r == LEFT else m_r).append(e)
-        left = rec(b_l, r_l, m_l) if r_l else None
-        right = rec(b_r, r_r, m_r) if r_r else None
-        if len(b_l) != len(r_l) or len(b_r) != len(r_r):
-            raise CrossingDetected("half-planes are not balanced")
-        return BinaryTree(left, right)
+    # node k is the edge of the k-th red; children always come later
+    tails: list[int] = []
+    heads: list[int] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    for r in reds:
+        i = r.arrival_index
+        if i not in partner:
+            raise NotPerfect(f"red point {i} is unmatched")
+        x, y = rank_of[i], rank_of[partner[i]]
+        k = len(tails)
+        if k:
+            node = 0
+            while True:
+                a, b = tails[node], heads[node]
+                ab = a < b
+                # left of a->b iff (a, b, p) runs counterclockwise
+                x_left = ab + (b < x) + (x < a) == 2
+                if x_left != (ab + (b < y) + (y < a) == 2):
+                    raise CrossingDetected(
+                        f"edge {i}-{partner[i]} straddles the edge of an "
+                        f"earlier red"
+                    )
+                links = lefts if x_left else rights
+                if links[node] < 0:
+                    links[node] = k
+                    break
+                node = links[node]
+        tails.append(x)
+        heads.append(y)
+        lefts.append(-1)
+        rights.append(-1)
 
-    return rec(list(blues), list(reds), pairs)
+    built: list[BinaryTree | None] = [None] * n
+    for k in range(n - 1, -1, -1):
+        left, right = lefts[k], rights[k]
+        built[k] = BinaryTree(
+            built[left] if left >= 0 else None,
+            built[right] if right >= 0 else None,
+        )
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +302,7 @@ def _circle_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> 
     """O(m) stack check: chords are non-crossing iff, along the circular
     order, they close like balanced parentheses."""
     pts = instance.points
-    keys = geometry.angle_sort_keys(pts)
-    order = sorted(range(len(pts)), key=keys.__getitem__)
-    rank = {pts[i].arrival_index: pos for pos, i in enumerate(order)}
+    rank = {p.arrival_index: r for p, r in zip(pts, geometry.cyclic_ranks(pts))}
     partner: dict[int, tuple[int, int]] = {}
     for e in edges:
         a, b = e

@@ -8,18 +8,26 @@ permutations, interval choices).
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .adversaries import AnnotatedInstance
-from .errors import InvalidInstance
+from .errors import InvalidInstance, RationalTooLarge
 from .geometry import Instance, Point
 
 SCHEMA_VERSION = 1
 
 
 def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # Python's int-to-string digit limit
+        raise RationalTooLarge(
+            f"a rational with {q.denominator.bit_length()}-bit denominator "
+            f"exceeds the interpreter's integer string limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def parse_rational(s: Any) -> Fraction:
@@ -69,6 +77,22 @@ def annotated_to_json(ai: AnnotatedInstance) -> dict:
     return instance_to_json(ai.instance, annotations=ann, meta=ai.meta)
 
 
+def _point_from_json(rp: Any, idx: int) -> Point:
+    if not isinstance(rp, dict):
+        raise InvalidInstance(f"point {idx} is not an object")
+    try:
+        x, y = rp["x"], rp["y"]
+    except KeyError as exc:
+        raise InvalidInstance(f"point {idx} has no {exc} field") from exc
+    return Point(
+        x=parse_rational(x),
+        y=parse_rational(y),
+        arrival_index=idx,
+        color=rp.get("color"),
+        angle=parse_rational(rp["angle"]) if "angle" in rp else None,
+    )
+
+
 def instance_from_json(data: dict) -> AnnotatedInstance:
     try:
         kind = data["kind"]
@@ -76,32 +100,26 @@ def instance_from_json(data: dict) -> AnnotatedInstance:
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
-    points = []
-    for idx, rp in enumerate(raw_points, start=1):
-        angle = parse_rational(rp["angle"]) if "angle" in rp else None
-        points.append(
-            Point(
-                x=parse_rational(rp["x"]),
-                y=parse_rational(rp["y"]),
-                arrival_index=idx,
-                color=rp.get("color"),
-                angle=angle,
-            )
-        )
+    if not isinstance(raw_points, list):
+        raise InvalidInstance("points must be a list")
+    points = [_point_from_json(rp, idx) for idx, rp in enumerate(raw_points, start=1)]
     instance = Instance.build(points, kind, geometry_)
     if "n" in data and data["n"] != instance.n:
         raise InvalidInstance(f"declared n={data['n']} but instance has n={instance.n}")
     ann = data.get("annotations") or {}
-    return AnnotatedInstance(
-        instance=instance,
-        parent=tuple(ann["parent"]) if "parent" in ann else None,
-        fake=tuple(ann["fake"]) if "fake" in ann else None,
-        coins_f=tuple(ann["coins_f"]) if "coins_f" in ann else None,
-        coins_r=tuple(ann["coins_r"]) if "coins_r" in ann else None,
-        hidden_perm=tuple(ann["sigma"]) if "sigma" in ann else None,
-        hidden_choice=(ann["j"], tuple(ann["intervals"])) if "j" in ann else None,
-        meta=data.get("meta") or {},
-    )
+    try:
+        return AnnotatedInstance(
+            instance=instance,
+            parent=tuple(ann["parent"]) if "parent" in ann else None,
+            fake=tuple(ann["fake"]) if "fake" in ann else None,
+            coins_f=tuple(ann["coins_f"]) if "coins_f" in ann else None,
+            coins_r=tuple(ann["coins_r"]) if "coins_r" in ann else None,
+            hidden_perm=tuple(ann["sigma"]) if "sigma" in ann else None,
+            hidden_choice=(ann["j"], tuple(ann["intervals"])) if "j" in ann else None,
+            meta=data.get("meta") or {},
+        )
+    except (KeyError, TypeError) as exc:
+        raise InvalidInstance(f"malformed annotations: {exc!r}") from exc
 
 
 def dump_instance(path, ai_or_instance, meta: dict | None = None) -> None:
@@ -120,6 +138,6 @@ def load_instance(path) -> AnnotatedInstance:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
             raise InvalidInstance(f"not valid JSON: {exc}") from exc
     return instance_from_json(data)

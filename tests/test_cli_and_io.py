@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncmatch import adversaries, generators, serial
 from ncmatch.cli import main
-from ncmatch.errors import InvalidInstance
+from ncmatch.errors import InvalidInstance, NcmatchError, RationalTooLarge
 from ncmatch.geometry import BNM, CIRCLE, CONVEX, GENERAL, MNM
 
 
@@ -205,3 +207,98 @@ def test_cli_verify_coupling_small():
     assert res.exit_code == 0, res.output
     summary = json.loads(res.output)
     assert summary["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# malformed input: typed errors only
+
+
+_json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.sampled_from(["", "1/2", "0", "3/0", "x", "blue", "red", MNM, BNM, CIRCLE, CONVEX]),
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["x", "y", "angle", "color", "kind", "points", "n", "j"]),
+            inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+_point_doc = st.dictionaries(
+    st.sampled_from(["x", "y", "angle", "color"]), _json_value, max_size=4
+)
+_instance_doc = st.fixed_dictionaries(
+    {
+        "kind": st.one_of(st.sampled_from([MNM, BNM]), _json_value),
+        "geometry": st.one_of(st.sampled_from([CIRCLE, CONVEX, GENERAL]), _json_value),
+        "points": st.one_of(st.lists(st.one_of(_point_doc, _json_value), max_size=6), _json_value),
+    },
+    optional={
+        "n": _json_value,
+        "annotations": st.one_of(
+            st.dictionaries(
+                st.sampled_from(["parent", "fake", "coins_f", "coins_r", "sigma", "j", "intervals"]),
+                _json_value,
+                max_size=4,
+            ),
+            _json_value,
+        ),
+        "meta": _json_value,
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_instance_doc, _json_value))
+def test_loader_fuzz_raises_only_typed_errors(doc):
+    try:
+        serial.instance_from_json(doc)
+    except NcmatchError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[{"y": "0/1", "color": None}, {"x": "1/1", "y": "0/1", "color": None}], "ab", [1, 2]],
+    ids=["point-without-x", "points-string", "points-ints"],
+)
+def test_loader_rejects_malformed_points(tmp_path, points):
+    doc = {"kind": MNM, "geometry": GENERAL, "points": points}
+    with pytest.raises(InvalidInstance):
+        serial.instance_from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "bt", str(path)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and "InvalidInstance" in res.output
+
+
+def test_loader_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(InvalidInstance):
+        serial.load_instance(path)
+
+
+def test_format_rational_names_the_digit_limit():
+    with pytest.raises(RationalTooLarge, match="digits"):
+        serial.format_rational(Fraction(1, 10**5000))
+
+
+def test_generate_markov_past_the_digit_limit_exits_2_without_a_file(tmp_path):
+    out = tmp_path / "m.json"
+    res = CliRunner().invoke(
+        main, ["generate", "markov", "--n", "11000", "--seed", "1", "--out", str(out)]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "RationalTooLarge" in res.output
+    assert not out.exists()

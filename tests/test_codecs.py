@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ncmatch.codecs import (
     AdviceTape,
+    _ballot,
     BinaryTree,
     DyckWord,
     Permutation,
@@ -106,6 +108,22 @@ def test_tree_unrank_range_checked():
         tree_unrank(2, -1)
 
 
+def test_tree_rank_roundtrips_on_deep_paths():
+    # a right path has rank 0 and a left path the top rank; both are far
+    # deeper than the interpreter's recursion limit
+    n = 3000
+    assert tree_rank(tree_unrank(n, 0)) == 0
+    assert tree_rank(tree_unrank(n, catalan(n) - 1)) == catalan(n) - 1
+
+
+def test_tree_rank_roundtrips_on_random_ranks():
+    rng = random.Random(5)
+    for n in (11, 37, 200):
+        for _ in range(30):
+            r = rng.randrange(catalan(n))
+            assert tree_rank(tree_unrank(n, r)) == r
+
+
 def test_single_node_tree_has_rank_zero():
     assert tree_rank(BinaryTree()) == 0
 
@@ -121,6 +139,25 @@ def test_dyck_validation():
         DyckWord((0, 1, 0))
     with pytest.raises(InvalidDyck):
         DyckWord((0, 0, 1, 1, 1, 0))
+
+
+def test_ballot_closed_form_matches_the_recurrence():
+    memo = {}
+
+    def recurrence(slots, open_):
+        if open_ < 0 or open_ > slots:
+            return 0
+        if slots == 0:
+            return 1
+        if (slots, open_) not in memo:
+            memo[slots, open_] = recurrence(slots - 1, open_ + 1) + recurrence(
+                slots - 1, open_ - 1
+            )
+        return memo[slots, open_]
+
+    for slots in range(40):
+        for open_ in range(-2, slots + 3):
+            assert _ballot(slots, open_) == recurrence(slots, open_), (slots, open_)
 
 
 def test_dyck_rank_small():

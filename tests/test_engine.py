@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,24 @@ def test_bt_oracle_tree_survives_the_rank_roundtrip_at_full_scale():
             m = offline.convex_noncrossing_pm(inst)
             tree = offline.matching_to_bt(inst.blues(), inst.reds(), m)
             assert tree_unrank(n, tree_rank(tree)) == tree
+
+
+def test_asap_at_600_pairs_in_a_fresh_process():
+    # the balanced-word rank used to recurse 2n deep, so whether it failed
+    # depended on what the process had cached before
+    code = (
+        "from ncmatch.engine import asap_matching, simulate\n"
+        "from ncmatch.generators import random_circle_instance\n"
+        "sim = simulate(asap_matching(), random_circle_instance(600, 'MNM', 0))\n"
+        "print(sim.violations.perfect, sim.bits_read, sim.bits_written)\n"
+    )
+    src = Path(geometry.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", str(width(600)), str(width(600))]
 
 
 def test_bt_rejects_wrong_inputs():
