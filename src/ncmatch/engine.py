@@ -23,6 +23,7 @@ from . import geometry, offline
 from .codecs import (
     AdviceTape,
     DyckWord,
+    _preorder,
     catalan,
     dyck_rank,
     dyck_unrank,
@@ -42,73 +43,37 @@ from .offline import MatchingReport
 # availability engines
 
 
-def _seg_cross_int(px, py, qx, qy, rx, ry, sx, sy) -> bool:
-    """Closed-segment intersection over integer coordinates, endpoints
-    known distinct.  Mirrors geometry.segments_cross without its guards."""
-    d1 = (sx - rx) * (py - ry) - (sy - ry) * (px - rx)
-    d2 = (sx - rx) * (qy - ry) - (sy - ry) * (qx - rx)
-    d3 = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    d4 = (qx - px) * (sy - py) - (qy - py) * (sx - px)
-    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-    if d1 == 0 and min(rx, sx) <= px <= max(rx, sx) and min(ry, sy) <= py <= max(ry, sy):
-        return True
-    if d2 == 0 and min(rx, sx) <= qx <= max(rx, sx) and min(ry, sy) <= qy <= max(ry, sy):
-        return True
-    if d3 == 0 and min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy):
-        return True
-    if d4 == 0 and min(px, qx) <= sx <= max(px, qx) and min(py, qy) <= sy <= max(py, qy):
-        return True
-    return False
-
-
 class _BruteEngine:
     """Availability by direct crossing tests; the reference engine.
 
-    Instances with purely integer coordinates (every generator here) get a
-    plain-int crossing routine; anything else falls back to the generic
-    exact predicates.
+    Planar segments are tested on the instance's integer view with
+    ``geometry.seg_cross_int``; circle chords by ``segments_cross``, which
+    decides them by angle order.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.pts = instance.points
-        self.edge_points: list[tuple[Point, Point]] = []
+        if instance.geometry == CIRCLE:
+            self.ends, self.crosses = self.pts, geometry.segments_cross
+        else:
+            self.ends, self.crosses = instance.int_xy, geometry.seg_cross_int
+        self.edges: list[tuple] = []  # committed edges as pairs of ends
         self.matched: set[int] = set()
         self.cur: tuple[int, list[int]] | None = None
-        self.int_xy: list[tuple[int, int]] | None = None
-        if instance.geometry != CIRCLE and all(
-            p.x.denominator == 1 and p.y.denominator == 1 for p in instance.points
-        ):
-            self.int_xy = [(int(p.x), int(p.y)) for p in instance.points]
-        self.int_edges: list[tuple[int, int, int, int]] = []
-
-    def _available_int(self, i: int) -> list[int]:
-        xy = self.int_xy
-        px, py = xy[i - 1]
-        p_color = self.pts[i - 1].color
-        is_bnm = self.instance.kind == BNM
-        out = []
-        for j in range(1, i):
-            if j in self.matched:
-                continue
-            if is_bnm and self.pts[j - 1].color == p_color:
-                continue
-            qx, qy = xy[j - 1]
-            if all(
-                not _seg_cross_int(px, py, qx, qy, e0, e1, e2, e3)
-                for e0, e1, e2, e3 in self.int_edges
-            ):
-                out.append(j)
-        return out
 
     def on_arrival(self, i: int) -> int:
-        if self.int_xy is not None:
-            av = self._available_int(i)
-        else:
-            av = geometry._available(
-                self.pts, self.edge_points, self.matched, i, self.instance.kind
-            )
+        ends, crosses, edges = self.ends, self.crosses, self.edges
+        p = ends[i - 1]
+        p_color = self.pts[i - 1].color
+        is_bnm = self.instance.kind == BNM
+        av = []
+        for j in range(1, i):
+            if j in self.matched or (is_bnm and self.pts[j - 1].color == p_color):
+                continue
+            seg = (p, ends[j - 1])
+            if not any(crosses(seg, e) for e in edges):
+                av.append(j)
         self.cur = (i, av)
         return len(av)
 
@@ -143,9 +108,7 @@ class _BruteEngine:
                 right += 1
         self.matched.add(i)
         self.matched.add(j)
-        self.edge_points.append((p, q))
-        if self.int_xy is not None:
-            self.int_edges.append((*self.int_xy[i - 1], *self.int_xy[j - 1]))
+        self.edges.append((self.ends[i - 1], self.ends[j - 1]))
         self.cur = None
         return left, right
 
@@ -492,12 +455,13 @@ class _LabeledNode:
 
 
 def _labeled_copy(t) -> _LabeledNode | None:
-    if t is None:
-        return None
-    left = _labeled_copy(t.left)
-    right = _labeled_copy(t.right)
-    size = 1 + (left.size if left else 0) + (right.size if right else 0)
-    return _LabeledNode(left, right, size)
+    """Unlabeled copy of tree t with subtree sizes, built children first."""
+    copy: dict[int, _LabeledNode | None] = {id(None): None}
+    for node in reversed(_preorder(t) if t is not None else []):
+        left, right = copy[id(node.left)], copy[id(node.right)]
+        size = 1 + (left.size if left else 0) + (right.size if right else 0)
+        copy[id(node)] = _LabeledNode(left, right, size)
+    return copy[id(t)]
 
 
 class _BTPlayer:

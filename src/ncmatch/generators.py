@@ -20,6 +20,7 @@ from .geometry import (
     RED,
     Instance,
     circle_point,
+    collinear_triple,
     plane_point,
 )
 
@@ -43,7 +44,9 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
 
     Edge vectors come from two shuffled coordinate chains (Valtr's
     construction) and are sorted exactly by direction; draws with parallel
-    vectors would create collinear hull edges and are retried.
+    vectors would create collinear hull edges and are retried.  The first 64
+    draws use coordinates below 6m + 12, where large m nearly always meets
+    parallel vectors; later draws widen that to m^3, where they are rare.
     """
     rng = random.Random(seed)
     m = 2 * n
@@ -55,8 +58,8 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
             plane_point(x2, y2, 2, RED if kind == BNM else None),
         ]
         return Instance.build(pts, kind, CONVEX)
-    for _ in range(64):
-        vecs = _polygon_vectors(rng, m)
+    for span in [6 * m + 12] * 64 + [m**3] * 64:
+        vecs = _polygon_vectors(rng, m, span)
         if vecs is None:
             continue
         verts = []
@@ -78,9 +81,11 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
     raise NotConvex(f"could not build a strict convex polygon for n={n}, seed={seed}")
 
 
-def _polygon_vectors(rng: random.Random, m: int) -> list[tuple[int, int]] | None:
-    """m nonzero integer vectors summing to zero, sorted by direction."""
-    span = 6 * m + 12
+def _polygon_vectors(
+    rng: random.Random, m: int, span: int
+) -> list[tuple[int, int]] | None:
+    """m nonzero integer vectors summing to zero with coordinates drawn
+    below span, sorted by direction."""
 
     def deltas() -> list[int]:
         vals = sorted(rng.sample(range(span), m))
@@ -128,7 +133,8 @@ def random_general_instance(n: int, seed: int, span: int = 10**6) -> Instance:
     """2n integer points in general position with pairwise distinct x.
 
     On a span this wide a collinear triple among a random draw is rare, so
-    the whole batch is drawn at once and redrawn on the odd failure.
+    the whole batch is drawn at once, checked in O(n^2) by
+    ``geometry.collinear_triple`` and redrawn on the odd failure.
     """
     rng = random.Random(seed)
     m = 2 * n
@@ -136,20 +142,8 @@ def random_general_instance(n: int, seed: int, span: int = 10**6) -> Instance:
         xs = rng.sample(range(span), m)
         ys = [rng.randrange(span) for _ in range(m)]
         pts = list(zip(xs, ys))
-        if _has_collinear_triple(pts):
+        if collinear_triple(pts) is not None:
             continue
         points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
         return Instance.build(points, MNM, GENERAL, validate=False)
     raise InvalidInstance("could not reach general position; widen the span")
-
-
-def _has_collinear_triple(pts: list[tuple[int, int]]) -> bool:
-    m = len(pts)
-    for i in range(m - 2):
-        ax, ay = pts[i]
-        for j in range(i + 1, m - 1):
-            dx, dy = pts[j][0] - ax, pts[j][1] - ay
-            for k in range(j + 1, m):
-                if dx * (pts[k][1] - ay) == dy * (pts[k][0] - ax):
-                    return True
-    return False

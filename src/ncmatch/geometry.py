@@ -7,13 +7,18 @@ from the positive x axis; every predicate whose operands all lie on the
 circle is decided from angle order alone.  The x/y stored for circle points
 are display placeholders (nearest representable position) and never reach
 a predicate.  Clockwise means decreasing angle.
+
+Every other predicate runs on integers: scaling all coordinates by their
+common denominator preserves orientations and intersections.  Instances
+build that integer view once (``Instance.int_xy``) for the segment test
+``seg_cross_int`` and the general-position check ``collinear_triple``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -130,24 +135,64 @@ def angle_sort_keys(pts: Sequence[Point]) -> list:
 # predicates
 
 
-def _cross_sign(a: Point, b: Point, c: Point) -> int:
-    """Sign of (b-a) x (c-a), computed over the integers.
+def integer_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
+    """The points' x/y times the least common denominator of them all."""
+    den = 1
+    for p in pts:
+        den = math.lcm(den, p.x.denominator, p.y.denominator)
+    return [
+        (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
+        for p in pts
+    ]
 
-    Clearing denominators instead of doing Fraction arithmetic skips the
-    gcd normalization that otherwise dominates every predicate.
+
+def seg_cross_int(e1: tuple, e2: tuple) -> bool:
+    """True iff the closed segments intersect; endpoints are (x, y) integer
+    pairs, assumed distinct."""
+    ((px, py), (qx, qy)), ((rx, ry), (sx, sy)) = e1, e2
+    d1 = (sx - rx) * (py - ry) - (sy - ry) * (px - rx)
+    d2 = (sx - rx) * (qy - ry) - (sy - ry) * (qx - rx)
+    d3 = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    d4 = (qx - px) * (sy - py) - (qy - py) * (sx - px)
+    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+    # a zero sign puts that endpoint on the other segment's line; it touches
+    # the segment iff it lies in its bounding box
+    if d1 == 0 and min(rx, sx) <= px <= max(rx, sx) and min(ry, sy) <= py <= max(ry, sy):
+        return True
+    if d2 == 0 and min(rx, sx) <= qx <= max(rx, sx) and min(ry, sy) <= qy <= max(ry, sy):
+        return True
+    if d3 == 0 and min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy):
+        return True
+    if d4 == 0 and min(px, qx) <= sx <= max(px, qx) and min(py, qy) <= sy <= max(py, qy):
+        return True
+    return False
+
+
+def collinear_triple(xy: Sequence[tuple[int, int]]) -> tuple[int, int, int] | None:
+    """Positions of three collinear integer points, or None if there are none.
+
+    Two coincident points count as collinear with any third.  For each
+    point, the directions to all later points are reduced by their gcd,
+    turned into one half-plane and hashed; a repeat is a collinear triple.
+    O(m^2) dictionary operations (the problem is 3SUM-hard).
     """
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    n1 = bx.numerator * ax.denominator - ax.numerator * bx.denominator
-    n2 = cy.numerator * ay.denominator - ay.numerator * cy.denominator
-    n3 = by.numerator * ay.denominator - ay.numerator * by.denominator
-    n4 = cx.numerator * ax.denominator - ax.numerator * cx.denominator
-    lhs = n1 * n2 * by.denominator * cx.denominator
-    rhs = n3 * n4 * bx.denominator * cy.denominator
-    if lhs > rhs:
-        return 1
-    if lhs < rhs:
-        return -1
-    return 0
+    m = len(xy)
+    for i in range(m - 2):
+        ax, ay = xy[i]
+        first: dict[tuple[int, int], int] = {}
+        for j in range(i + 1, m):
+            x, y = xy[j]
+            dx, dy = x - ax, y - ay
+            g = math.gcd(dx, dy)
+            if not g:
+                return i, j, (j + 1 if j + 1 < m else i + 1)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            k = first.setdefault((dx // g, dy // g), j)
+            if k != j:
+                return i, k, j
+    return None
 
 
 def orientation(a: Point, b: Point, c: Point) -> str:
@@ -167,7 +212,8 @@ def orientation(a: Point, b: Point, c: Point) -> str:
         if (tb < ta) + (tc < tb) + (ta < tc) == 2:
             return RIGHT
         raise Degenerate("coincident circle points in orientation test")
-    sign = _cross_sign(a, b, c)
+    (ax, ay), (bx, by), (cx, cy) = integer_coords((a, b, c))
+    sign = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if sign > 0:
         return LEFT
     if sign < 0:
@@ -180,14 +226,6 @@ def _in_open_ccw_arc(a: Fraction, b: Fraction, x: Fraction) -> bool:
     if a < b:
         return a < x < b
     return a != b and (x > a or x < b)
-
-
-def _on_segment(a: Point, b: Point, x: Point) -> bool:
-    """x assumed collinear with a-b; is it inside the closed bounding box?"""
-    return (
-        min(a.x, b.x) <= x.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= x.y <= max(a.y, b.y)
-    )
 
 
 def segments_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
@@ -214,21 +252,8 @@ def segments_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
         c_in = _in_open_ccw_arc(p1.angle, p2.angle, q1.angle)
         d_in = _in_open_ccw_arc(p1.angle, p2.angle, q2.angle)
         return c_in != d_in
-    s1 = orientation(q1, q2, p1)
-    s2 = orientation(q1, q2, p2)
-    s3 = orientation(p1, p2, q1)
-    s4 = orientation(p1, p2, q2)
-    if COLLINEAR not in (s1, s2, s3, s4):
-        return s1 != s2 and s3 != s4
-    if s1 == COLLINEAR and _on_segment(q1, q2, p1):
-        return True
-    if s2 == COLLINEAR and _on_segment(q1, q2, p2):
-        return True
-    if s3 == COLLINEAR and _on_segment(p1, p2, q1):
-        return True
-    if s4 == COLLINEAR and _on_segment(p1, p2, q2):
-        return True
-    return False
+    a, b, c, d = integer_coords((p1, p2, q1, q2))
+    return seg_cross_int((a, b), (c, d))
 
 
 def half_plane_side(edge: tuple[Point, Point], p: Point) -> str:
@@ -288,6 +313,12 @@ class Instance:
     def point(self, arrival_index: int) -> Point:
         return self.points[arrival_index - 1]
 
+    @cached_property
+    def int_xy(self) -> list[tuple[int, int]]:
+        """The points' integer coordinates (``integer_coords``), in arrival
+        order; every generator's planar points are integers already."""
+        return integer_coords(self.points)
+
     def blues(self) -> tuple[Point, ...]:
         return self.points[: self.n]
 
@@ -338,11 +369,10 @@ def validate_instance(inst: Instance) -> Instance:
         if len(hull) != m:
             raise NotConvex("convex instances require every point on the hull")
     else:
-        for a, b, c in combinations(pts, 3):
-            if orientation(a, b, c) == COLLINEAR:
-                raise InvalidInstance(
-                    f"collinear triple {a.arrival_index}, {b.arrival_index}, {c.arrival_index}"
-                )
+        triple = collinear_triple(inst.int_xy)
+        if triple is not None:
+            a, b, c = sorted(triple)
+            raise InvalidInstance(f"collinear triple {a + 1}, {b + 1}, {c + 1}")
     return inst
 
 

@@ -16,6 +16,7 @@ from .errors import (
     CrossingDetected,
     NotConvex,
     NotPerfect,
+    SharedEndpoint,
 )
 from .geometry import BNM, CIRCLE, CONVEX, Instance, Matching, Point
 
@@ -148,8 +149,8 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
 
     Walks the hull clockwise from the segment's first point to the first
     partner (opposite color for BNM, opposite hull parity otherwise) whose
-    two arcs are balanced, then recurses on the arcs.  Deterministic, so
-    golden tests can pin its output.  O(n^2).
+    two arcs are balanced, then pairs each arc the same way, on an explicit
+    stack.  Deterministic, so golden tests can pin its output.  O(n^2).
     """
     if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("convex matching construction needs convex position")
@@ -162,29 +163,30 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
             return 1  # parity alternates along the hull: odd gaps balance
         return 1 if pts[arr - 1].color == geometry.BLUE else -1
 
+    # hull-order ranges [lo, hi) still to pair, left arc on top of the stack
     edges: list[tuple[int, int]] = []
-
-    def solve(segment: list[int]) -> None:
-        if not segment:
-            return
-        a = segment[0]
+    todo = [(0, len(order))]
+    while todo:
+        lo, hi = todo.pop()
+        if lo == hi:
+            continue
+        a = order[lo]
         bal = 0
-        for t in range(1, len(segment)):
-            q = segment[t]
+        for t in range(lo + 1, hi):
+            q = order[t]
             opposite = (
                 pts[q - 1].color != pts[a - 1].color
                 if is_bnm
-                else t % 2 == 1
+                else (t - lo) % 2 == 1
             )
             if opposite and bal == 0:
                 edges.append((a, q))
-                solve(segment[1:t])
-                solve(segment[t + 1 :])
-                return
+                todo.append((t + 1, hi))
+                todo.append((lo + 1, t))
+                break
             bal += balance_unit(q)
-        raise NotPerfect(f"no balanced partner for point {a}")
-
-    solve(order)
+        else:
+            raise NotPerfect(f"no balanced partner for point {a}")
     return Matching.from_pairs(edges)
 
 
@@ -322,6 +324,13 @@ def _circle_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> 
     return True
 
 
+def _int_segments_cross(e1: tuple, e2: tuple) -> bool:
+    """segments_cross on integer (x, y) endpoints, with its guard."""
+    if len({*e1, *e2}) < 4:
+        raise SharedEndpoint(f"segments {e1} and {e2} share an endpoint position")
+    return geometry.seg_cross_int(e1, e2)
+
+
 def validate_matching(
     instance: Instance,
     matching: Matching | Sequence[tuple[int, int]],
@@ -352,19 +361,20 @@ def validate_matching(
             report.color_violations.append(e)
     report.matched_count = len(seen)
 
-    clean = not report.duplicate_endpoints
-    if clean and instance.geometry == CIRCLE and _circle_noncrossing_ok(instance, usable):
-        pass  # fast path: provably no crossing pair
+    if instance.geometry != CIRCLE:
+        xy = instance.int_xy
+        ends = [(xy[a - 1], xy[b - 1]) for a, b in usable]
+        crosses = _int_segments_cross
+    elif report.duplicate_endpoints or not _circle_noncrossing_ok(instance, usable):
+        ends = [(pts[a - 1], pts[b - 1]) for a, b in usable]
+        crosses = geometry.segments_cross
     else:
-        for x in range(len(usable)):
-            for y in range(x + 1, len(usable)):
-                a, b = usable[x]
-                c, d = usable[y]
-                if len({a, b, c, d}) < 4:
-                    continue  # endpoint reuse already reported
-                if geometry.segments_cross(
-                    (pts[a - 1], pts[b - 1]), (pts[c - 1], pts[d - 1])
-                ):
-                    report.crossings.append((usable[x], usable[y]))
+        ends = []  # fast path: provably no crossing pair
+    for x in range(len(ends)):
+        for y in range(x + 1, len(ends)):
+            if len({*usable[x], *usable[y]}) < 4:
+                continue  # endpoint reuse already reported
+            if crosses(ends[x], ends[y]):
+                report.crossings.append((usable[x], usable[y]))
     report.perfect = report.valid and report.matched_count == m
     return report

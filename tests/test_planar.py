@@ -1,0 +1,342 @@
+"""The integer view of planar instances: the quadratic general-position
+check, the integer segment predicate and the planar audit, checked against
+the cubic loop and the Fraction predicates they replaced; the convex
+polygon generator's wide-span fallback; planar runs at n = 1000."""
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+
+from ncmatch import generators, offline, serial
+from ncmatch.cli import main
+from ncmatch.errors import InvalidInstance, NcmatchError, SharedEndpoint
+from ncmatch.geometry import (
+    CONVEX,
+    GENERAL,
+    MNM,
+    Instance,
+    collinear_triple,
+    integer_coords,
+    plane_point,
+    seg_cross_int,
+    segments_cross,
+)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def reference_has_collinear_triple(pts) -> bool:
+    """The cubic loop over all triples; works on ints and Fractions."""
+    m = len(pts)
+    for i in range(m - 2):
+        ax, ay = pts[i]
+        for j in range(i + 1, m - 1):
+            dx, dy = pts[j][0] - ax, pts[j][1] - ay
+            for k in range(j + 1, m):
+                if dx * (pts[k][1] - ay) == dy * (pts[k][0] - ax):
+                    return True
+    return False
+
+
+def _reference_sign(a, b, c) -> int:
+    """Sign of (b-a) x (c-a) in Fraction arithmetic."""
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (v > 0) - (v < 0)
+
+
+def _reference_on_segment(a, b, x) -> bool:
+    return min(a.x, b.x) <= x.x <= max(a.x, b.x) and min(a.y, b.y) <= x.y <= max(a.y, b.y)
+
+
+def reference_segments_cross(e1, e2) -> bool:
+    """The planar branch of segments_cross as four orientation tests and a
+    bounding-box test, with its shared-endpoint guard."""
+    p1, p2 = e1
+    q1, q2 = e2
+    for u in (p1, p2):
+        for v in (q1, q2):
+            if (u.x, u.y) == (v.x, v.y):
+                raise SharedEndpoint("shared endpoint")
+    s1 = _reference_sign(q1, q2, p1)
+    s2 = _reference_sign(q1, q2, p2)
+    s3 = _reference_sign(p1, p2, q1)
+    s4 = _reference_sign(p1, p2, q2)
+    if 0 not in (s1, s2, s3, s4):
+        return s1 != s2 and s3 != s4
+    return (
+        (s1 == 0 and _reference_on_segment(q1, q2, p1))
+        or (s2 == 0 and _reference_on_segment(q1, q2, p2))
+        or (s3 == 0 and _reference_on_segment(p1, p2, q1))
+        or (s4 == 0 and _reference_on_segment(p1, p2, q2))
+    )
+
+
+def reference_crossings(instance, edges):
+    """validate_matching's pair loop with the reference predicate."""
+    pts = instance.points
+    usable = [(min(a, b), max(a, b)) for a, b in edges]
+    out = []
+    for x in range(len(usable)):
+        for y in range(x + 1, len(usable)):
+            a, b = usable[x]
+            c, d = usable[y]
+            if len({a, b, c, d}) < 4:
+                continue
+            if reference_segments_cross((pts[a - 1], pts[b - 1]), (pts[c - 1], pts[d - 1])):
+                out.append((usable[x], usable[y]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# point sets
+
+
+def _coord(rng, rational: bool):
+    v = rng.randrange(-6, 7)
+    return Fraction(v, rng.choice((1, 2, 3, 5))) if rational else v
+
+
+def random_point_set(rng, m: int, rational: bool) -> list[tuple]:
+    """Small coordinates, so that collinear triples and duplicates occur by
+    chance; some sets get a planted triple, duplicate or axis-parallel line."""
+    pts = [(_coord(rng, rational), _coord(rng, rational)) for _ in range(m)]
+    plant = rng.randrange(5)
+    if plant == 1 and m >= 3:  # a planted triple on a random line
+        i, j, k = rng.sample(range(m), 3)
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        t = Fraction(rng.randrange(-3, 4), rng.choice((1, 2)))
+        pts[k] = (ax + t * (bx - ax), ay + t * (by - ay))
+    elif plant == 2 and m >= 2:  # a duplicate
+        i, j = rng.sample(range(m), 2)
+        pts[j] = pts[i]
+    elif plant == 3 and m >= 3:  # three on a vertical or a horizontal line
+        i, j, k = rng.sample(range(m), 3)
+        c = _coord(rng, rational)
+        if rng.random() < 0.5:
+            for t in (i, j, k):
+                pts[t] = (c, pts[t][1])
+        else:
+            for t in (i, j, k):
+                pts[t] = (pts[t][0], c)
+    return pts
+
+
+def test_collinear_triple_agrees_with_the_cubic_loop():
+    rng = random.Random(2024)
+    hits = 0
+    for trial in range(3000):
+        rational = trial % 2 == 1
+        m = rng.randrange(0, 9)
+        pts = random_point_set(rng, m, rational)
+        points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
+        expected = reference_has_collinear_triple(pts)
+        triple = collinear_triple(integer_coords(points))
+        assert (triple is not None) == expected, pts
+        if triple is not None:
+            hits += 1
+            i, j, k = triple
+            assert len({i, j, k}) == 3
+            assert reference_has_collinear_triple([pts[i], pts[j], pts[k]])
+    assert 500 < hits < 2500  # both verdicts are well exercised
+
+
+def test_collinear_triple_on_integer_sets_and_edge_cases():
+    assert collinear_triple([]) is None
+    assert collinear_triple([(0, 0), (0, 0)]) is None  # fewer than three points
+    assert collinear_triple([(0, 0), (1, 5), (0, 0)]) is not None
+    assert collinear_triple([(3, 3), (1, 1), (2, 2), (0, 0)]) is not None
+    assert collinear_triple([(0, -4), (0, 7), (0, 1)]) is not None  # vertical
+    assert collinear_triple([(-4, 2), (9, 2), (5, 1), (3, 2)]) is not None  # horizontal
+    assert collinear_triple([(0, 0), (1, 0), (0, 1), (1, 1)]) is None
+    rng = random.Random(7)
+    for _ in range(300):
+        pts = [(rng.randrange(-10**9, 10**9), rng.randrange(-10**9, 10**9)) for _ in range(12)]
+        assert (collinear_triple(pts) is not None) == reference_has_collinear_triple(pts)
+
+
+def test_validate_instance_rejects_exactly_the_collinear_sets():
+    rng = random.Random(99)
+    rejected = 0
+    for trial in range(1500):
+        m = rng.choice((4, 6, 8))
+        pts = random_point_set(rng, m, rational=trial % 2 == 1)
+        points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
+        if reference_has_collinear_triple(pts):
+            with pytest.raises(InvalidInstance) as info:
+                Instance.build(points, MNM, GENERAL)
+            assert type(info.value) is InvalidInstance
+            rejected += 1
+        else:
+            Instance.build(points, MNM, GENERAL)
+    assert 200 < rejected < 1300
+
+
+def test_validate_instance_names_a_collinear_triple():
+    pts = [plane_point(0, 0, 1), plane_point(5, 1, 2), plane_point(Fraction(1, 2), 0, 3),
+           plane_point(2, 0, 4)]
+    with pytest.raises(InvalidInstance, match="collinear triple 1, 3, 4"):
+        Instance.build(pts, MNM, GENERAL)
+
+
+def test_integer_view_clears_one_common_denominator():
+    inst = Instance.build(
+        [plane_point(Fraction(1, 2), Fraction(-2, 3), 1), plane_point(3, Fraction(1, 4), 2)],
+        MNM,
+        GENERAL,
+    )
+    assert inst.int_xy == [(6, -8), (36, 3)]
+    assert inst.int_xy is inst.int_xy  # built once
+    gen = generators.random_general_instance(5, 1)
+    assert gen.int_xy == [(int(p.x), int(p.y)) for p in gen.points]
+
+
+def _random_segment_pair(rng, rational: bool):
+    """Four distinct points, often collinear, touching or overlapping."""
+    while True:
+        coords = [(_coord(rng, rational), _coord(rng, rational)) for _ in range(4)]
+        shape = rng.randrange(4)
+        (ax, ay), (bx, by) = coords[0], coords[1]
+        if shape == 1:  # both on one line: overlaps and disjoint collinear runs
+            for k in (2, 3):
+                t = Fraction(rng.randrange(-4, 5), 2)
+                coords[k] = (ax + t * (bx - ax), ay + t * (by - ay))
+        elif shape == 2:  # a T-junction: one endpoint on the other segment
+            t = Fraction(rng.randrange(0, 5), 4)
+            coords[2] = (ax + t * (bx - ax), ay + t * (by - ay))
+        if len(set(coords)) == 4:
+            return [plane_point(x, y, i + 1) for i, (x, y) in enumerate(coords)]
+
+
+def test_integer_segment_predicate_agrees_with_the_fraction_reference():
+    rng = random.Random(31)
+    crossing = 0
+    for trial in range(6000):
+        p1, p2, q1, q2 = _random_segment_pair(rng, rational=trial % 2 == 1)
+        expected = reference_segments_cross((p1, p2), (q1, q2))
+        assert segments_cross((p1, p2), (q1, q2)) == expected
+        a, b, c, d = integer_coords((p1, p2, q1, q2))
+        assert seg_cross_int((a, b), (c, d)) == expected
+        crossing += expected
+    assert 1500 < crossing < 4500
+
+
+def _general_instance(rng, m: int, rational: bool) -> Instance:
+    while True:
+        pts = [(_coord(rng, rational), _coord(rng, rational)) for _ in range(m)]
+        if not reference_has_collinear_triple(pts):
+            return Instance.build(
+                [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)], MNM, GENERAL
+            )
+
+
+def test_validate_matching_reports_equal_the_reference():
+    rng = random.Random(5)
+    for trial in range(400):
+        m = rng.choice((4, 6, 8))
+        inst = _general_instance(rng, m, rational=trial % 2 == 1)
+        idx = list(range(1, m + 1))
+        rng.shuffle(idx)
+        edges = [(idx[2 * t], idx[2 * t + 1]) for t in range(rng.randrange(1, m // 2 + 1))]
+        if rng.random() < 0.3:
+            edges.append((idx[0], idx[-1]))  # reuses endpoints
+        report = offline.validate_matching(inst, edges)
+        assert report.crossings == reference_crossings(inst, edges)
+    big = generators.random_general_instance(30, 3)
+    for seed in range(5):
+        order = list(range(1, 61))
+        random.Random(seed).shuffle(order)
+        edges = list(zip(order[::2], order[1::2]))
+        report = offline.validate_matching(big, edges, require_perfect=True)
+        assert report.crossings == reference_crossings(big, edges)
+        assert report.crossings  # random pairings cross
+
+
+def test_validate_matching_raises_on_coincident_positions():
+    pts = [plane_point(0, 0, 1), plane_point(3, 1, 2), plane_point(0, 0, 3),
+           plane_point(1, 4, 4)]
+    inst = Instance.build(pts, MNM, GENERAL, validate=False)
+    with pytest.raises(SharedEndpoint):
+        offline.validate_matching(inst, [(1, 2), (3, 4)])
+    with pytest.raises(SharedEndpoint):
+        reference_crossings(inst, [(1, 2), (3, 4)])
+    # reused indices are reported, never tested for crossing
+    report = offline.validate_matching(inst, [(1, 2), (2, 4)])
+    assert report.duplicate_endpoints == [2] and report.crossings == []
+
+
+# ---------------------------------------------------------------------------
+# convex polygons
+
+
+def test_convex_polygons_build_at_large_n():
+    for n in (50, 100, 200):
+        for seed in range(4):
+            inst = generators.random_convex_polygon_instance(n, MNM, seed)
+            assert inst.geometry == CONVEX and inst.n == n
+
+
+def test_small_polygons_are_unchanged():
+    h = hashlib.sha256()
+    for n in range(1, 21):
+        for seed in range(6):
+            for kind in ("MNM", "BNM"):
+                try:
+                    inst = generators.random_convex_polygon_instance(n, kind, seed)
+                except NcmatchError:
+                    h.update(f"{n},{seed},{kind},fail".encode())
+                    continue
+                h.update(repr([(p.x, p.y, p.color) for p in inst.points]).encode())
+    assert h.hexdigest() == "7c26c500c960cc47e78322188703938c23c09f8eaa1d3fa168db551422f3612e"
+
+
+def test_generate_random_convex_polygon_cli(tmp_path):
+    out = tmp_path / "poly.json"
+    res = CliRunner().invoke(
+        main, ["generate", "random-convex", "--n", "100", "--seed", "1", "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    inst = serial.load_instance(out).instance
+    assert inst.geometry == CONVEX and inst.n == 100
+
+
+# ---------------------------------------------------------------------------
+# scale and CLI
+
+
+def test_sorted_run_on_a_general_file_at_n_1000(tmp_path):
+    inst = generators.random_general_instance(1000, 4)
+    assert len({p.x for p in inst.points}) == 2000
+    path = tmp_path / "general.json"
+    serial.dump_instance(path, inst)
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["perfect"] and report["matched"] == 2000
+    assert report["bits_written"] == report["bits_read"] == 3000
+    assert not any(report["violations"].values())
+
+
+def test_run_rejects_a_rational_file_with_a_collinear_triple(tmp_path):
+    doc = {
+        "kind": MNM,
+        "geometry": GENERAL,
+        "points": [
+            {"x": "1/3", "y": "1/2", "color": None},
+            {"x": "7/5", "y": "9/4", "color": None},
+            {"x": "2/3", "y": "1/1", "color": None},  # on the line of the first and fourth
+            {"x": "1/1", "y": "3/2", "color": None},
+        ],
+    }
+    pts = [(Fraction(p["x"]), Fraction(p["y"])) for p in doc["points"]]
+    assert reference_has_collinear_triple(pts)
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and "collinear triple" in res.output

@@ -16,6 +16,7 @@ from ncmatch.geometry import (
     BNM,
     CONVEX,
     LEFT,
+    MNM,
     RED,
     RIGHT,
     Instance,
@@ -86,6 +87,32 @@ def modular_orientation(a, b, c):
     if db == 0 or dc == 0 or db == dc:
         raise Degenerate("coincident")
     return LEFT if db < dc else RIGHT
+
+
+def reference_convex_noncrossing_pm(instance):
+    """The divide and conquer as one recursive call per nesting level."""
+    pts = instance.points
+    is_bnm = instance.kind == BNM
+    edges = []
+
+    def solve(segment):
+        if not segment:
+            return
+        a = segment[0]
+        bal = 0
+        for t in range(1, len(segment)):
+            q = segment[t]
+            opposite = pts[q - 1].color != pts[a - 1].color if is_bnm else t % 2 == 1
+            if opposite and bal == 0:
+                edges.append((a, q))
+                solve(segment[1:t])
+                solve(segment[t + 1 :])
+                return
+            bal += (1 if pts[q - 1].color == BLUE else -1) if is_bnm else 1
+        raise NotPerfect(f"no balanced partner for point {a}")
+
+    solve(geometry.hull_order(instance))
+    return Matching.from_pairs(edges)
 
 
 def _outcome(fn, inst, matching):
@@ -186,6 +213,31 @@ def test_tree_build_rejects_non_red_blue_edges():
     inst = generators.random_circle_instance(2, BNM, 0)
     with pytest.raises(NotPerfect):
         matching_to_bt(inst.blues(), inst.reds(), Matching.from_pairs([(1, 2), (3, 4)]))
+
+
+def test_convex_pm_matches_the_recursion_on_circles_and_polygons():
+    compared = 0
+    for n in range(1, 41):
+        for seed in range(2):
+            for kind in (BNM, MNM):
+                for inst in (
+                    generators.random_circle_instance(n, kind, seed),
+                    generators.random_convex_polygon_instance(n, kind, seed),
+                ):
+                    assert convex_noncrossing_pm(inst) == reference_convex_noncrossing_pm(inst)
+                    compared += 1
+    assert compared == 320
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reverse"])
+def test_bt_on_deeply_nested_red_sequences(reverse):
+    # sigma the identity or its reverse nests every edge inside the last:
+    # the tree is a path of n nodes
+    n = 1100
+    sigma = list(range(n, 0, -1)) if reverse else list(range(1, n + 1))
+    sim = simulate(bt_matching(), bnm_red_instance(sigma).instance)
+    assert sim.violations.perfect
+    assert sim.bits_read == sim.bits_written == bits_for_universe(catalan(n))
 
 
 # ---------------------------------------------------------------------------
