@@ -340,7 +340,8 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
         shift = (a & -a).bit_length() - 1  # reduce by the shared power of two
         return geometry._raw_fraction(a >> shift, one >> shift)
 
-    pts = [circle_point(dyadic(a), idx + 1) for idx, a in enumerate(angles)]
+    # the dyadics are reduced and lie in [0, 1): no circle_point normalisation
+    pts = [Point(None, None, idx + 1, None, dyadic(a)) for idx, a in enumerate(angles)]
     instance = Instance.build(pts, MNM, CIRCLE, validate=False)
     return AnnotatedInstance(
         instance=instance,

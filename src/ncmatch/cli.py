@@ -13,7 +13,7 @@ import click
 
 from . import __version__, adversaries, campaigns, generators, serial, svg
 from .codecs import Permutation
-from .engine import asap_matching, bt_matching, greedy, simulate, sorted_matching
+from .engine import ALGORITHMS, simulate
 from .errors import (
     BadSubset,
     CapExceeded,
@@ -88,7 +88,7 @@ def generate(family, n, k, j_, intervals, sigma, kind, seed, out) -> None:
 
 
 @main.command()
-@click.argument("algorithm", type=click.Choice(["bt", "asap", "sorted", "greedy"]))
+@click.argument("algorithm", type=click.Choice(list(ALGORITHMS)))
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--svg", "svg_out", type=click.Path(dir_okay=False), default=None)
 @click.option("--unknown-n", is_flag=True, help="asap only: ship n on the tape.")
@@ -100,14 +100,10 @@ def run(algorithm, instance_path, svg_out, unknown_n, tie_break) -> None:
     except NcmatchError as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
-    if algorithm == "bt":
-        alg = bt_matching()
-    elif algorithm == "asap":
-        alg = asap_matching(known_n=not unknown_n, tie_break=tie_break)
-    elif algorithm == "sorted":
-        alg = sorted_matching()
+    if algorithm == "asap":
+        alg = ALGORITHMS[algorithm](known_n=not unknown_n, tie_break=tie_break)
     else:
-        alg = greedy()
+        alg = ALGORITHMS[algorithm]()
     instance = ai.instance
     try:
         result = simulate(alg, instance)

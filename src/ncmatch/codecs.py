@@ -54,20 +54,53 @@ def bits_for_universe(universe_size: int) -> int:
 
 @dataclass(frozen=True)
 class BinaryTree:
-    """An ordered rooted binary tree node; children may be None."""
+    """An ordered rooted binary tree node; children may be None.
+
+    Equality and hashing walk the shape without recursion, so they work on
+    trees of any depth.
+    """
 
     left: "BinaryTree | None" = None
     right: "BinaryTree | None" = None
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a is None or b is None or a.__class__ is not b.__class__:
+                return False
+            todo.append((a.right, b.right))
+            todo.append((a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return hash(tuple(_dyck_bits(self)))
+
     @property
     def size(self) -> int:
-        return 1 + tree_size(self.left) + tree_size(self.right)
+        return tree_size(self)
 
 
 def tree_size(t: BinaryTree | None) -> int:
-    if t is None:
-        return 0
-    return 1 + tree_size(t.left) + tree_size(t.right)
+    return len(_preorder(t)) if t is not None else 0
+
+
+def _assemble(lefts: Sequence[int], rights: Sequence[int]) -> BinaryTree | None:
+    """The tree whose node k has children lefts[k] and rights[k] (-1 for
+    none), where every child has a larger number than its parent and node 0
+    is the root; built children first."""
+    built: list[BinaryTree | None] = [None] * len(lefts)
+    for k in range(len(lefts) - 1, -1, -1):
+        left, right = lefts[k], rights[k]
+        built[k] = BinaryTree(
+            built[left] if left >= 0 else None,
+            built[right] if right >= 0 else None,
+        )
+    return built[0] if built else None
 
 
 def enumerate_trees(n: int) -> Iterator[BinaryTree | None]:
@@ -133,14 +166,15 @@ def tree_unrank(n: int, r: int) -> BinaryTree | None:
         return None
     # split top-down into child slots, then build bottom-up: a node's
     # children always get larger slot numbers than the node itself
-    children: list[list[int]] = []
+    children: tuple[list[int], list[int]] = ([], [])  # left, right slots
     todo = [(n, r, -1, 0)]  # (size, rank, parent slot, 0 left / 1 right)
     while todo:
         size, rank, parent, side = todo.pop()
-        slot = len(children)
-        children.append([-1, -1])
+        slot = len(children[0])
+        children[0].append(-1)
+        children[1].append(-1)
         if parent >= 0:
-            children[parent][side] = slot
+            children[side][parent] = slot
         # find the left size ls scanning from both ends at once;
         # below = trees with left size < lo, upto_hi = with left size < hi
         lo, hi = 0, size - 1
@@ -162,14 +196,7 @@ def tree_unrank(n: int, r: int) -> BinaryTree | None:
             todo.append((size - 1 - ls, right_rank, slot, 1))
         if ls:
             todo.append((ls, left_rank, slot, 0))
-    built: list[BinaryTree | None] = [None] * len(children)
-    for slot in range(len(children) - 1, -1, -1):
-        left, right = children[slot]
-        built[slot] = BinaryTree(
-            built[left] if left >= 0 else None,
-            built[right] if right >= 0 else None,
-        )
-    return built[0]
+    return _assemble(*children)
 
 
 # ---------------------------------------------------------------------------
@@ -344,65 +371,101 @@ def perm_to_tree(perm: Permutation | Sequence[int]) -> BinaryTree | None:
     """Bijection from 231-avoiding permutations to binary trees.
 
     The maximum splits the one-line word; everything before it must be the
-    smallest values, which is exactly 231-avoidance, applied recursively.
+    smallest values, which is exactly 231-avoidance, applied to both parts
+    in turn (on an explicit stack, nodes numbered in preorder).
     """
     values = tuple(perm)
-
-    def rec(vals: tuple[int, ...], lo: int) -> BinaryTree | None:
-        if not vals:
-            return None
-        m = len(vals)
+    lefts: list[int] = []
+    rights: list[int] = []
+    todo = [(0, len(values), 1, None, -1)]  # (start, end, lo, links, parent)
+    while todo:
+        start, end, lo, links, parent = todo.pop()
+        if start == end:
+            continue
+        k = len(lefts)
+        lefts.append(-1)
+        rights.append(-1)
+        if links is not None:
+            links[parent] = k
+        vals = values[start:end]
         pos = vals.index(max(vals))
-        before, after = vals[:pos], vals[pos + 1 :]
-        if sorted(before) != list(range(lo, lo + pos)):
+        if sorted(vals[:pos]) != list(range(lo, lo + pos)):
             raise Not231Avoiding(f"{values} contains a 231 pattern")
-        return BinaryTree(rec(before, lo), rec(after, lo + pos))
-
-    return rec(values, 1)
+        todo.append((start + pos + 1, end, lo + pos, rights, k))
+        todo.append((start, start + pos, lo, lefts, k))
+    return _assemble(lefts, rights)
 
 
 def tree_to_perm(t: BinaryTree | None) -> Permutation:
-    """Inverse of perm_to_tree."""
+    """Inverse of perm_to_tree: in order, a node takes the largest value of
+    its subtree's range, its left subtree the smallest.  O(n)."""
+    if t is None:
+        return Permutation(())
+    size: dict[int, int] = {id(None): 0}
+    for node in reversed(_preorder(t)):
+        size[id(node)] = 1 + size[id(node.left)] + size[id(node.right)]
+    values: list[int] = []
+    stack: list[tuple[BinaryTree, int]] = []
+    node, lo = t, 1  # lo: smallest value of node's subtree
+    while stack or node is not None:
+        while node is not None:
+            stack.append((node, lo))
+            node = node.left
+        node, lo = stack.pop()
+        values.append(lo + size[id(node)] - 1)
+        node, lo = node.right, lo + size[id(node.left)]
+    return Permutation(tuple(values))
 
-    def rec(node: BinaryTree | None, lo: int) -> tuple[int, ...]:
+
+_CLOSE = object()  # marks where tree_to_dyck writes a node's 1
+
+
+def _dyck_bits(t: BinaryTree | None) -> list[int]:
+    bits: list[int] = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
         if node is None:
-            return ()
-        ls = tree_size(node.left)
-        rs = tree_size(node.right)
-        before = rec(node.left, lo)
-        after = rec(node.right, lo + ls)
-        return before + (lo + ls + rs,) + after
-
-    return Permutation(rec(t, 1))
+            continue
+        if node is _CLOSE:
+            bits.append(1)
+            continue
+        bits.append(0)
+        todo.append(node.right)
+        todo.append(_CLOSE)
+        todo.append(node.left)
+    return bits
 
 
 def tree_to_dyck(t: BinaryTree | None) -> DyckWord:
     """Preorder encoding: node -> 0 <left> 1 <right>; single node is 01."""
-
-    def rec(node: BinaryTree | None) -> tuple[int, ...]:
-        if node is None:
-            return ()
-        return (0,) + rec(node.left) + (1,) + rec(node.right)
-
-    return DyckWord(rec(t))
+    return DyckWord(tuple(_dyck_bits(t)))
 
 
 def dyck_to_tree(w: DyckWord) -> BinaryTree | None:
-    """Inverse of tree_to_dyck."""
-    bits = w.bits
-
-    def rec(pos: int) -> tuple[BinaryTree | None, int]:
-        if pos >= len(bits) or bits[pos] == 1:
-            return None, pos
-        left, pos = rec(pos + 1)
-        # bits[pos] is the 1 closing this node
-        right, pos = rec(pos + 1)
-        return BinaryTree(left, right), pos
-
-    tree, end = rec(0)
-    if end != len(bits):
+    """Inverse of tree_to_dyck.  Each 0 opens the next node in preorder,
+    hung where the previous bit left off: as the left child of the node a
+    0 opened, or as the right child of the node a 1 closed."""
+    lefts: list[int] = []
+    rights: list[int] = []
+    open_nodes: list[int] = []
+    links, parent = None, -1  # where the next node hangs; None: the root
+    for b in w.bits:
+        if b == 0:
+            k = len(lefts)
+            lefts.append(-1)
+            rights.append(-1)
+            if links is not None:
+                links[parent] = k
+            open_nodes.append(k)
+            links, parent = lefts, k
+        elif open_nodes:
+            links, parent = rights, open_nodes.pop()
+        else:
+            raise InvalidDyck("trailing bits after parse")
+    if open_nodes:
         raise InvalidDyck("trailing bits after parse")
-    return tree
+    return _assemble(lefts, rights)
 
 
 # ---------------------------------------------------------------------------

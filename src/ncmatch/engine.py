@@ -128,7 +128,7 @@ class _RegionEngine:
         m = len(pts)
         self.pts = pts
         self.kind = instance.kind
-        self.rank_of = geometry.cyclic_ranks(pts)  # ccw by angle
+        self.rank_of = instance.ranks  # ccw by angle
         self.arrival_at_rank = [0] * m
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
@@ -142,7 +142,8 @@ class _RegionEngine:
         self.cnt: dict[int, int] = {0: 0}
         self.heaps: dict[int, list] = {0: []}
         self._next_reg = 1
-        self.cur: tuple[int, int, int, int] | None = None
+        # (arrival, rank, region, count, BNM available list or None)
+        self.cur: tuple[int, int, int, int, list[int] | None] | None = None
 
     def on_arrival(self, i: int) -> int:
         r = self.rank_of[i - 1]
@@ -166,10 +167,12 @@ class _RegionEngine:
             self.arc_reg[r] = reg
         self.arrived[r] = True
         if self.kind == MNM:
+            av = None
             cnt = self.cnt.get(reg, 0)
         else:
-            cnt = len(self._scan_available(reg, i))
-        self.cur = (i, r, reg, cnt)
+            av = self._scan_available(reg, i)
+            cnt = len(av)
+        self.cur = (i, r, reg, cnt, av)
         return cnt
 
     def avail_count(self) -> int:
@@ -189,16 +192,15 @@ class _RegionEngine:
         return out
 
     def available_indices(self) -> list[int]:
-        i, _r, reg, _c = self.cur
-        return self._scan_available(reg, i)
+        i, _r, reg, _c, av = self.cur
+        return list(av) if av is not None else self._scan_available(reg, i)
 
     def min_available(self) -> int | None:
-        i, _r, reg, cnt = self.cur
+        _i, _r, reg, cnt, av = self.cur
         if cnt == 0:
             return None
-        if self.kind == BNM:
-            av = self._scan_available(reg, i)
-            return av[0] if av else None
+        if av is not None:
+            return av[0]
         heap = self.heaps.get(reg, [])
         while heap:
             ai, rk = heap[0]
@@ -211,7 +213,7 @@ class _RegionEngine:
         return max(self.available_indices(), default=None)
 
     def is_available(self, j: int) -> bool:
-        i, _r, reg, _c = self.cur
+        i, _r, reg, _c, _av = self.cur
         if not 1 <= j < i:
             return False
         rq = self.rank_of[j - 1]
@@ -222,14 +224,14 @@ class _RegionEngine:
         return True
 
     def commit_skip(self) -> None:
-        i, r, reg, _c = self.cur
+        i, r, reg, _c, _av = self.cur
         self.reg_pt[r] = reg
         self.cnt[reg] = self.cnt.get(reg, 0) + 1
         heappush(self.heaps.setdefault(reg, []), (i, r))
         self.cur = None
 
     def commit_match(self, j: int) -> tuple[int, int]:
-        i, r, reg, cnt_at_arrival = self.cur
+        i, r, reg, cnt_at_arrival, _av = self.cur
         rq = self.rank_of[j - 1]
         nxt, prv = self.nxt, self.prv
 
@@ -688,9 +690,10 @@ def greedy() -> OnlineAlgorithm:
     )
 
 
-ALGORITHMS: dict[str, Callable[[], OnlineAlgorithm]] = {
+# in the order `ncmatch run` lists them
+ALGORITHMS: dict[str, Callable[..., OnlineAlgorithm]] = {
     "bt": bt_matching,
-    "sorted": sorted_matching,
     "asap": asap_matching,
+    "sorted": sorted_matching,
     "greedy": greedy,
 }

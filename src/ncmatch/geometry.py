@@ -4,9 +4,11 @@ everything else is built on.
 Coordinates are exact rationals.  A point on the unit circle additionally
 carries an exact turn-fraction angle in [0, 1), measured counterclockwise
 from the positive x axis; every predicate whose operands all lie on the
-circle is decided from angle order alone.  The x/y stored for circle points
-are display placeholders (nearest representable position) and never reach
-a predicate.  Clockwise means decreasing angle.
+circle is decided from angle order alone.  The x/y of circle points are
+display placeholders (nearest representable position) that ``Point``
+derives from the angle when they are first read; they never reach a
+predicate.  Circle instances sort their angles once, into
+``Instance.ranks``.  Clockwise means decreasing angle.
 
 Every other predicate runs on integers: scaling all coordinates by their
 common denominator preserves orientations and intersections.  Instances
@@ -48,12 +50,15 @@ KINDS = (MNM, BNM)
 GEOMETRIES = (CIRCLE, CONVEX, GENERAL)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     """A planar point with its arrival position in the online sequence.
 
     ``angle`` is present exactly when the point is declared to lie on the
-    unit circle; in that case x/y are placeholders for rendering only.
+    unit circle; in that case x/y are placeholders for rendering only.  A
+    point built with an angle and x = y = None (as ``circle_point`` does)
+    derives each of them when it is first read, as the exact rational value
+    of the float cosine/sine at that angle, and keeps it.
     """
 
     x: Fraction
@@ -62,11 +67,40 @@ class Point:
     color: str | None = None
     angle: Fraction | None = None
 
+    def __init__(
+        self,
+        x: Fraction | None,
+        y: Fraction | None,
+        arrival_index: int,
+        color: str | None = None,
+        angle: Fraction | None = None,
+    ):
+        set_ = object.__setattr__
+        if x is not None or y is not None or angle is None:
+            set_(self, "x", x)
+            set_(self, "y", y)
+        set_(self, "arrival_index", arrival_index)
+        set_(self, "color", color)
+        set_(self, "angle", angle)
+
+    def __getattr__(self, name):
+        # reached only for unset slots: the x/y that __init__ left to derive
+        trig = _PLACEHOLDER_TRIG.get(name)
+        if trig is None:
+            raise AttributeError(name)
+        a = self.angle
+        value = _float_fraction(trig(2.0 * math.pi * (a.numerator / a.denominator)))
+        object.__setattr__(self, name, value)
+        return value
+
     def position(self) -> tuple:
         """Hashable exact position: the angle on circles, else coordinates."""
         if self.angle is not None:
             return ("angle", self.angle)
         return ("xy", self.x, self.y)
+
+
+_PLACEHOLDER_TRIG = {"x": math.cos, "y": math.sin}
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -75,7 +109,7 @@ def _raw_fraction(num: int, den: int) -> Fraction:
     Instance generators build millions of exact dyadics; the public
     constructor's normalization dominates their runtime otherwise.
     """
-    f = Fraction.__new__(Fraction)
+    f = object.__new__(Fraction)
     f._numerator = num
     f._denominator = den
     return f
@@ -86,25 +120,17 @@ def _float_fraction(v: float) -> Fraction:
 
 
 def circle_point(angle: Fraction | int, arrival_index: int, color: str | None = None) -> Point:
-    """Point on the unit circle at an exact turn fraction.
+    """Point on the unit circle at an exact turn fraction, reduced mod 1.
 
-    The rational x/y are derived from the float cosine/sine once, here, and
-    are only ever used by renderers and length surrogates.
+    Its rational x/y are derived from the float cosine/sine when first
+    read (see ``Point``); only renderers, the x-sorted player and length
+    surrogates read them.
     """
     if not isinstance(angle, Fraction):
         angle = Fraction(angle) % 1
-    num, den = angle.numerator, angle.denominator
-    if not 0 <= num < den:
+    elif not 0 <= angle.numerator < angle.denominator:
         angle = angle % 1
-        num, den = angle.numerator, angle.denominator
-    rad = 2.0 * math.pi * (num / den)
-    return Point(
-        x=_float_fraction(math.cos(rad)),
-        y=_float_fraction(math.sin(rad)),
-        arrival_index=arrival_index,
-        color=color,
-        angle=angle,
-    )
+    return Point(None, None, arrival_index, color, angle)
 
 
 def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
@@ -121,13 +147,10 @@ def angle_sort_keys(pts: Sequence[Point]) -> list:
     """Exact sort keys for circle points: plain ints when every angle
     denominator is a power of two (true of all at-scale generators here),
     else the Fractions themselves."""
-    denoms = [p.angle.denominator for p in pts]
-    if all(d & (d - 1) == 0 for d in denoms):
-        kmax = max(d.bit_length() - 1 for d in denoms)
-        return [
-            p.angle.numerator << (kmax - (p.angle.denominator.bit_length() - 1))
-            for p in pts
-        ]
+    ratios = [p.angle.as_integer_ratio() for p in pts]
+    if all(d & (d - 1) == 0 for _, d in ratios):
+        width = max(d for _, d in ratios).bit_length()
+        return [num << (width - d.bit_length()) for num, d in ratios]
     return [p.angle for p in pts]
 
 
@@ -319,6 +342,13 @@ class Instance:
         order; every generator's planar points are integers already."""
         return integer_coords(self.points)
 
+    @cached_property
+    def ranks(self) -> list[int]:
+        """Counterclockwise hull position of each point (``cyclic_ranks``),
+        in arrival order; shared by the region engine, the circle audit and
+        ``hull_order``, so callers must not modify it."""
+        return cyclic_ranks(self.points)
+
     def blues(self) -> tuple[Point, ...]:
         return self.points[: self.n]
 
@@ -425,7 +455,7 @@ def hull_order(instance: Instance) -> list[int]:
     """
     if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("hull order needs circle or convex geometry")
-    ranks = cyclic_ranks(instance.points)
+    ranks = instance.ranks
     m = len(ranks)
     ccw = [0] * m
     for i, r in enumerate(ranks):

@@ -10,7 +10,7 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from . import geometry
-from .codecs import BinaryTree
+from .codecs import BinaryTree, _assemble
 from .errors import (
     CapExceeded,
     CrossingDetected,
@@ -257,15 +257,7 @@ def matching_to_bt(
         heads.append(y)
         lefts.append(-1)
         rights.append(-1)
-
-    built: list[BinaryTree | None] = [None] * n
-    for k in range(n - 1, -1, -1):
-        left, right = lefts[k], rights[k]
-        built[k] = BinaryTree(
-            built[left] if left >= 0 else None,
-            built[right] if right >= 0 else None,
-        )
-    return built[0]
+    return _assemble(lefts, rights)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +295,14 @@ class MatchingReport:
 def _circle_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> bool:
     """O(m) stack check: chords are non-crossing iff, along the circular
     order, they close like balanced parentheses."""
-    pts = instance.points
-    rank = {p.arrival_index: r for p, r in zip(pts, geometry.cyclic_ranks(pts))}
+    rank = instance.ranks
     partner: dict[int, tuple[int, int]] = {}
     for e in edges:
         a, b = e
-        partner[rank[a]] = (rank[b], id(e))
-        partner[rank[b]] = (rank[a], id(e))
+        partner[rank[a - 1]] = (rank[b - 1], id(e))
+        partner[rank[b - 1]] = (rank[a - 1], id(e))
     stack: list[int] = []
-    for pos in range(len(pts)):
+    for pos in range(len(rank)):
         if pos not in partner:
             continue
         other, eid = partner[pos]

@@ -184,11 +184,12 @@ def test_07_interval_family_structure():
 def test_08_markov_coupling_trace_invariants():
     t0 = time.perf_counter()
     summary = campaigns.check_coupling(n=200, trials=10_000, seed=0, tolerance=0.02)
+    rate = summary["params"]["trials"] / (time.perf_counter() - t0)
     assert summary["ok"], summary
     mean = next(
         r["measured"] for r in summary["results"] if r["name"].startswith("mean of Y")
     )
-    _finish("08 markov coupling", t0, 60.0, f"(Y-mean {mean})")
+    _finish("08 markov coupling", t0, 60.0, f"(Y-mean {mean}, {rate:.0f} trials/s)")
 
     # rate-function goldens, both published constants; frozen on first
     # computation and re-derived here from the bare formula

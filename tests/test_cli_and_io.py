@@ -302,3 +302,88 @@ def test_generate_markov_past_the_digit_limit_exits_2_without_a_file(tmp_path):
     assert isinstance(res.exception, SystemExit)
     assert "RationalTooLarge" in res.output
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# `ncmatch run` dispatch through engine.ALGORITHMS
+
+_REPORT = (
+    '{{"algorithm": "{alg}", "kind": "{kind}", "geometry": "{geometry}", "n": {n}, '
+    '"matched": {matched}, "unmatched": {unmatched}, "perfect": {perfect}, '
+    '"bits_written": {bits}, "bits_read": {bits}, "violations": {{"crossings": 0, '
+    '"color": 0, "duplicate_endpoints": 0}}, "meta": {meta}}}\n'
+)
+
+
+@pytest.fixture
+def run_files(tmp_path):
+    runner = CliRunner()
+    for name, args in {
+        "bnm": ["random-convex", "--n", "6", "--kind", "BNM", "--seed", "3"],
+        "mnm": ["random-convex", "--n", "6", "--kind", "MNM", "--seed", "4"],
+        "gen": ["random-general", "--n", "6", "--seed", "5"],
+        "mk": ["markov", "--n", "8", "--seed", "2"],
+    }.items():
+        res = runner.invoke(main, ["generate", *args, "--out", str(tmp_path / f"{name}.json")])
+        assert res.exit_code == 0, res.output
+    return tmp_path
+
+
+def test_cli_run_choices_come_from_the_registry():
+    from ncmatch.engine import ALGORITHMS
+
+    res = CliRunner().invoke(main, ["run", "--help"])
+    assert res.exit_code == 0
+    assert "{" + "|".join(ALGORITHMS) + "}" in res.output
+    assert "{bt|asap|sorted|greedy}" in res.output
+    res = CliRunner().invoke(main, ["run", "bogus", "x.json"])
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, file, fields",
+    [
+        (["bt"], "bnm", dict(kind="BNM", geometry="convex", n=6, matched=12, bits=8, seed=3)),
+        (["asap"], "mnm", dict(kind="MNM", geometry="circle", n=6, matched=12, bits=8, seed=4)),
+        (
+            ["asap", "--unknown-n", "--tie-break", "max"],
+            "mnm",
+            dict(kind="MNM", geometry="circle", n=6, matched=12, bits=13, seed=4),
+        ),
+        (["sorted"], "gen", dict(kind="MNM", geometry="general", n=6, matched=12, bits=18, seed=5)),
+        (["greedy"], "mk", dict(kind="MNM", geometry="circle", n=8, matched=14, bits=0, seed=2)),
+    ],
+)
+def test_cli_run_reports_are_byte_identical(run_files, args, file, fields):
+    from ncmatch import __version__
+
+    alg, *options = args
+    res = CliRunner().invoke(main, ["run", alg, str(run_files / f"{file}.json"), *options])
+    assert res.exit_code == 0, res.output
+    n, matched, seed = fields["n"], fields["matched"], fields["seed"]
+    family = {"bnm": "random-convex", "mnm": "random-convex", "gen": "random-general"}
+    if file == "mk":
+        meta = {"family": "markov", "n": n, "seed": seed, "rng": "python-random-mt19937"}
+    else:
+        meta = {"family": family[file], "seed": seed}
+    meta["generator"] = f"ncmatch-{__version__}"
+    assert res.stdout == _REPORT.format(
+        alg=alg, kind=fields["kind"], geometry=fields["geometry"], n=n, matched=matched,
+        unmatched=2 * n - matched, perfect=json.dumps(matched == 2 * n),
+        bits=fields["bits"], meta=json.dumps(meta),
+    )
+
+
+@pytest.mark.parametrize(
+    "alg, file, error",
+    [
+        ("bt", "mnm", "InvalidInstance: this algorithm runs on BNM instances"),
+        ("asap", "gen", "NotConvex: this algorithm needs points in convex position"),
+        ("asap", "bnm", "InvalidInstance: this algorithm runs on MNM instances"),
+        ("sorted", "bnm", "InvalidInstance: x-sorted matching runs on MNM instances"),
+    ],
+)
+def test_cli_run_precondition_failures_exit_3(run_files, alg, file, error):
+    res = CliRunner().invoke(main, ["run", alg, str(run_files / f"{file}.json")])
+    assert res.exit_code == 3
+    assert res.stderr == json.dumps({"error": error}) + "\n"

@@ -168,6 +168,34 @@ def test_engines_agree_under_random_play():
                 e2.commit_skip()
 
 
+def test_engines_agree_under_random_play_on_bnm():
+    # the region engine keeps each BNM arrival's available list; every
+    # query and split must still match the brute engine after every commit
+    rng = random.Random(101)
+    for trial in range(30):
+        n = rng.randrange(1, 9)
+        inst = generators.random_circle_instance(n, BNM, rng.randrange(10**6))
+        moves = random.Random(trial)
+        e1 = make_engine(inst, "region")
+        e2 = make_engine(inst, "brute")
+        for i in range(1, 2 * n + 1):
+            c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
+            assert c1 == c2 == e1.avail_count() == e2.avail_count()
+            idx1, idx2 = e1.available_indices(), e2.available_indices()
+            assert sorted(idx1) == sorted(idx2) and len(idx1) == c1
+            e1.available_indices().clear()  # a caller's copy: the engine keeps its own
+            assert e1.min_available() == e2.min_available()
+            assert e1.max_available() == e2.max_available()
+            for probe in range(1, i):
+                assert e1.is_available(probe) == e2.is_available(probe)
+            if i > n and idx1 and moves.random() < 0.7:
+                j = moves.choice(idx1)
+                assert e1.commit_match(j) == e2.commit_match(j)
+            else:
+                e1.commit_skip()
+                e2.commit_skip()
+
+
 def test_view_count_agrees_with_indices_on_both_engines():
     from ncmatch.engine import AvailabilityView
 
