@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from . import geometry
+from . import geometry, offline
 from .codecs import Permutation, is_231_avoiding
 from .engine import SimulationResult
 from .errors import (
@@ -215,30 +215,14 @@ def consistent(prior: Matching, ai: AnnotatedInstance, cap: int = 18) -> Consist
     size_ok = len(prior) >= k
     parity_ok = all(chi[a - 1] != chi[b - 1] for a, b in prior.edges)
 
-    pts = inst.points
-    edge_points = [(pts[a - 1], pts[b - 1]) for a, b in prior.edges]
     matched = prior.matched_indices()
-
-    def extend(unmatched: list[int], edges: list[tuple[Point, Point]]) -> bool:
-        if not unmatched:
-            return True
-        i = unmatched[0]
-        rest = unmatched[1:]
-        for pos, j in enumerate(rest):
-            if j <= prefix and i <= prefix:
-                continue  # both already arrived before the suffix
-            seg = (pts[i - 1], pts[j - 1])
-            if any(geometry.segments_cross(seg, e) for e in edges):
-                continue
-            edges.append(seg)
-            if extend(rest[:pos] + rest[pos + 1 :], edges):
-                edges.pop()
-                return True
-            edges.pop()
-        return False
-
     free = [i for i in range(1, m + 1) if i not in matched]
-    completable = extend(free, list(edge_points))
+    # every new edge needs a suffix point: two prefix points both arrived
+    # before the suffix began
+    completions = offline.noncrossing_pairings(
+        inst, free, prior.edges, may_pair=lambda i, j: max(i, j) > prefix
+    )
+    completable = next(completions, None) is not None
     return ConsistencyResult(completable, size_ok, parity_ok)
 
 
@@ -246,36 +230,8 @@ def noncrossing_priors(ai: AnnotatedInstance) -> Iterator[Matching]:
     """All non-crossing partial matchings on the 4k fixed prefix points."""
     inst = ai.instance
     prefix = 2 * len(inst.points) // 3
-    pts = inst.points
-
-    def rec(i: int, edges: list[tuple[int, int]], matched: set[int]) -> Iterator[list[tuple[int, int]]]:
-        if i > prefix:
-            yield list(edges)
-            return
-        # i stays unmatched
-        yield from rec(i + 1, edges, matched)
-        if i in matched:
-            return
-        for j in range(i + 1, prefix + 1):
-            if j in matched:
-                continue
-            seg = (pts[i - 1], pts[j - 1])
-            if any(
-                geometry.segments_cross(seg, (pts[a - 1], pts[b - 1])) for a, b in edges
-            ):
-                continue
-            edges.append((i, j))
-            matched.update((i, j))
-            yield from rec(i + 1, edges, matched)
-            edges.pop()
-            matched.difference_update((i, j))
-
-    seen = set()
-    for edges in rec(1, [], set()):
-        key = frozenset(edges)
-        if key not in seen:
-            seen.add(key)
-            yield Matching.from_pairs(edges)
+    for edges in offline.noncrossing_pairings(inst, range(1, prefix + 1), perfect=False):
+        yield Matching.from_pairs(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +471,10 @@ def min_strategy_cover(
         per_group: list[frozenset] = []
         for key, gids in sorted(groups.items()):
             rep = instances[gids[0]]
-            pts = rep.points
-            edge_points = [(pts[a - 1], pts[b - 1]) for a, b in state]
+            ends = rep.crossing_view[0]
+            edges = [(ends[a - 1], ends[b - 1]) for a, b in state]
             matched = {v for e in state for v in e}
-            options = geometry._available(pts, edge_points, matched, t + 1, kind)
+            options = geometry.scan_available(rep, t + 1, matched, edges)
             collected: set[frozenset] = set()
             if kind == BNM:
                 if not options:

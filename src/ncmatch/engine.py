@@ -2,14 +2,16 @@
 
 The harness threads an advice tape from an oracle phase (full instance
 visible) into a player phase (points revealed one at a time).  Players only
-ever see revealed points plus an availability view; the harness rejects any
-attempted match that is not available, so no simulation can commit a
-crossing edge.
+ever see revealed points plus the availability engine's queries (``count``,
+``indices``, ``min_arrival``, ``max_arrival``, ``has``); the harness
+rejects any attempted match that is not available, so no simulation can
+commit a crossing edge.
 
 Two interchangeable availability engines back the harness: a brute-force
-one that calls geometry.available_set, and a laminar-region tracker for
-circle instances that answers the same queries in near-constant time per
-step (two points on a circle can be joined without a crossing iff no
+one that runs geometry.scan_available at every arrival, and a
+laminar-region tracker for every convex-position instance (circles and
+polygons) that answers the same queries in near-constant time per step
+(two points in convex position can be joined without a crossing iff no
 committed chord separates them, so region identity is availability).
 """
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BNM, CIRCLE, CONVEX, LEFT, MNM, Instance, Matching, Point
+from .geometry import BLUE, BNM, CIRCLE, CONVEX, LEFT, MNM, Instance, Matching, Point
 from .offline import MatchingReport
 
 
@@ -46,50 +48,37 @@ from .offline import MatchingReport
 class _BruteEngine:
     """Availability by direct crossing tests; the reference engine.
 
-    Planar segments are tested on the instance's integer view with
-    ``geometry.seg_cross_int``; circle chords by ``segments_cross``, which
-    decides them by angle order.
+    Every arrival runs ``geometry.scan_available`` against the committed
+    edges, which are kept as pairs of the instance's ``crossing_view`` ends
+    (hull ranks on circles, integer coordinates otherwise).
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.pts = instance.points
-        if instance.geometry == CIRCLE:
-            self.ends, self.crosses = self.pts, geometry.segments_cross
-        else:
-            self.ends, self.crosses = instance.int_xy, geometry.seg_cross_int
+        self.ends = instance.crossing_view[0]
         self.edges: list[tuple] = []  # committed edges as pairs of ends
         self.matched: set[int] = set()
         self.cur: tuple[int, list[int]] | None = None
 
     def on_arrival(self, i: int) -> int:
-        ends, crosses, edges = self.ends, self.crosses, self.edges
-        p = ends[i - 1]
-        p_color = self.pts[i - 1].color
-        is_bnm = self.instance.kind == BNM
-        av = []
-        for j in range(1, i):
-            if j in self.matched or (is_bnm and self.pts[j - 1].color == p_color):
-                continue
-            seg = (p, ends[j - 1])
-            if not any(crosses(seg, e) for e in edges):
-                av.append(j)
+        av = geometry.scan_available(self.instance, i, self.matched, self.edges)
         self.cur = (i, av)
         return len(av)
 
-    def avail_count(self) -> int:
+    def count(self) -> int:
         return len(self.cur[1])
 
-    def available_indices(self) -> list[int]:
+    def indices(self) -> list[int]:
         return list(self.cur[1])
 
-    def min_available(self) -> int | None:
+    def min_arrival(self) -> int | None:
         return min(self.cur[1], default=None)
 
-    def max_available(self) -> int | None:
+    def max_arrival(self) -> int | None:
         return max(self.cur[1], default=None)
 
-    def is_available(self, j: int) -> bool:
+    def has(self, j: int) -> bool:
         return j in self.cur[1]
 
     def commit_skip(self) -> None:
@@ -114,13 +103,14 @@ class _BruteEngine:
 
 
 class _RegionEngine:
-    """Laminar-region availability tracker for circle instances.
+    """Laminar-region availability tracker for convex-position instances.
 
-    Committed chords partition the disk; two points can be joined iff they
-    sit in the same region.  Regions are tracked as integer labels on the
-    arrived points and on the arcs between circular neighbors; a match
-    relabels the smaller side of the new chord, so the total relabeling
-    work is O(m log m) per simulation.
+    It reads only the instance's hull ranks.  Committed chords partition
+    the polygon; two points can be joined iff they sit in the same region.
+    Regions are tracked as integer labels on the arrived points and on the
+    arcs between circular neighbors; a match relabels the smaller side of
+    the new chord, so the total relabeling work is O(m log m) per
+    simulation.
     """
 
     def __init__(self, instance: Instance):
@@ -128,7 +118,7 @@ class _RegionEngine:
         m = len(pts)
         self.pts = pts
         self.kind = instance.kind
-        self.rank_of = instance.ranks  # ccw by angle
+        self.rank_of = instance.ranks  # ccw hull position
         self.arrival_at_rank = [0] * m
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
@@ -170,12 +160,13 @@ class _RegionEngine:
             av = None
             cnt = self.cnt.get(reg, 0)
         else:
-            av = self._scan_available(reg, i)
+            # a blue is never available to a blue
+            av = self._scan_available(reg, i) if self.pts[i - 1].color != BLUE else []
             cnt = len(av)
         self.cur = (i, r, reg, cnt, av)
         return cnt
 
-    def avail_count(self) -> int:
+    def count(self) -> int:
         return self.cur[3]
 
     def _scan_available(self, reg: int, i: int) -> list[int]:
@@ -191,11 +182,11 @@ class _RegionEngine:
         out.sort()
         return out
 
-    def available_indices(self) -> list[int]:
+    def indices(self) -> list[int]:
         i, _r, reg, _c, av = self.cur
         return list(av) if av is not None else self._scan_available(reg, i)
 
-    def min_available(self) -> int | None:
+    def min_arrival(self) -> int | None:
         _i, _r, reg, cnt, av = self.cur
         if cnt == 0:
             return None
@@ -209,10 +200,10 @@ class _RegionEngine:
             heappop(heap)
         return None
 
-    def max_available(self) -> int | None:
-        return max(self.available_indices(), default=None)
+    def max_arrival(self) -> int | None:
+        return max(self.indices(), default=None)
 
-    def is_available(self, j: int) -> bool:
+    def has(self, j: int) -> bool:
         i, _r, reg, _c, _av = self.cur
         if not 1 <= j < i:
             return False
@@ -289,37 +280,16 @@ class _RegionEngine:
 
 
 def make_engine(instance: Instance, mode: str = "auto"):
+    convex = instance.geometry in (CIRCLE, CONVEX)
     if mode == "auto":
-        mode = "region" if instance.geometry == CIRCLE else "brute"
+        mode = "region" if convex else "brute"
     if mode == "region":
-        if instance.geometry != CIRCLE:
-            raise InvalidInstance("region engine requires a circle instance")
+        if not convex:
+            raise InvalidInstance("region engine requires points in convex position")
         return _RegionEngine(instance)
     if mode == "brute":
         return _BruteEngine(instance)
     raise ValueError(f"unknown engine mode {mode!r}")
-
-
-class AvailabilityView:
-    """The only availability interface a player gets."""
-
-    def __init__(self, engine):
-        self._engine = engine
-
-    def count(self) -> int:
-        return self._engine.avail_count()
-
-    def indices(self) -> list[int]:
-        return self._engine.available_indices()
-
-    def min_arrival(self) -> int | None:
-        return self._engine.min_available()
-
-    def max_arrival(self) -> int | None:
-        return self._engine.max_available()
-
-    def has(self, j: int) -> bool:
-        return self._engine.is_available(j)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +348,6 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     bits = list(alg.oracle(instance)) if alg.oracle is not None else []
     tape = AdviceTape(bits)
     eng = make_engine(instance, engine)
-    view = AvailabilityView(eng)
     player = alg.make_player()
 
     n = instance.n
@@ -399,13 +368,13 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     events: list[MatchEvent] = []
     for i in arrivals:
         cnt = eng.on_arrival(i)
-        decision = player.decide(i, instance.point(i), view, tape)
+        decision = player.decide(i, instance.point(i), eng, tape)
         if decision is None:
             eng.commit_skip()
             log.append((i, None, cnt))
             continue
         j = int(decision)
-        if not eng.is_available(j):
+        if not eng.has(j):
             raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
         left, right = eng.commit_match(j)
         edges.append((j, i))
@@ -609,7 +578,7 @@ def _asap_word(instance: Instance, tie_break: str) -> DyckWord:
         cnt = eng.on_arrival(i)
         matched = False
         if cnt:
-            idxs = eng.available_indices()
+            idxs = eng.indices()
             if any(chi[j - 1] != chi[i - 1] for j in idxs):
                 bits.append(1)
                 j = min(idxs) if tie_break == "min" else max(idxs)

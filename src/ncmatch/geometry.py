@@ -14,6 +14,10 @@ Every other predicate runs on integers: scaling all coordinates by their
 common denominator preserves orientations and intersections.  Instances
 build that integer view once (``Instance.int_xy``) for the segment test
 ``seg_cross_int`` and the general-position check ``collinear_triple``.
+``Instance.crossing_view`` pairs each instance with its one exact crossing
+test: ``chords_cross`` on hull ranks for circles, ``seg_cross_int`` on the
+integer view otherwise.  ``segments_cross`` decides the same question on
+``Point``s and serves as the reference.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     Degenerate,
@@ -192,6 +196,16 @@ def seg_cross_int(e1: tuple, e2: tuple) -> bool:
     return False
 
 
+def chords_cross(e1: tuple, e2: tuple) -> bool:
+    """True iff two chords of a convex polygon cross; endpoints are four
+    distinct cyclic ranks.  They cross iff exactly one endpoint of the
+    second lies strictly between the ranks of the first."""
+    (a, b), (c, d) = e1, e2
+    if a > b:
+        a, b = b, a
+    return (a < c < b) != (a < d < b)
+
+
 def collinear_triple(xy: Sequence[tuple[int, int]]) -> tuple[int, int, int] | None:
     """Positions of three collinear integer points, or None if there are none.
 
@@ -341,6 +355,17 @@ class Instance:
         """The points' integer coordinates (``integer_coords``), in arrival
         order; every generator's planar points are integers already."""
         return integer_coords(self.points)
+
+    @cached_property
+    def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool]]:
+        """``(ends, crosses)``: each point's exact stand-in, in arrival order,
+        and the test that decides whether two segments given as pairs of
+        stand-ins intersect.  Circles use their hull ranks and
+        ``chords_cross``; every other geometry uses ``int_xy`` and
+        ``seg_cross_int``."""
+        if self.geometry == CIRCLE:
+            return self.ranks, chords_cross
+        return self.int_xy, seg_cross_int
 
     @cached_property
     def ranks(self) -> list[int]:
@@ -532,30 +557,31 @@ class Matching:
 def available_set(instance: Instance, current: Matching, i: int) -> set[int]:
     """Arrival indices of earlier unmatched points that p_i can legally match.
 
-    Brute force over crossing tests; the simulation engine keeps a faster
-    equivalent for circle instances, cross-checked against this one.
+    The brute-force definition (``scan_available``); the region engine
+    answers the same queries for convex-position instances and is
+    cross-checked against this one.
     """
-    pts = instance.points
-    edge_points = [(pts[a - 1], pts[b - 1]) for a, b in current.edges]
-    matched = current.matched_indices()
-    return set(_available(pts, edge_points, matched, i, instance.kind))
+    ends = instance.crossing_view[0]
+    edges = [(ends[a - 1], ends[b - 1]) for a, b in current.edges]
+    return set(scan_available(instance, i, current.matched_indices(), edges))
 
 
-def _available(
-    pts: Sequence[Point],
-    edge_points: list[tuple[Point, Point]],
-    matched: set[int],
-    i: int,
-    kind: str,
+def scan_available(
+    instance: Instance, i: int, matched: set[int], edges: list[tuple]
 ) -> list[int]:
-    p = pts[i - 1]
+    """Ascending arrival indices j < i that p_i can join: j is unmatched, of
+    the other color on BNM, and the segment p_i p_j crosses none of the
+    committed ``edges``, which are given as pairs of the instance's
+    ``crossing_view`` ends."""
+    ends, crosses = instance.crossing_view
+    pts = instance.points
+    color = pts[i - 1].color if instance.kind == BNM else None
+    p = ends[i - 1]
     out = []
     for j in range(1, i):
-        if j in matched:
+        if j in matched or (color is not None and pts[j - 1].color == color):
             continue
-        q = pts[j - 1]
-        if kind == BNM and q.color == p.color:
-            continue
-        if all(not segments_cross((p, q), e) for e in edge_points):
+        seg = (p, ends[j - 1])
+        if not any(crosses(seg, e) for e in edges):
             out.append(j)
     return out

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
 from .codecs import BinaryTree, _assemble
@@ -73,46 +73,63 @@ def squared_length(p: Point, q: Point) -> Fraction:
 # brute-force oracles
 
 
-def _noncrossing_pairings(
-    instance: Instance, cap: int
+def noncrossing_pairings(
+    instance: Instance,
+    free: Iterable[int],
+    prior: Iterable[tuple[int, int]] = (),
+    may_pair: Callable[[int, int], bool] | None = None,
+    perfect: bool = True,
 ) -> Iterator[list[tuple[int, int]]]:
-    """DFS over perfect pairings, pruning any branch that creates a crossing.
+    """Depth-first search over non-crossing pairings of the free points.
 
-    Yields edge lists; (2n-1)!! leaves at worst, far fewer after pruning.
+    The first undecided free point i is paired with each later undecided
+    point j in turn, in the order of ``free``, when ``may_pair(i, j)``
+    allows it and the segment crosses neither a ``prior`` edge nor an edge
+    chosen before; unless ``perfect``, leaving i unmatched is tried first.  Crossings are
+    decided on the instance's ``crossing_view``.  Yields each pairing as its
+    (i, j) edges in the order chosen; (2n-1)!! leaves at worst, far fewer
+    after pruning.
     """
-    pts = instance.points
-    m = len(pts)
-    if m > cap:
-        raise CapExceeded(f"brute force capped at {cap} points, got {m}")
-    is_bnm = instance.kind == BNM
+    ends, crosses = instance.crossing_view
+    segs = [(ends[a - 1], ends[b - 1]) for a, b in prior]
+    chosen: list[tuple[int, int]] = []
 
-    def rec(unmatched: list[int], chosen: list[tuple[int, int]]):
+    def rec(unmatched: list[int]) -> Iterator[list[tuple[int, int]]]:
         if not unmatched:
             yield list(chosen)
             return
-        i = unmatched[0]
-        rest = unmatched[1:]
+        i, rest = unmatched[0], unmatched[1:]
+        if not perfect:
+            yield from rec(rest)
         for pos, j in enumerate(rest):
-            if is_bnm and pts[i - 1].color == pts[j - 1].color:
+            if may_pair is not None and not may_pair(i, j):
                 continue
-            seg = (pts[i - 1], pts[j - 1])
-            if any(
-                geometry.segments_cross(seg, (pts[a - 1], pts[b - 1]))
-                for a, b in chosen
-            ):
+            seg = (ends[i - 1], ends[j - 1])
+            if any(crosses(seg, e) for e in segs):
                 continue
+            segs.append(seg)
             chosen.append((i, j))
-            yield from rec(rest[:pos] + rest[pos + 1 :], chosen)
+            yield from rec(rest[:pos] + rest[pos + 1 :])
+            segs.pop()
             chosen.pop()
 
-    yield from rec(list(range(1, m + 1)), [])
+    yield from rec(list(free))
 
 
 def enumerate_perfect_noncrossing(
     instance: Instance, cap: int = BRUTE_FORCE_CAP
 ) -> Iterator[Matching]:
     """Every perfect non-crossing matching of a small instance."""
-    for edges in _noncrossing_pairings(instance, cap):
+    pts = instance.points
+    m = len(pts)
+    if m > cap:
+        raise CapExceeded(f"brute force capped at {cap} points, got {m}")
+
+    def bichromatic(i: int, j: int) -> bool:
+        return pts[i - 1].color != pts[j - 1].color
+
+    may_pair = bichromatic if instance.kind == BNM else None
+    for edges in noncrossing_pairings(instance, range(1, m + 1), may_pair=may_pair):
         yield Matching.from_pairs(edges)
 
 
@@ -125,19 +142,19 @@ def min_length_pm(instance: Instance, cap: int = BRUTE_FORCE_CAP) -> Matching:
     non-crossing by construction.
     """
     pts = instance.points
-    best_edges: list[tuple[int, int]] | None = None
-    best_sq: list[Fraction] | None = None
-    for edges in _noncrossing_pairings(instance, cap):
+    best: Matching | None = None
+    for matching in enumerate_perfect_noncrossing(instance, cap):
+        edges = list(matching)
         sq = [squared_length(pts[a - 1], pts[b - 1]) for a, b in edges]
-        if best_edges is None:
-            best_edges, best_sq = edges, sq
+        if best is None:
+            best, best_edges, best_sq = matching, edges, sq
             continue
         cmp = compare_length_sums(sq, best_sq)
-        if cmp < 0 or (cmp == 0 and sorted(edges) < sorted(best_edges)):
-            best_edges, best_sq = edges, sq
-    if best_edges is None:
+        if cmp < 0 or (cmp == 0 and edges < best_edges):
+            best, best_edges, best_sq = matching, edges, sq
+    if best is None:
         raise NotPerfect("no perfect non-crossing matching exists")
-    return Matching.from_pairs(best_edges)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +332,6 @@ def _circle_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> 
     return True
 
 
-def _int_segments_cross(e1: tuple, e2: tuple) -> bool:
-    """segments_cross on integer (x, y) endpoints, with its guard."""
-    if len({*e1, *e2}) < 4:
-        raise SharedEndpoint(f"segments {e1} and {e2} share an endpoint position")
-    return geometry.seg_cross_int(e1, e2)
-
-
 def validate_matching(
     instance: Instance,
     matching: Matching | Sequence[tuple[int, int]],
@@ -352,20 +362,24 @@ def validate_matching(
             report.color_violations.append(e)
     report.matched_count = len(seen)
 
-    if instance.geometry != CIRCLE:
-        xy = instance.int_xy
-        ends = [(xy[a - 1], xy[b - 1]) for a, b in usable]
-        crosses = _int_segments_cross
-    elif report.duplicate_endpoints or not _circle_noncrossing_ok(instance, usable):
-        ends = [(pts[a - 1], pts[b - 1]) for a, b in usable]
-        crosses = geometry.segments_cross
+    if (
+        instance.geometry == CIRCLE
+        and not report.duplicate_endpoints
+        and _circle_noncrossing_ok(instance, usable)
+    ):
+        segs = []  # fast path: provably no crossing pair
     else:
-        ends = []  # fast path: provably no crossing pair
-    for x in range(len(ends)):
-        for y in range(x + 1, len(ends)):
+        ends, crosses = instance.crossing_view
+        segs = [(ends[a - 1], ends[b - 1]) for a, b in usable]
+    for x in range(len(segs)):
+        for y in range(x + 1, len(segs)):
             if len({*usable[x], *usable[y]}) < 4:
                 continue  # endpoint reuse already reported
-            if crosses(ends[x], ends[y]):
+            if len({*segs[x], *segs[y]}) < 4:
+                raise SharedEndpoint(
+                    f"segments {segs[x]} and {segs[y]} share an endpoint position"
+                )
+            if crosses(segs[x], segs[y]):
                 report.crossings.append((usable[x], usable[y]))
     report.perfect = report.valid and report.matched_count == m
     return report

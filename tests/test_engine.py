@@ -123,12 +123,25 @@ def test_player_cannot_read_unwritten_tape():
 # region engine vs brute engine
 
 
+CONVEX_GENERATORS = (
+    generators.random_circle_instance,
+    generators.random_convex_polygon_instance,
+)
+
+
+def _convex_instances(n: int, kind: str, seed: int):
+    """The same draw as a circle instance and as a convex polygon."""
+    return [gen(n, kind, seed) for gen in CONVEX_GENERATORS]
+
+
 def test_engines_agree_step_by_step():
     rng = random.Random(17)
+    runs = []
     for _ in range(40):
         kind = rng.choice([MNM, BNM])
-        inst = generators.random_circle_instance(rng.randrange(2, 7), kind, rng.randrange(10**6))
-        alg = bt_matching() if kind == BNM else greedy()
+        runs += _convex_instances(rng.randrange(2, 7), kind, rng.randrange(10**6))
+    for inst in runs:
+        alg = bt_matching() if inst.kind == BNM else greedy()
         s1 = simulate(alg, inst, engine="region")
         s2 = simulate(alg, inst, engine="brute")
         assert s1.matching == s2.matching
@@ -146,20 +159,24 @@ def test_engines_agree_under_random_play():
     # drive both engines with the same random decision stream and compare
     # every count, membership answer and split they produce
     rng = random.Random(99)
-    for trial in range(30):
-        inst = generators.random_circle_instance(8, MNM, rng.randrange(10**6))
+    runs = [
+        (trial, inst)
+        for trial in range(30)
+        for inst in _convex_instances(8, MNM, rng.randrange(10**6))
+    ]
+    for trial, inst in runs:
         moves = random.Random(trial)
         e1 = make_engine(inst, "region")
         e2 = make_engine(inst, "brute")
         for i in range(1, 17):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
             assert c1 == c2
-            idx1, idx2 = sorted(e1.available_indices()), sorted(e2.available_indices())
+            idx1, idx2 = sorted(e1.indices()), sorted(e2.indices())
             assert idx1 == idx2
-            assert e1.min_available() == e2.min_available()
-            assert e1.max_available() == e2.max_available()
+            assert e1.min_arrival() == e2.min_arrival()
+            assert e1.max_arrival() == e2.max_arrival()
             for probe in range(1, i):
-                assert e1.is_available(probe) == e2.is_available(probe)
+                assert e1.has(probe) == e2.has(probe)
             if idx1 and moves.random() < 0.6:
                 j = moves.choice(idx1)
                 assert e1.commit_match(j) == e2.commit_match(j)
@@ -172,22 +189,25 @@ def test_engines_agree_under_random_play_on_bnm():
     # the region engine keeps each BNM arrival's available list; every
     # query and split must still match the brute engine after every commit
     rng = random.Random(101)
+    runs = []
     for trial in range(30):
         n = rng.randrange(1, 9)
-        inst = generators.random_circle_instance(n, BNM, rng.randrange(10**6))
+        runs += [(trial, inst) for inst in _convex_instances(n, BNM, rng.randrange(10**6))]
+    for trial, inst in runs:
+        n = inst.n
         moves = random.Random(trial)
         e1 = make_engine(inst, "region")
         e2 = make_engine(inst, "brute")
         for i in range(1, 2 * n + 1):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
-            assert c1 == c2 == e1.avail_count() == e2.avail_count()
-            idx1, idx2 = e1.available_indices(), e2.available_indices()
+            assert c1 == c2 == e1.count() == e2.count()
+            idx1, idx2 = e1.indices(), e2.indices()
             assert sorted(idx1) == sorted(idx2) and len(idx1) == c1
-            e1.available_indices().clear()  # a caller's copy: the engine keeps its own
-            assert e1.min_available() == e2.min_available()
-            assert e1.max_available() == e2.max_available()
+            e1.indices().clear()  # a caller's copy: the engine keeps its own
+            assert e1.min_arrival() == e2.min_arrival()
+            assert e1.max_arrival() == e2.max_arrival()
             for probe in range(1, i):
-                assert e1.is_available(probe) == e2.is_available(probe)
+                assert e1.has(probe) == e2.has(probe)
             if i > n and idx1 and moves.random() < 0.7:
                 j = moves.choice(idx1)
                 assert e1.commit_match(j) == e2.commit_match(j)
@@ -197,15 +217,12 @@ def test_engines_agree_under_random_play_on_bnm():
 
 
 def test_view_count_agrees_with_indices_on_both_engines():
-    from ncmatch.engine import AvailabilityView
-
     inst = generators.random_circle_instance(4, MNM, 8)
     for mode in ("region", "brute"):
         eng = make_engine(inst, mode)
-        view = AvailabilityView(eng)
         for i in range(1, 9):
             eng.on_arrival(i)
-            assert view.count() == len(view.indices())
+            assert eng.count() == len(eng.indices())
             eng.commit_skip()
 
 
@@ -225,7 +242,7 @@ def test_brute_engine_integer_path_matches_available_set():
             cnt = eng.on_arrival(i)
             expected = available_set(inst, m, i)
             assert cnt == len(expected)
-            assert sorted(eng.available_indices()) == sorted(expected)
+            assert sorted(eng.indices()) == sorted(expected)
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
                 eng.commit_match(j)
@@ -236,18 +253,18 @@ def test_brute_engine_integer_path_matches_available_set():
 
 def test_region_engine_counts_match_available_set():
     rng = random.Random(29)
-    for _ in range(25):
-        inst = generators.random_circle_instance(6, MNM, rng.randrange(10**6))
+    for gen in [g for g in CONVEX_GENERATORS for _ in range(25)]:
+        inst = gen(6, MNM, rng.randrange(10**6))
         eng = make_engine(inst, "region")
         m = Matching()
         for i in range(1, 13):
             cnt = eng.on_arrival(i)
             expected = available_set(inst, m, i)
             assert cnt == len(expected)
-            assert sorted(eng.available_indices()) == sorted(expected)
+            assert sorted(eng.indices()) == sorted(expected)
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
-                assert eng.is_available(j)
+                assert eng.has(j)
                 eng.commit_match(j)
                 m = m.with_edge(i, j)
             else:
