@@ -94,11 +94,17 @@ def bnm_red_instance(
     n = perm.n
     # angles increase left to right on the lower semicircle; sentinels at
     # the west (1/2) and east (1 == 0 mod 1, stored as 1 for arithmetic)
+    # placed values and their angles, both in value (= angle) order
+    placed: list[int] = []
+    angles: list[Fraction] = []
     reds: list[Fraction] = []
-    for i, s in enumerate(values, start=1):
-        j = 1 + sum(1 for t in values[: i - 1] if t < s)
-        bounds = [Fraction(1, 2), *sorted(reds), Fraction(1)]
-        reds.append((bounds[j - 1] + bounds[j]) / 2)
+    for s in values:
+        j = bisect_left(placed, s)  # j - 1 in the notation above
+        lo = angles[j - 1] if j else Fraction(1, 2)
+        hi = angles[j] if j < len(angles) else Fraction(1)
+        reds.append((lo + hi) / 2)
+        placed.insert(j, s)
+        angles.insert(j, reds[-1])
     points = bnm_blue_positions(n) + [
         circle_point(a, n + i, RED) for i, a in enumerate(reds, start=1)
     ]

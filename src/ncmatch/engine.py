@@ -10,9 +10,13 @@ commit a crossing edge.
 Two interchangeable availability engines back the harness: a brute-force
 one that runs geometry.scan_available at every arrival, and a
 laminar-region tracker for every convex-position instance (circles and
-polygons) that answers the same queries in near-constant time per step
-(two points in convex position can be joined without a crossing iff no
-committed chord separates them, so region identity is availability).
+polygons).  Two points in convex position can be joined without a
+crossing iff no committed chord separates them, so region identity is
+availability.  A BNM red costs O(log a) for a available blues; a match
+adds a walk to the partner along the shorter side and the slice of blues
+it moves.  The region engine also names each arrival's region, which is
+the tree slot the bt player replays, and the k-th available blue
+clockwise from a red.
 """
 from __future__ import annotations
 
@@ -107,10 +111,17 @@ class _RegionEngine:
 
     It reads only the instance's hull ranks.  Committed chords partition
     the polygon; two points can be joined iff they sit in the same region.
-    Regions are tracked as integer labels on the arrived points and on the
-    arcs between circular neighbors; a match relabels the smaller side of
-    the new chord, so the total relabeling work is O(m log m) per
-    simulation.
+    Regions are integer ids (0 is the whole polygon) kept on the arcs
+    between circular neighbors and, on MNM, on the unmatched points.  A
+    match walks the arrived points both ways from the arrival and gives
+    the side that reaches the partner first a new id.
+
+    On BNM each region keeps its unmatched blues as one rank-sorted list.
+    A red's count is that list's length and the k-th available blue
+    clockwise from it is one bisect away, so a red costs O(log a), and a
+    match adds the walk plus the contiguous slice of ranks it moves.
+    After a match, ``split`` holds the ids of the regions left and right
+    of the directed chord (arrival to partner).
     """
 
     def __init__(self, instance: Instance):
@@ -131,9 +142,11 @@ class _RegionEngine:
         self.ranks_sorted: list[int] = []
         self.cnt: dict[int, int] = {0: 0}
         self.heaps: dict[int, list] = {0: []}
+        self.blues: dict[int, list[int]] = {0: []}  # BNM: region -> ranks
         self._next_reg = 1
-        # (arrival, rank, region, count, BNM available list or None)
-        self.cur: tuple[int, int, int, int, list[int] | None] | None = None
+        self.split: tuple[int, int] | None = None
+        # (arrival, rank, region, count, BNM available ranks or None)
+        self.cur: tuple[int, int, int, int, Sequence[int] | None] | None = None
 
     def on_arrival(self, i: int) -> int:
         r = self.rank_of[i - 1]
@@ -161,7 +174,7 @@ class _RegionEngine:
             cnt = self.cnt.get(reg, 0)
         else:
             # a blue is never available to a blue
-            av = self._scan_available(reg, i) if self.pts[i - 1].color != BLUE else []
+            av = self.blues[reg] if self.pts[i - 1].color != BLUE else ()
             cnt = len(av)
         self.cur = (i, r, reg, cnt, av)
         return cnt
@@ -169,29 +182,25 @@ class _RegionEngine:
     def count(self) -> int:
         return self.cur[3]
 
-    def _scan_available(self, reg: int, i: int) -> list[int]:
-        color = self.pts[i - 1].color
-        out = []
-        for r in self.ranks_sorted:
-            if self.matched[r] or self.reg_pt[r] != reg:
-                continue
-            arr = self.arrival_at_rank[r]
-            if self.kind == BNM and self.pts[arr - 1].color == color:
-                continue
-            out.append(arr)
-        out.sort()
-        return out
+    def region(self) -> int:
+        return self.cur[2]
 
     def indices(self) -> list[int]:
-        i, _r, reg, _c, av = self.cur
-        return list(av) if av is not None else self._scan_available(reg, i)
+        _i, _r, reg, _c, av = self.cur
+        at = self.arrival_at_rank
+        if av is not None:
+            return sorted(at[rk] for rk in av)
+        return sorted(
+            at[rk] for rk in self.ranks_sorted
+            if not self.matched[rk] and self.reg_pt[rk] == reg
+        )
 
     def min_arrival(self) -> int | None:
         _i, _r, reg, cnt, av = self.cur
         if cnt == 0:
             return None
         if av is not None:
-            return av[0]
+            return min(self.arrival_at_rank[rk] for rk in av)
         heap = self.heaps.get(reg, [])
         while heap:
             ai, rk = heap[0]
@@ -203,26 +212,33 @@ class _RegionEngine:
     def max_arrival(self) -> int | None:
         return max(self.indices(), default=None)
 
+    def kth_clockwise(self, k: int) -> int:
+        """BNM: the k-th available point clockwise from the arrival."""
+        _i, r, _g, _c, av = self.cur
+        return self.arrival_at_rank[av[(bisect_left(av, r) - k) % len(av)]]
+
     def has(self, j: int) -> bool:
-        i, _r, reg, _c, _av = self.cur
+        i, _r, reg, _c, av = self.cur
         if not 1 <= j < i:
             return False
         rq = self.rank_of[j - 1]
-        if not self.arrived[rq] or self.matched[rq] or self.reg_pt[rq] != reg:
-            return False
-        if self.kind == BNM and self.pts[j - 1].color == self.pts[i - 1].color:
-            return False
-        return True
+        if av is not None:
+            pos = bisect_left(av, rq)
+            return pos < len(av) and av[pos] == rq
+        return self.arrived[rq] and not self.matched[rq] and self.reg_pt[rq] == reg
 
     def commit_skip(self) -> None:
-        i, r, reg, _c, _av = self.cur
-        self.reg_pt[r] = reg
-        self.cnt[reg] = self.cnt.get(reg, 0) + 1
-        heappush(self.heaps.setdefault(reg, []), (i, r))
+        i, r, reg, _c, av = self.cur
+        if av is None:
+            self.reg_pt[r] = reg
+            self.cnt[reg] = self.cnt.get(reg, 0) + 1
+            heappush(self.heaps.setdefault(reg, []), (i, r))
+        elif self.pts[i - 1].color == BLUE:
+            insort(self.blues[reg], r)
         self.cur = None
 
     def commit_match(self, j: int) -> tuple[int, int]:
-        i, r, reg, cnt_at_arrival, _av = self.cur
+        i, r, reg, cnt_at_arrival, av = self.cur
         rq = self.rank_of[j - 1]
         nxt, prv = self.nxt, self.prv
 
@@ -241,32 +257,30 @@ class _RegionEngine:
         else:
             walked, walked_is_ccw = cw_side, False
 
-        is_mnm = self.kind == MNM
-        my_color = self.pts[i - 1].color
-        walked_avail = 0
-        for rk in walked:
-            if self.matched[rk] or self.reg_pt[rk] != reg:
-                continue
-            if is_mnm or self.pts[self.arrival_at_rank[rk] - 1].color != my_color:
-                walked_avail += 1
-        other_avail = cnt_at_arrival - 1 - walked_avail
-        # the clockwise side of the directed chord (arrival -> partner) is
-        # its left half-plane; the ccw walk covers the right side
-        if walked_is_ccw:
-            left_count, right_count = other_avail, walked_avail
-        else:
-            left_count, right_count = walked_avail, other_avail
-
         g1 = self._next_reg
         self._next_reg += 1
-        h1 = self.heaps.setdefault(g1, [])
-        moved = 0
-        for rk in walked:
-            if not self.matched[rk] and self.reg_pt[rk] == reg:
-                self.reg_pt[rk] = g1
-                moved += 1
-                heappush(h1, (self.arrival_at_rank[rk], rk))
-        self.cnt[g1] = moved
+        if av is None:
+            h1 = self.heaps[g1] = []
+            moved = 0
+            for rk in walked:
+                if not self.matched[rk] and self.reg_pt[rk] == reg:
+                    self.reg_pt[rk] = g1
+                    moved += 1
+                    heappush(h1, (self.arrival_at_rank[rk], rk))
+            self.cnt[g1] = moved
+            self.cnt[reg] = self.cnt.get(reg, 0) - 1 - moved
+        else:
+            # the walked side's blues are the ranks strictly between the
+            # arrival and its partner on that side: a cyclic slice of av
+            del av[bisect_left(av, rq)]
+            lo, hi = sorted((bisect_left(av, r), bisect_left(av, rq)))
+            if walked_is_ccw == (r < rq):
+                self.blues[g1] = av[lo:hi]
+                del av[lo:hi]
+            else:
+                self.blues[g1] = av[:lo] + av[hi:]
+                self.blues[reg] = av[lo:hi]
+            moved = len(self.blues[g1])
         arc_nodes = [r] + walked if walked_is_ccw else walked + [rq]
         for rk in arc_nodes:
             if self.arc_reg[rk] == reg:
@@ -274,9 +288,15 @@ class _RegionEngine:
 
         self.matched[r] = True
         self.matched[rq] = True
-        self.cnt[reg] = self.cnt.get(reg, 0) - 1 - moved
         self.cur = None
-        return left_count, right_count
+        # the clockwise side of the directed chord (arrival -> partner) is
+        # its left half-plane; the ccw walk covers the right side
+        other = cnt_at_arrival - 1 - moved
+        if walked_is_ccw:
+            self.split = (reg, g1)
+            return other, moved
+        self.split = (g1, reg)
+        return moved, other
 
 
 def make_engine(instance: Instance, mode: str = "auto"):
@@ -334,6 +354,7 @@ class OnlineAlgorithm:
     make_player: Callable[[], Any]
     check: Callable[[Instance], None]
     needs_n: bool = False
+    needs_regions: bool = False  # the player reads region ids
 
 
 def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> SimulationResult:
@@ -348,6 +369,8 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     bits = list(alg.oracle(instance)) if alg.oracle is not None else []
     tape = AdviceTape(bits)
     eng = make_engine(instance, engine)
+    if alg.needs_regions and not isinstance(eng, _RegionEngine):
+        raise InvalidInstance(f"{alg.name} reads region ids and needs the region engine")
     player = alg.make_player()
 
     n = instance.n
@@ -397,75 +420,38 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
 # players
 
 
-def _clockwise_from(anchor: Point, others: Sequence[Point]) -> list[Point]:
-    """Points of a convex-position set in clockwise order starting just
-    after the anchor."""
-    if anchor.angle is not None and all(p.angle is not None for p in others):
-        keys = geometry.angle_sort_keys([*others, anchor])
-        start = keys.pop()
-        # clockwise is decreasing angle; rotate to just below the anchor
-        order = sorted(range(len(others)), key=keys.__getitem__, reverse=True)
-        k = next((t for t, i in enumerate(order) if keys[i] < start), len(order))
-        return [others[i] for i in order[k:] + order[:k]]
-    hull = geometry._convex_hull_ccw([anchor, *others])
-    if len(hull) != len(others) + 1:
-        raise NotConvex("clockwise ordering needs convex position")
-    hull.reverse()
-    k = hull.index(anchor)
-    return hull[k + 1 :] + hull[:k]
-
-
-class _LabeledNode:
-    __slots__ = ("left", "right", "size", "label")
-
-    def __init__(self, left, right, size):
-        self.left = left
-        self.right = right
-        self.size = size
-        self.label: tuple[Point, Point] | None = None
-
-
-def _labeled_copy(t) -> _LabeledNode | None:
-    """Unlabeled copy of tree t with subtree sizes, built children first."""
-    copy: dict[int, _LabeledNode | None] = {id(None): None}
-    for node in reversed(_preorder(t) if t is not None else []):
-        left, right = copy[id(node.left)], copy[id(node.right)]
-        size = 1 + (left.size if left else 0) + (right.size if right else 0)
-        copy[id(node)] = _LabeledNode(left, right, size)
-    return copy[id(t)]
-
-
 class _BTPlayer:
     """Replays a perfect matching from its tree encoding.
 
-    Each red descends the tree by half-plane tests against labeled edges;
-    at the first unlabeled node the left-subtree size says which available
-    blue (clockwise from the red) is its partner.  Beyond listing the a
-    blues available to it, a red costs one orientation test per tree
-    ancestor and an O(a log a) clockwise sort.
+    Every face of the committed chords is one empty child slot of the
+    tree, so the player keeps a dict from the engine's region ids to tree
+    nodes instead of descending the tree.  A red takes the node of its
+    region; the left-subtree size k says that its partner is the k-th
+    available blue clockwise from it, and the node's children become the
+    slots of the regions left and right of the new chord.  A red costs
+    O(log a) on top of the region engine's own work.
     """
 
     def begin(self, ctx: BeginContext, tape: AdviceTape) -> None:
-        self.blue_by_index = {p.arrival_index: p for p in ctx.blues}
         n = len(ctx.blues)
-        rank = read_ranked(tape, catalan(n))
-        self.root = _labeled_copy(tree_unrank(n, rank))
+        root = tree_unrank(n, read_ranked(tape, catalan(n)))
+        self.size = {id(None): 0}
+        for node in reversed(_preorder(root) if root is not None else []):
+            self.size[id(node)] = 1 + self.size[id(node.left)] + self.size[id(node.right)]
+        self.slot = {0: root}
+        self.last = None  # the node matched at the previous red
 
     def decide(self, i, point, view, tape):
-        node = self.root
-        while node is not None and node.label is not None:
-            side = geometry.half_plane_side(node.label, point)
-            node = node.left if side == LEFT else node.right
+        if self.last is not None:
+            left, right = view.split
+            self.slot[left], self.slot[right] = self.last.left, self.last.right
+        node = self.last = self.slot.get(view.region())
         if node is None:
-            raise IllegalMatch(f"tree descent fell off at red {i}")
-        k = (node.left.size if node.left else 0) + 1
-        avail = [self.blue_by_index[j] for j in view.indices()]
-        ordered = _clockwise_from(point, avail)
-        if k > len(ordered):
-            raise IllegalMatch(f"red {i} wants blue #{k} but only {len(ordered)} available")
-        partner = ordered[k - 1]
-        node.label = (point, partner)
-        return partner.arrival_index
+            raise IllegalMatch(f"red {i} arrives in an empty tree slot")
+        k = self.size[id(node.left)] + 1
+        if k > view.count():
+            raise IllegalMatch(f"red {i} wants blue #{k} but only {view.count()} available")
+        return view.kth_clockwise(k)
 
 
 def _check_bnm_convex(instance: Instance) -> None:
@@ -491,6 +477,7 @@ def bt_matching() -> OnlineAlgorithm:
         oracle=_bt_oracle,
         make_player=_BTPlayer,
         check=_check_bnm_convex,
+        needs_regions=True,
     )
 
 

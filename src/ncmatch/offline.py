@@ -219,9 +219,9 @@ def matching_to_bt(
     The root is the first red's edge; the left/right subtrees are the trees
     of the edges lying in the left/right half-plane of that directed edge
     (red towards blue).  Built in one pass: edges are inserted in red
-    arrival order, each descending from the root as the bt player does,
-    with side tests decided by comparing cyclic hull ranks.  An edge whose
-    endpoints fall on different sides of an ancestor raises
+    arrival order, each descending from the root to the empty slot of its
+    region, with side tests decided by comparing cyclic hull ranks.  An
+    edge whose endpoints fall on different sides of an ancestor raises
     CrossingDetected.  O(n log n) for the hull ranks plus O(depth) integer
     comparisons per edge.
     """
@@ -309,9 +309,9 @@ class MatchingReport:
         return self.valid and (self.perfect or not self.required_perfect)
 
 
-def _circle_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> bool:
-    """O(m) stack check: chords are non-crossing iff, along the circular
-    order, they close like balanced parentheses."""
+def _hull_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> bool:
+    """O(m) stack check for convex position: chords are non-crossing iff,
+    along the hull order, they close like balanced parentheses."""
     rank = instance.ranks
     partner: dict[int, tuple[int, int]] = {}
     for e in edges:
@@ -363,9 +363,9 @@ def validate_matching(
     report.matched_count = len(seen)
 
     if (
-        instance.geometry == CIRCLE
+        instance.geometry in (CIRCLE, CONVEX)
         and not report.duplicate_endpoints
-        and _circle_noncrossing_ok(instance, usable)
+        and _hull_noncrossing_ok(instance, usable)
     ):
         segs = []  # fast path: provably no crossing pair
     else:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from bt_reference import descent_bt
 
 from ncmatch import generators, geometry, offline
 from ncmatch.codecs import DyckWord, bits_for_universe, catalan, elias_delta_encode
@@ -141,9 +142,11 @@ def test_engines_agree_step_by_step():
         kind = rng.choice([MNM, BNM])
         runs += _convex_instances(rng.randrange(2, 7), kind, rng.randrange(10**6))
     for inst in runs:
+        # bt reads region ids, so the brute engine runs the descent player
         alg = bt_matching() if inst.kind == BNM else greedy()
+        ref = descent_bt() if inst.kind == BNM else greedy()
         s1 = simulate(alg, inst, engine="region")
-        s2 = simulate(alg, inst, engine="brute")
+        s2 = simulate(ref, inst, engine="brute")
         assert s1.matching == s2.matching
         assert s1.per_step_log == s2.per_step_log
         assert [

@@ -9,7 +9,7 @@ import pytest
 from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
 from ncmatch.codecs import BinaryTree, bits_for_universe, catalan, enumerate_231_avoiding
-from ncmatch.engine import _clockwise_from, bt_matching, simulate
+from ncmatch.engine import bt_matching, make_engine, simulate
 from ncmatch.errors import CrossingDetected, Degenerate, NotConvex, NotPerfect
 from ncmatch.geometry import (
     BLUE,
@@ -285,13 +285,24 @@ def test_circle_chord_crossing_agrees_with_the_modular_rule():
 
 
 def test_clockwise_from_matches_modular_sort():
+    # the region engine's k-th available blue clockwise from each red, for
+    # every k, while random matches split the regions
     rng = random.Random(17)
     for trial in range(200):
         inst = generators.random_circle_instance(rng.randint(1, 30), BNM, trial)
-        pts = list(inst.points)
-        anchor = pts.pop(rng.randrange(len(pts)))
-        expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
-        assert _clockwise_from(anchor, pts) == expected
+        moves = random.Random(trial)
+        eng = make_engine(inst, "region")
+        for i in range(1, 2 * inst.n + 1):
+            cnt = eng.on_arrival(i)
+            got = [eng.kth_clockwise(k) for k in range(1, cnt + 1)] if i > inst.n else []
+            anchor = inst.point(i)
+            pts = [inst.point(j) for j in eng.indices()]
+            expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
+            assert got == [p.arrival_index for p in expected]
+            if got and moves.random() < 0.5:
+                eng.commit_match(moves.choice(got))
+            else:
+                eng.commit_skip()
 
 
 # ---------------------------------------------------------------------------
