@@ -38,7 +38,7 @@ def _finish(check: str, params: dict, results: list[dict]) -> dict:
     }
 
 
-def check_bnm_lb(n: int) -> dict:
+def check_bnm_lb(n: int = 3) -> dict:
     """Strategy cover of the full 231-avoiding family equals catalan(n)."""
     family = list(bnm_family(n))
     cover = min_strategy_cover(family)
@@ -60,7 +60,7 @@ def check_bnm_lb(n: int) -> dict:
     return _finish("bnm-lb", {"n": n}, results)
 
 
-def check_mnm_lb(k: int, deep: bool | None = None) -> dict:
+def check_mnm_lb(k: int = 2, deep: bool | None = None) -> dict:
     """Family size matches the binomial sum and the parity fingerprint is
     injective; at k <= 2, every member is completable and every consistent
     prior satisfies the two necessary conditions."""
@@ -108,7 +108,7 @@ def check_mnm_lb(k: int, deep: bool | None = None) -> dict:
     return _finish("mnm-lb", {"k": k, "deep": deep}, results)
 
 
-def check_catalan_bijections(n: int) -> dict:
+def check_catalan_bijections(n: int = 8) -> dict:
     """Tree, balanced-word and 231-avoiding counts all equal catalan(n)."""
     expected = catalan(n)
     trees = sum(1 for _ in enumerate_trees(n))
@@ -146,7 +146,11 @@ def _coupling_trial(args: tuple[int, int]) -> tuple[int, int, int, int, int, int
 
 
 def check_coupling(
-    n: int, trials: int, seed: int, tolerance: float = 0.02, workers: int | None = None
+    n: int = 200,
+    trials: int = 1000,
+    seed: int = 0,
+    tolerance: float = 0.02,
+    workers: int | None = None,
 ) -> dict:
     """Trace invariants of the Markov adversary against the greedy player."""
     if workers is None:

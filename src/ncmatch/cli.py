@@ -6,6 +6,7 @@ does not meet the algorithm's preconditions.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 
@@ -137,21 +138,18 @@ def run(algorithm, instance_path, svg_out, unknown_n, tie_break) -> None:
 @click.argument("check", type=click.Choice(sorted(campaigns.CHECKS)))
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def verify(check, n, k, trials, seed) -> None:
-    """Run a verification campaign; exit 1 if any sub-check fails."""
+@click.option("--trials", type=int, default=None)
+@click.option("--seed", type=int, default=None)
+def verify(check, **options) -> None:
+    """Run a verification campaign; exit 1 if any sub-check fails.
+
+    Each option goes to the campaigns that take it; an option left out
+    takes the campaign's own default."""
+    campaign = campaigns.CHECKS[check]
+    takes = inspect.signature(campaign).parameters
+    kwargs = {k: v for k, v in options.items() if v is not None and k in takes}
     try:
-        if check == "bnm-lb":
-            summary = campaigns.check_bnm_lb(n if n is not None else 3)
-        elif check == "mnm-lb":
-            summary = campaigns.check_mnm_lb(k if k is not None else 2)
-        elif check == "catalan-bijections":
-            summary = campaigns.check_catalan_bijections(n if n is not None else 8)
-        elif check == "coupling":
-            summary = campaigns.check_coupling(n if n is not None else 200, trials, seed)
-        else:
-            summary = campaigns.check_rate_table()
+        summary = campaign(**kwargs)
     except (CapExceeded, BadSubset, Not231Avoiding, ValueError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return

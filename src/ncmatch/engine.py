@@ -12,17 +12,17 @@ one that runs geometry.scan_available at every arrival, and a
 laminar-region tracker for every convex-position instance (circles and
 polygons).  Two points in convex position can be joined without a
 crossing iff no committed chord separates them, so region identity is
-availability.  A BNM red costs O(log a) for a available blues; a match
-adds a walk to the partner along the shorter side and the slice of blues
-it moves.  The region engine also names each arrival's region, which is
-the tree slot the bt player replays, and the k-th available blue
-clockwise from a red.
+availability.  Each region keeps its boundary arcs and its free points as
+two rank-sorted lists: an arrival costs bisects plus one list insert, a
+match costs bisects plus the slices it moves, and arc relabels total
+O(m log m) because the side with fewer arcs takes the new id.  The region
+engine also names each arrival's region, which is the tree slot the bt
+player replays, and the k-th available blue clockwise from a red.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Any, Callable, Sequence
 
 from . import geometry, offline
@@ -41,7 +41,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BLUE, BNM, CIRCLE, CONVEX, LEFT, MNM, Instance, Matching, Point
+from .geometry import BLUE, BNM, CIRCLE, CONVEX, LEFT, MNM, RED, Instance, Matching, Point
 from .offline import MatchingReport
 
 
@@ -110,193 +110,125 @@ class _RegionEngine:
     """Laminar-region availability tracker for convex-position instances.
 
     It reads only the instance's hull ranks.  Committed chords partition
-    the polygon; two points can be joined iff they sit in the same region.
-    Regions are integer ids (0 is the whole polygon) kept on the arcs
-    between circular neighbors and, on MNM, on the unmatched points.  A
-    match walks the arrived points both ways from the arrival and gives
-    the side that reaches the partner first a new id.
+    the polygon into regions (integer ids, 0 is the whole polygon).  Each
+    region keeps two rank-sorted lists: ``arcs``, the ccw start rank of each
+    boundary arc between circular neighbours (``arc_reg`` maps a start rank
+    back to its region), and ``free``, the points a later arrival may join:
+    every unmatched point on MNM, every unmatched blue on BNM.
 
-    On BNM each region keeps its unmatched blues as one rank-sorted list.
-    A red's count is that list's length and the k-th available blue
-    clockwise from it is one bisect away, so a red costs O(log a), and a
-    match adds the walk plus the contiguous slice of ranks it moves.
-    After a match, ``split`` holds the ids of the regions left and right
-    of the directed chord (arrival to partner).
+    An arrival takes the region of the arc it lands on, found by one
+    bisect, and splits that arc: bisects plus one list insert.  Counts are
+    list lengths, ``has`` and ``kth_clockwise`` are one bisect each.  A
+    match cuts both lists of its region at the two chord ranks, which costs
+    bisects plus the slices it moves; the side with fewer arcs takes the new
+    id, so arc relabels total O(m log m).  After a match, ``split`` holds
+    the ids of the regions left and right of the directed chord (arrival to
+    partner).
     """
 
     def __init__(self, instance: Instance):
         pts = instance.points
-        m = len(pts)
         self.pts = pts
-        self.kind = instance.kind
         self.rank_of = instance.ranks  # ccw hull position
-        self.arrival_at_rank = [0] * m
+        self.arrival_at_rank = [0] * len(pts)
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
-        self.arrived = [False] * m
-        self.matched = [False] * m
-        self.reg_pt = [-1] * m
-        self.arc_reg = [-1] * m
-        self.nxt = [-1] * m
-        self.prv = [-1] * m
         self.ranks_sorted: list[int] = []
-        self.cnt: dict[int, int] = {0: 0}
-        self.heaps: dict[int, list] = {0: []}
-        self.blues: dict[int, list[int]] = {0: []}  # BNM: region -> ranks
-        self._next_reg = 1
+        self.arc_reg = [0] * len(pts)
+        self.arcs: dict[int, list[int]] = {0: []}
+        self.free: dict[int, list[int]] = {0: []}
         self.split: tuple[int, int] | None = None
-        # (arrival, rank, region, count, BNM available ranks or None)
-        self.cur: tuple[int, int, int, int, Sequence[int] | None] | None = None
+        # (arrival, rank, region, the free ranks it may join)
+        self.cur: tuple[int, int, int, Sequence[int]] | None = None
 
     def on_arrival(self, i: int) -> int:
         r = self.rank_of[i - 1]
         rs = self.ranks_sorted
-        if not rs:
-            rs.append(r)
-            self.nxt[r] = r
-            self.prv[r] = r
-            self.arc_reg[r] = 0
-            reg = 0
-        else:
-            pos = bisect_left(rs, r)
-            left = rs[pos - 1] if pos else rs[-1]
-            rs.insert(pos, r)
-            right = self.nxt[left]
-            self.nxt[left] = r
-            self.prv[r] = left
-            self.nxt[r] = right
-            self.prv[right] = r
-            reg = self.arc_reg[left]
-            self.arc_reg[r] = reg
-        self.arrived[r] = True
-        if self.kind == MNM:
-            av = None
-            cnt = self.cnt.get(reg, 0)
-        else:
-            # a blue is never available to a blue
-            av = self.blues[reg] if self.pts[i - 1].color != BLUE else ()
-            cnt = len(av)
-        self.cur = (i, r, reg, cnt, av)
-        return cnt
+        pos = bisect_left(rs, r)
+        # the predecessor's arc holds r; rs[-1] wraps round past rank 0
+        g = self.arc_reg[rs[pos - 1]] if rs else 0
+        rs.insert(pos, r)
+        self.arc_reg[r] = g
+        insort(self.arcs[g], r)
+        # a blue is never available to a blue
+        av = self.free[g] if self.pts[i - 1].color != BLUE else ()
+        self.cur = (i, r, g, av)
+        return len(av)
 
     def count(self) -> int:
-        return self.cur[3]
+        return len(self.cur[3])
 
     def region(self) -> int:
         return self.cur[2]
 
     def indices(self) -> list[int]:
-        _i, _r, reg, _c, av = self.cur
-        at = self.arrival_at_rank
-        if av is not None:
-            return sorted(at[rk] for rk in av)
-        return sorted(
-            at[rk] for rk in self.ranks_sorted
-            if not self.matched[rk] and self.reg_pt[rk] == reg
-        )
+        return sorted(map(self.arrival_at_rank.__getitem__, self.cur[3]))
 
     def min_arrival(self) -> int | None:
-        _i, _r, reg, cnt, av = self.cur
-        if cnt == 0:
-            return None
-        if av is not None:
-            return min(self.arrival_at_rank[rk] for rk in av)
-        heap = self.heaps.get(reg, [])
-        while heap:
-            ai, rk = heap[0]
-            if not self.matched[rk] and self.reg_pt[rk] == reg:
-                return ai
-            heappop(heap)
-        return None
+        av = self.cur[3]
+        return min(map(self.arrival_at_rank.__getitem__, av)) if av else None
 
     def max_arrival(self) -> int | None:
-        return max(self.indices(), default=None)
+        av = self.cur[3]
+        return max(map(self.arrival_at_rank.__getitem__, av)) if av else None
 
     def kth_clockwise(self, k: int) -> int:
         """BNM: the k-th available point clockwise from the arrival."""
-        _i, r, _g, _c, av = self.cur
+        _i, r, _g, av = self.cur
         return self.arrival_at_rank[av[(bisect_left(av, r) - k) % len(av)]]
 
     def has(self, j: int) -> bool:
-        i, _r, reg, _c, av = self.cur
+        i, _r, _g, av = self.cur
         if not 1 <= j < i:
             return False
         rq = self.rank_of[j - 1]
-        if av is not None:
-            pos = bisect_left(av, rq)
-            return pos < len(av) and av[pos] == rq
-        return self.arrived[rq] and not self.matched[rq] and self.reg_pt[rq] == reg
+        pos = bisect_left(av, rq)
+        return pos < len(av) and av[pos] == rq
 
     def commit_skip(self) -> None:
-        i, r, reg, _c, av = self.cur
-        if av is None:
-            self.reg_pt[r] = reg
-            self.cnt[reg] = self.cnt.get(reg, 0) + 1
-            heappush(self.heaps.setdefault(reg, []), (i, r))
-        elif self.pts[i - 1].color == BLUE:
-            insort(self.blues[reg], r)
+        i, r, g, _av = self.cur
+        # reds arrive last on BNM, so no later arrival may join a red
+        if self.pts[i - 1].color != RED:
+            insort(self.free[g], r)
         self.cur = None
 
     def commit_match(self, j: int) -> tuple[int, int]:
-        i, r, reg, cnt_at_arrival, av = self.cur
-        rq = self.rank_of[j - 1]
-        nxt, prv = self.nxt, self.prv
-
-        # walk both ways at once; the side that closes first is relabeled
-        ccw_side: list[int] = []
-        cw_side: list[int] = []
-        u = nxt[r]
-        v = prv[r]
-        while u != rq and v != rq:
-            ccw_side.append(u)
-            u = nxt[u]
-            cw_side.append(v)
-            v = prv[v]
-        if u == rq:
-            walked, walked_is_ccw = ccw_side, True
-        else:
-            walked, walked_is_ccw = cw_side, False
-
-        g1 = self._next_reg
-        self._next_reg += 1
-        if av is None:
-            h1 = self.heaps[g1] = []
-            moved = 0
-            for rk in walked:
-                if not self.matched[rk] and self.reg_pt[rk] == reg:
-                    self.reg_pt[rk] = g1
-                    moved += 1
-                    heappush(h1, (self.arrival_at_rank[rk], rk))
-            self.cnt[g1] = moved
-            self.cnt[reg] = self.cnt.get(reg, 0) - 1 - moved
-        else:
-            # the walked side's blues are the ranks strictly between the
-            # arrival and its partner on that side: a cyclic slice of av
-            del av[bisect_left(av, rq)]
-            lo, hi = sorted((bisect_left(av, r), bisect_left(av, rq)))
-            if walked_is_ccw == (r < rq):
-                self.blues[g1] = av[lo:hi]
-                del av[lo:hi]
-            else:
-                self.blues[g1] = av[:lo] + av[hi:]
-                self.blues[reg] = av[lo:hi]
-            moved = len(self.blues[g1])
-        arc_nodes = [r] + walked if walked_is_ccw else walked + [rq]
-        for rk in arc_nodes:
-            if self.arc_reg[rk] == reg:
-                self.arc_reg[rk] = g1
-
-        self.matched[r] = True
-        self.matched[rq] = True
+        _i, r, g, _av = self.cur
         self.cur = None
-        # the clockwise side of the directed chord (arrival -> partner) is
-        # its left half-plane; the ccw walk covers the right side
-        other = cnt_at_arrival - 1 - moved
-        if walked_is_ccw:
-            self.split = (reg, g1)
-            return other, moved
-        self.split = (g1, reg)
-        return moved, other
+        rq = self.rank_of[j - 1]
+        arcs, free = self.arcs[g], self.free[g]
+        fq = bisect_left(free, rq)
+        del free[fq]
+        fr = bisect_left(free, r)
+        ar, aq = bisect_left(arcs, r), bisect_left(arcs, rq)
+        # the ccw side of the chord holds arcs[ar:aq] (the arcs starting in
+        # [r, rq)) and free[fr:fq], cyclically; it is the right side of the
+        # directed chord (arrival -> partner).  The side with fewer arcs
+        # moves to the new region.
+        g1 = len(self.arcs)  # ids run 0, 1, 2, ...
+        if 2 * ((aq - ar) % len(arcs)) <= len(arcs):
+            a, b, c, d, wrap, self.split = ar, aq, fr, fq, r > rq, (g, g1)
+        else:
+            a, b, c, d, wrap, self.split = aq, ar, fq, fr, r < rq, (g1, g)
+        moved = self.arcs[g1] = _take(arcs, a, b, wrap)
+        self.free[g1] = _take(free, c, d, wrap)
+        for rk in moved:
+            self.arc_reg[rk] = g1
+        left, right = self.split
+        return len(self.free[left]), len(self.free[right])
+
+
+def _take(ranks: list[int], a: int, b: int, wrap: bool) -> list[int]:
+    """Remove ranks[a:b] from a sorted list, or ranks[:b] and ranks[a:] if
+    the slice wraps round, and return what was removed, sorted."""
+    if wrap:
+        out = ranks[:b] + ranks[a:]
+        del ranks[a:]
+        del ranks[:b]
+    else:
+        out = ranks[a:b]
+        del ranks[a:b]
+    return out
 
 
 def make_engine(instance: Instance, mode: str = "auto"):

@@ -164,46 +164,25 @@ def min_length_pm(instance: Instance, cap: int = BRUTE_FORCE_CAP) -> Matching:
 def convex_noncrossing_pm(instance: Instance) -> Matching:
     """A perfect non-crossing matching on points in convex position.
 
-    Walks the hull clockwise from the segment's first point to the first
-    partner (opposite color for BNM, opposite hull parity otherwise) whose
-    two arcs are balanced, then pairs each arc the same way, on an explicit
-    stack.  Deterministic, so golden tests can pin its output.  O(n^2).
+    Walks the hull clockwise from p_1 with a stack and pairs each point with
+    the top of the stack when the two may pair (opposite colors on BNM,
+    always on MNM), else pushes it.  That pairs every point with its first
+    balanced partner, as the divide and conquer does.  Deterministic, so
+    golden tests can pin its output.  O(n) after the hull order.
     """
     if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("convex matching construction needs convex position")
     pts = instance.points
-    order = geometry.hull_order(instance)
     is_bnm = instance.kind == BNM
-
-    def balance_unit(arr: int) -> int:
-        if not is_bnm:
-            return 1  # parity alternates along the hull: odd gaps balance
-        return 1 if pts[arr - 1].color == geometry.BLUE else -1
-
-    # hull-order ranges [lo, hi) still to pair, left arc on top of the stack
     edges: list[tuple[int, int]] = []
-    todo = [(0, len(order))]
-    while todo:
-        lo, hi = todo.pop()
-        if lo == hi:
-            continue
-        a = order[lo]
-        bal = 0
-        for t in range(lo + 1, hi):
-            q = order[t]
-            opposite = (
-                pts[q - 1].color != pts[a - 1].color
-                if is_bnm
-                else (t - lo) % 2 == 1
-            )
-            if opposite and bal == 0:
-                edges.append((a, q))
-                todo.append((t + 1, hi))
-                todo.append((lo + 1, t))
-                break
-            bal += balance_unit(q)
+    stack: list[int] = []
+    for q in geometry.hull_order(instance):
+        if stack and (not is_bnm or pts[stack[-1] - 1].color != pts[q - 1].color):
+            edges.append((stack.pop(), q))
         else:
-            raise NotPerfect(f"no balanced partner for point {a}")
+            stack.append(q)
+    if stack:
+        raise NotPerfect(f"no balanced partner for point {stack[0]}")
     return Matching.from_pairs(edges)
 
 
@@ -313,22 +292,16 @@ def _hull_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> bo
     """O(m) stack check for convex position: chords are non-crossing iff,
     along the hull order, they close like balanced parentheses."""
     rank = instance.ranks
-    partner: dict[int, tuple[int, int]] = {}
-    for e in edges:
-        a, b = e
-        partner[rank[a - 1]] = (rank[b - 1], id(e))
-        partner[rank[b - 1]] = (rank[a - 1], id(e))
+    partner = [-1] * len(rank)
+    for a, b in edges:
+        partner[rank[a - 1]] = rank[b - 1]
+        partner[rank[b - 1]] = rank[a - 1]
     stack: list[int] = []
-    for pos in range(len(rank)):
-        if pos not in partner:
-            continue
-        other, eid = partner[pos]
+    for pos, other in enumerate(partner):
         if other > pos:
-            stack.append(eid)
-        else:
-            if not stack or stack[-1] != eid:
-                return False
-            stack.pop()
+            stack.append(pos)
+        elif other >= 0 and (not stack or stack.pop() != other):
+            return False
     return True
 
 

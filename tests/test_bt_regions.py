@@ -18,7 +18,7 @@ from ncmatch.codecs import (
     tree_to_perm,
     tree_unrank,
 )
-from ncmatch.engine import bt_matching, simulate
+from ncmatch.engine import bt_matching, make_engine, simulate
 from ncmatch.errors import NcmatchError, NotConvex
 from ncmatch.geometry import BNM, CONVEX, MNM, Matching
 
@@ -180,3 +180,41 @@ def test_bt_on_nested_sigma_at_two_thousand_pairs(reverse):
     # about 3 s each on a 2-core box, most of it the oracle; the descent
     # player and the re-sorting red placement took over 40 s
     _bt_perfect_within(25, lambda: _nested(2000, reverse))
+
+
+def _engine_phase_seconds(inst):
+    """Drive the region engine with the oracle's matching; only this phase
+    is timed."""
+    m = offline.convex_noncrossing_pm(inst)
+    partner = {}
+    for a, b in m.edges:
+        partner[a], partner[b] = b, a
+    eng = make_engine(inst, "region")
+    started = time.perf_counter()
+    for i in range(1, inst.size + 1):
+        cnt = eng.on_arrival(i)
+        j = partner[i]
+        if j > i:
+            eng.commit_skip()
+            continue
+        assert eng.has(j)
+        left, right = eng.commit_match(j)
+        assert left + right == cnt - 1
+    elapsed = time.perf_counter() - started
+    assert all(not free for free in eng.free.values())
+    return elapsed
+
+
+@pytest.mark.parametrize("family", ["nested", "random"])
+def test_region_engine_at_ten_thousand_pairs(family):
+    # the engine alone, fed the oracle's matching: about 0.15 s on a 2-core
+    # box; the walk along the arrived points took 4.2 to 4.4 s on nested
+    # sigma
+    n = 10**4
+    if family == "nested":
+        inst = _nested(n, False)
+    else:
+        inst = generators.random_circle_instance(n, BNM, 0)
+    budget = 2
+    elapsed = _engine_phase_seconds(inst)
+    assert elapsed < budget, f"engine took {elapsed:.2f}s, budget {budget}s"

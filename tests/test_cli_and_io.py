@@ -209,6 +209,29 @@ def test_cli_verify_coupling_small():
     assert summary["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        ("bnm-lb", {"n": 3}),
+        ("mnm-lb", {"k": 2, "deep": True}),
+        ("catalan-bijections", {"n": 8}),
+    ],
+)
+def test_cli_verify_defaults_without_a_size_option(check, params):
+    res = CliRunner().invoke(main, ["verify", check])
+    summary = json.loads(res.output)
+    assert summary["params"] == params
+    assert res.exit_code == (0 if summary["ok"] else 1)
+
+
+def test_cli_verify_coupling_defaults_to_two_hundred_pairs(monkeypatch):
+    monkeypatch.delenv("NCMATCH_WORKERS", raising=False)
+    res = CliRunner().invoke(main, ["verify", "coupling", "--trials", "300", "--seed", "5"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.output)
+    assert summary["params"] == {"n": 200, "trials": 300, "seed": 5, "workers": 1}
+
+
 # ---------------------------------------------------------------------------
 # malformed input: typed errors only
 

@@ -219,6 +219,41 @@ def test_engines_agree_under_random_play_on_bnm():
                 e2.commit_skip()
 
 
+def test_engines_agree_under_random_play_at_up_to_forty_pairs():
+    # larger instances, so that many chords have their ccw side wrap past
+    # rank 0 and regions are cut into cyclic slices
+    rng = random.Random(103)
+    runs = []
+    for trial in range(6):
+        for kind in (MNM, BNM):
+            n = rng.randrange(20, 41)
+            runs += [(trial, inst) for inst in _convex_instances(n, kind, rng.randrange(10**6))]
+    wrapped = set()
+    for trial, inst in runs:
+        n = inst.n
+        ranks = inst.ranks
+        moves = random.Random(trial)
+        e1 = make_engine(inst, "region")
+        e2 = make_engine(inst, "brute")
+        for i in range(1, 2 * n + 1):
+            c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
+            assert c1 == c2 == e1.count() == e2.count()
+            idx1, idx2 = e1.indices(), sorted(e2.indices())
+            assert idx1 == idx2
+            assert e1.min_arrival() == e2.min_arrival()
+            assert e1.max_arrival() == e2.max_arrival()
+            for probe in range(0, i + 2):
+                assert e1.has(probe) == e2.has(probe)
+            if idx1 and moves.random() < 0.5:
+                j = moves.choice(idx1)
+                wrapped.add(ranks[i - 1] > ranks[j - 1])
+                assert e1.commit_match(j) == e2.commit_match(j)
+            else:
+                e1.commit_skip()
+                e2.commit_skip()
+    assert wrapped == {True, False}
+
+
 def test_view_count_agrees_with_indices_on_both_engines():
     inst = generators.random_circle_instance(4, MNM, 8)
     for mode in ("region", "brute"):

@@ -227,6 +227,23 @@ def test_convex_pm_matches_the_recursion_on_circles_and_polygons():
                     assert convex_noncrossing_pm(inst) == reference_convex_noncrossing_pm(inst)
                     compared += 1
     assert compared == 320
+    sigmas = [s for n in range(1, 7) for s in enumerate_231_avoiding(n)]
+    for n in (10, 50, 300):
+        sigmas += [list(range(1, n + 1)), list(range(n, 0, -1))]
+    for sigma in sigmas:
+        inst = bnm_red_instance(sigma).instance
+        assert convex_noncrossing_pm(inst) == reference_convex_noncrossing_pm(inst)
+
+
+def test_convex_pm_rejects_an_unbalanced_color_sequence():
+    # three blues and one red: no perfect red-blue matching exists
+    colors = [BLUE, BLUE, BLUE, RED]
+    pts = [circle_point(Fraction(t, 4), t + 1, c) for t, c in enumerate(colors)]
+    inst = Instance.build(pts, BNM, geometry.CIRCLE, validate=False)
+    with pytest.raises(NotPerfect):
+        convex_noncrossing_pm(inst)
+    with pytest.raises(NotPerfect):
+        reference_convex_noncrossing_pm(inst)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reverse"])
