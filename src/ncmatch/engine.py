@@ -16,8 +16,9 @@ availability.  Each region keeps its boundary arcs and its free points as
 two rank-sorted lists: an arrival costs bisects plus one list insert, a
 match costs bisects plus the slices it moves, and arc relabels total
 O(m log m) because the side with fewer arcs takes the new id.  The region
-engine also names each arrival's region, which is the tree slot the bt
-player replays, and the k-th available blue clockwise from a red.
+engine also names each arrival's region, which is the tree slot that the bt
+oracle fills when it builds the tree and that the bt player replays, and
+the k-th available blue clockwise from a red.
 """
 from __future__ import annotations
 
@@ -396,7 +397,7 @@ def _check_bnm_convex(instance: Instance) -> None:
 def _bt_oracle(instance: Instance) -> list[int]:
     _check_bnm_convex(instance)
     m = offline.convex_noncrossing_pm(instance)
-    tree = offline.matching_to_bt(instance.blues(), instance.reds(), m)
+    tree = offline.matching_to_bt(instance, m)
     tape = AdviceTape()
     write_ranked(tape, tree_rank(tree), catalan(instance.n))
     return list(tape.bits)

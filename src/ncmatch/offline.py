@@ -190,69 +190,46 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
 # matching -> tree
 
 
-def matching_to_bt(
-    blues: Sequence[Point], reds: Sequence[Point], matching: Matching
-) -> BinaryTree:
+def matching_to_bt(instance: Instance, matching: Matching) -> BinaryTree:
     """Tree of a perfect non-crossing red-blue matching in convex position.
 
     The root is the first red's edge; the left/right subtrees are the trees
     of the edges lying in the left/right half-plane of that directed edge
-    (red towards blue).  Built in one pass: edges are inserted in red
-    arrival order, each descending from the root to the empty slot of its
-    region, with side tests decided by comparing cyclic hull ranks.  An
-    edge whose endpoints fall on different sides of an ancestor raises
-    CrossingDetected.  O(n log n) for the hull ranks plus O(depth) integer
-    comparisons per edge.
+    (red towards blue).  Every face of the edges placed so far is one empty
+    child slot of the tree, so the build replays the region engine the bt
+    player runs on: node k is the k-th red's edge, it fills the slot of the
+    region that red arrives in, and its children become the slots of the
+    regions left and right of it.  A red whose partner lies in another
+    region raises CrossingDetected.  O(n log n) on top of the hull ranks.
     """
-    n = len(reds)
-    if len(matching) != n or len(blues) != n or not reds:
-        raise NotPerfect("matching_to_bt needs a perfect red-blue matching")
-    pts = [*blues, *reds]
-    ranks = geometry.cyclic_ranks(pts)
-    rank_of = {p.arrival_index: r for p, r in zip(pts, ranks)}
-    blue_ids = {p.arrival_index for p in blues}
-    red_ids = {p.arrival_index for p in reds}
-    partner: dict[int, int] = {}
-    for a, b in matching:
-        if a in red_ids and b in blue_ids:
-            partner[a] = b
-        elif b in red_ids and a in blue_ids:
-            partner[b] = a
-        else:
-            raise NotPerfect(f"edge {(a, b)} is not red-blue")
+    from .engine import _RegionEngine  # engine imports this module at load time
 
-    # node k is the edge of the k-th red; children always come later
-    tails: list[int] = []
-    heads: list[int] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    for r in reds:
-        i = r.arrival_index
-        if i not in partner:
-            raise NotPerfect(f"red point {i} is unmatched")
-        x, y = rank_of[i], rank_of[partner[i]]
-        k = len(tails)
-        if k:
-            node = 0
-            while True:
-                a, b = tails[node], heads[node]
-                ab = a < b
-                # left of a->b iff (a, b, p) runs counterclockwise
-                x_left = ab + (b < x) + (x < a) == 2
-                if x_left != (ab + (b < y) + (y < a) == 2):
-                    raise CrossingDetected(
-                        f"edge {i}-{partner[i]} straddles the edge of an "
-                        f"earlier red"
-                    )
-                links = lefts if x_left else rights
-                if links[node] < 0:
-                    links[node] = k
-                    break
-                node = links[node]
-        tails.append(x)
-        heads.append(y)
-        lefts.append(-1)
-        rights.append(-1)
+    n = instance.n
+    if not n or len(matching) != n:
+        raise NotPerfect("matching_to_bt needs a perfect red-blue matching")
+    partner: dict[int, int] = {}
+    for b, r in matching:  # blues arrive first and edges are (min, max)
+        if not 0 < b <= n < r <= 2 * n:
+            raise NotPerfect(f"edge {(b, r)} is not red-blue")
+        partner[r] = b
+
+    eng = _RegionEngine(instance)
+    for i in range(1, n + 1):
+        eng.on_arrival(i)
+        eng.commit_skip()
+    lefts, rights = [-1] * n, [-1] * n
+    # region id -> (child links, parent node); the root fills a dummy link
+    slot = {0: ([-1], 0)}
+    for k, i in enumerate(range(n + 1, 2 * n + 1)):
+        eng.on_arrival(i)
+        links, parent = slot.pop(eng.region())
+        links[parent] = k
+        j = partner[i]
+        if not eng.has(j):
+            raise CrossingDetected(f"edge {i}-{j} crosses the edge of an earlier red")
+        eng.commit_match(j)
+        left, right = eng.split
+        slot[left], slot[right] = (lefts, k), (rights, k)
     return _assemble(lefts, rights)
 
 

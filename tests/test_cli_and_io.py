@@ -224,6 +224,16 @@ def test_cli_verify_defaults_without_a_size_option(check, params):
     assert res.exit_code == (0 if summary["ok"] else 1)
 
 
+def test_cli_verify_mnm_lb_passes_at_its_default():
+    # every member of the k = 2 family has a prior that completes
+    res = CliRunner().invoke(main, ["verify", "mnm-lb"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.output)
+    assert summary["ok"] is True
+    (entry,) = [r for r in summary["results"] if r["name"] == "members with perfect completion"]
+    assert entry["measured"] == 99
+
+
 def test_cli_verify_coupling_defaults_to_two_hundred_pairs(monkeypatch):
     monkeypatch.delenv("NCMATCH_WORKERS", raising=False)
     res = CliRunner().invoke(main, ["verify", "coupling", "--trials", "300", "--seed", "5"])

@@ -352,7 +352,7 @@ def test_bt_oracle_tree_survives_the_rank_roundtrip_at_full_scale():
         for seed in range(10):
             inst = generators.random_convex_instance(n, BNM, seed)
             m = offline.convex_noncrossing_pm(inst)
-            tree = offline.matching_to_bt(inst.blues(), inst.reds(), m)
+            tree = offline.matching_to_bt(inst, m)
             assert tree_unrank(n, tree_rank(tree)) == tree
 
 

@@ -193,7 +193,7 @@ def test_matching_to_bt_single_edge():
 
     ai = bnm_red_instance((1,))
     inst = ai.instance
-    t = matching_to_bt(inst.blues(), inst.reds(), Matching.from_pairs([(1, 2)]))
+    t = matching_to_bt(inst, Matching.from_pairs([(1, 2)]))
     assert tree_size(t) == 1
     assert t.left is None and t.right is None
 
@@ -207,7 +207,7 @@ def test_matching_to_bt_two_edges_nested_shape():
     inst = ai.instance
     m = Matching.from_pairs([(1, 3), (2, 4)])
     assert validate_matching(inst, m, require_perfect=True).perfect
-    t = matching_to_bt(inst.blues(), inst.reds(), m)
+    t = matching_to_bt(inst, m)
     assert tree_size(t) == 2
     assert t.left is None and tree_size(t.right) == 1
 
@@ -218,7 +218,7 @@ def test_matching_to_bt_left_size_equals_clockwise_rank():
     for seed in range(16):
         inst = generators.random_convex_instance(5, BNM, seed)
         m = convex_noncrossing_pm(inst)
-        t = matching_to_bt(inst.blues(), inst.reds(), m)
+        t = matching_to_bt(inst, m)
         r1 = inst.point(inst.n + 1)
         partner = m.partner(inst.n + 1)
         blues = list(inst.blues())

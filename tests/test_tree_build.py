@@ -1,6 +1,6 @@
-"""The one-pass `matching_to_bt` and the comparison-only circle predicates,
-checked against the half-plane recursion and the modular angle rule they
-replaced."""
+"""The region-replay `matching_to_bt` and the comparison-only circle
+predicates, checked against the half-plane recursion and the modular angle
+rule they replaced."""
 import random
 from fractions import Fraction
 
@@ -115,9 +115,9 @@ def reference_convex_noncrossing_pm(instance):
     return Matching.from_pairs(edges)
 
 
-def _outcome(fn, inst, matching):
+def _outcome(build, *args):
     try:
-        return fn(inst.blues(), inst.reds(), matching)
+        return build(*args)
     except (CrossingDetected, NotPerfect) as exc:
         return type(exc)
 
@@ -151,7 +151,7 @@ def test_tree_build_matches_recursion_on_random_circles_and_polygons():
                 pass  # the polygon generator gives up on some (n, seed)
             for inst in insts:
                 m = convex_noncrossing_pm(inst)
-                tree = matching_to_bt(inst.blues(), inst.reds(), m)
+                tree = matching_to_bt(inst, m)
                 assert tree == reference_matching_to_bt(inst.blues(), inst.reds(), m)
                 compared[inst.geometry] += 1
     assert compared["circle"] == 120 and compared["convex"] >= 200
@@ -162,7 +162,7 @@ def test_tree_build_matches_recursion_on_every_231_avoiding_sigma():
         for sigma in enumerate_231_avoiding(n):
             inst = bnm_red_instance(sigma).instance
             for m in offline.enumerate_perfect_noncrossing(inst):
-                tree = matching_to_bt(inst.blues(), inst.reds(), m)
+                tree = matching_to_bt(inst, m)
                 assert tree == reference_matching_to_bt(inst.blues(), inst.reds(), m)
 
 
@@ -180,7 +180,7 @@ def test_tree_build_agrees_with_recursion_on_arbitrary_red_blue_matchings():
         rng.shuffle(reds)
         m = Matching.from_pairs(zip(range(1, n + 1), reds))
         new = _outcome(matching_to_bt, inst, m)
-        assert new == _outcome(reference_matching_to_bt, inst, m)
+        assert new == _outcome(reference_matching_to_bt, inst.blues(), inst.reds(), m)
         outcomes.add(new is CrossingDetected)
     assert outcomes == {True, False}
 
@@ -197,22 +197,43 @@ def test_tree_build_rejects_a_crossing_matching():
     m = Matching.from_pairs([(1, 3), (2, 4)])
     assert segments_cross((pts[0], pts[2]), (pts[1], pts[3]))
     with pytest.raises(CrossingDetected):
-        matching_to_bt(inst.blues(), inst.reds(), m)
+        matching_to_bt(inst, m)
 
 
 def test_tree_build_rejects_points_not_in_convex_position():
     # red 3 lies inside the triangle of the other points
     blues = [plane_point(0, 0, 1, BLUE), plane_point(10, 0, 2, BLUE)]
     reds = [plane_point(4, 2, 3, RED), plane_point(5, 9, 4, RED)]
+    inst = Instance.build([*blues, *reds], BNM, CONVEX, validate=False)
     m = Matching.from_pairs([(1, 3), (2, 4)])
     with pytest.raises(NotConvex):
-        matching_to_bt(blues, reds, m)
+        matching_to_bt(inst, m)
 
 
 def test_tree_build_rejects_non_red_blue_edges():
     inst = generators.random_circle_instance(2, BNM, 0)
     with pytest.raises(NotPerfect):
-        matching_to_bt(inst.blues(), inst.reds(), Matching.from_pairs([(1, 2), (3, 4)]))
+        matching_to_bt(inst, Matching.from_pairs([(1, 2), (3, 4)]))
+
+
+def test_tree_build_reads_the_cached_ranks(monkeypatch):
+    # the hull ranks are computed once per instance; the build replays the
+    # region engine over Instance.ranks and ranks nothing itself
+    inst = generators.random_convex_polygon_instance(60, BNM, 0)
+    inst.ranks
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("cyclic_ranks", "_convex_hull_ccw"):
+        monkeypatch.setattr(geometry, name, counted(getattr(geometry, name)))
+    matching_to_bt(inst, convex_noncrossing_pm(inst))
+    assert calls == []
 
 
 def test_convex_pm_matches_the_recursion_on_circles_and_polygons():
