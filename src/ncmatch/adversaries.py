@@ -353,7 +353,7 @@ def _event_coin(case: str, f_next: int, r_cur: int) -> int:
 def coupling_diagnostics(ai: AnnotatedInstance, sim: SimulationResult) -> CouplingDiagnostics:
     """Compute the X/Y indicator sequences for a simulated trace.
 
-    Match events at times 2 and 2n fall outside the indicator equations
+    Matches at times 2 and 2n fall outside the indicator equations
     (the next-point coins they reference are degenerate there) and are
     dropped, matching the analysis.
     """
@@ -368,13 +368,10 @@ def coupling_diagnostics(ai: AnnotatedInstance, sim: SimulationResult) -> Coupli
     cases: list[str] = []
     xs: list[int] = []
     ys: list[int] = []
-    for ev in sim.match_events:
-        t = ev.arrival
-        if t == 2 or t == m:
+    for t, _available, partner, left, right in sim.steps:
+        if partner is None or t == 2 or t == m:
             continue
-        case = ("0" if ev.left_available == 0 else "+") + (
-            "0" if ev.right_available == 0 else "+"
-        )
+        case = ("0" if left == 0 else "+") + ("0" if right == 0 else "+")
         coin = _event_coin(case, coins_f[t + 1], coins_r[t])
         times.append(t)
         cases.append(case)

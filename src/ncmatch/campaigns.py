@@ -167,7 +167,9 @@ def check_coupling(
     bad_rec = sum(r[2] for r in rows)
     y_sum = sum(r[3] for r in rows)
     y_count = sum(r[4] for r in rows)
-    mean = y_sum / y_count if y_count else float("nan")
+    if not y_count:
+        raise ValueError(f"no Y coin at an even match index (n={n}, trials={trials})")
+    mean = y_sum / y_count
     results = [
         _entry("steps violating Y <= X", 0, bad_y_le_x),
         _entry("traces violating sum(X) <= unmatched", 0, bad_sum),

@@ -82,7 +82,7 @@ def generate(family, n, k, j_, intervals, sigma, kind, seed, out) -> None:
                 raise InvalidInstance("random-general needs --n")
             payload = generators.random_general_instance(n, seed)
         serial.dump_instance(out, payload, meta=meta)
-    except (NcmatchError, ValueError) as exc:
+    except (NcmatchError, ValueError, OSError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
     click.echo(json.dumps({"written": out, "meta": meta}))
@@ -129,7 +129,11 @@ def run(algorithm, instance_path, svg_out, unknown_n, tie_break) -> None:
         "meta": ai.meta,
     }
     if svg_out:
-        svg.write_svg(svg_out, instance, result.matching)
+        try:
+            svg.write_svg(svg_out, instance, result.matching)
+        except OSError as exc:
+            _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
+            return
         report["svg"] = svg_out
     click.echo(json.dumps(report))
 

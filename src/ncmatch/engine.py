@@ -23,7 +23,7 @@ the k-th available blue clockwise from a red.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import geometry, offline
@@ -258,24 +258,16 @@ class BeginContext:
 
 
 @dataclass
-class MatchEvent:
-    """One committed match and how the rest of the available set split
-    around the new chord (left/right of the directed arrival->partner edge)."""
-
-    arrival: int
-    partner: int
-    left_available: int
-    right_available: int
-
-
-@dataclass
 class SimulationResult:
+    """``steps`` holds ``(arrival, available, partner, left, right)`` per
+    decision arrival: the available count, then the counts left and right of
+    the chord arrival -> partner; the last three are None on a skip."""
+
     matching: Matching
     bits_written: int
     bits_read: int
-    per_step_log: list[tuple[int, int | None, int]]
+    steps: list[tuple[int, int, int | None, int | None, int | None]]
     violations: MatchingReport
-    match_events: list[MatchEvent] = field(default_factory=list)
 
 
 @dataclass
@@ -290,62 +282,61 @@ class OnlineAlgorithm:
     needs_regions: bool = False  # the player reads region ids
 
 
-def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> SimulationResult:
-    """Run oracle then player over an instance and audit every decision.
-
-    Raises IllegalMatch the moment a player names an unavailable partner,
-    so a committed crossing is impossible by construction.  For BNM the
-    blue batch is delivered to the player up front and the per-step log
-    covers the red (decision) arrivals only.
-    """
-    alg.check(instance)
-    bits = list(alg.oracle(instance)) if alg.oracle is not None else []
-    tape = AdviceTape(bits)
-    eng = make_engine(instance, engine)
-    if alg.needs_regions and not isinstance(eng, _RegionEngine):
-        raise InvalidInstance(f"{alg.name} reads region ids and needs the region engine")
-    player = alg.make_player()
-
+def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tuple]:
+    """Reveal the points one at a time, commit the player's decisions and
+    return the steps; on BNM the blues reach the engine first, unrecorded.
+    Raises IllegalMatch the moment the player names an unavailable partner."""
     n = instance.n
-    is_bnm = instance.kind == BNM
-    if is_bnm:
-        for i in range(1, n + 1):
-            eng.on_arrival(i)
-            eng.commit_skip()
-        ctx = BeginContext(n=n, blues=instance.blues())
-        arrivals = range(n + 1, 2 * n + 1)
-    else:
-        ctx = BeginContext(n=n if alg.needs_n else None, blues=None)
-        arrivals = range(1, 2 * n + 1)
-    player.begin(ctx, tape)
-
-    log: list[tuple[int, int | None, int]] = []
-    edges: list[tuple[int, int]] = []
-    events: list[MatchEvent] = []
-    for i in arrivals:
-        cnt = eng.on_arrival(i)
-        decision = player.decide(i, instance.point(i), eng, tape)
+    first = n + 1 if instance.kind == BNM else 1
+    for i in range(1, first):
+        eng.on_arrival(i)
+        eng.commit_skip()
+    points = instance.points
+    decide = player.decide
+    steps: list[tuple] = []
+    for i in range(first, 2 * n + 1):
+        available = eng.on_arrival(i)
+        decision = decide(i, points[i - 1], eng, tape)
         if decision is None:
             eng.commit_skip()
-            log.append((i, None, cnt))
+            steps.append((i, available, None, None, None))
             continue
         j = int(decision)
         if not eng.has(j):
             raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
         left, right = eng.commit_match(j)
-        edges.append((j, i))
-        events.append(MatchEvent(i, j, left, right))
-        log.append((i, j, cnt))
+        steps.append((i, available, j, left, right))
+    return steps
 
-    matching = Matching.from_pairs(edges)
-    violations = offline.validate_matching(instance, matching)
+
+def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> SimulationResult:
+    """Run oracle then player over an instance and audit every decision.
+
+    The algorithm's precondition check runs once, before the oracle.
+    Raises IllegalMatch the moment a player names an unavailable partner,
+    so a committed crossing is impossible by construction.  For BNM the
+    player learns the blue batch up front and ``steps`` covers the red
+    (decision) arrivals only; the matching is built from ``steps``.
+    """
+    alg.check(instance)
+    tape = AdviceTape(list(alg.oracle(instance)) if alg.oracle is not None else [])
+    eng = make_engine(instance, engine)
+    if alg.needs_regions and not isinstance(eng, _RegionEngine):
+        raise InvalidInstance(f"{alg.name} reads region ids and needs the region engine")
+    player = alg.make_player()
+    if instance.kind == BNM:
+        ctx = BeginContext(n=instance.n, blues=instance.blues())
+    else:
+        ctx = BeginContext(n=instance.n if alg.needs_n else None)
+    player.begin(ctx, tape)
+    steps = _play(instance, eng, player, tape)
+    matching = Matching.from_pairs((j, i) for i, _a, j, _l, _r in steps if j is not None)
     return SimulationResult(
         matching=matching,
         bits_written=tape.bits_written,
         bits_read=tape.cursor,
-        per_step_log=log,
-        violations=violations,
-        match_events=events,
+        steps=steps,
+        violations=offline.validate_matching(instance, matching),
     )
 
 
@@ -387,15 +378,19 @@ class _BTPlayer:
         return view.kth_clockwise(k)
 
 
-def _check_bnm_convex(instance: Instance) -> None:
-    if instance.kind != BNM:
-        raise InvalidInstance("this algorithm runs on BNM instances")
-    if instance.geometry not in (CIRCLE, CONVEX):
-        raise NotConvex("this algorithm needs points in convex position")
+def _check_convex(kind: str) -> Callable[[Instance], None]:
+    """The precondition of an algorithm for ``kind`` in convex position."""
+
+    def check(instance: Instance) -> None:
+        if instance.kind != kind:
+            raise InvalidInstance(f"this algorithm runs on {kind} instances")
+        if instance.geometry not in (CIRCLE, CONVEX):
+            raise NotConvex("this algorithm needs points in convex position")
+
+    return check
 
 
 def _bt_oracle(instance: Instance) -> list[int]:
-    _check_bnm_convex(instance)
     m = offline.convex_noncrossing_pm(instance)
     tree = offline.matching_to_bt(instance, m)
     tape = AdviceTape()
@@ -409,7 +404,7 @@ def bt_matching() -> OnlineAlgorithm:
         name="bt",
         oracle=_bt_oracle,
         make_player=_BTPlayer,
-        check=_check_bnm_convex,
+        check=_check_convex(BNM),
         needs_regions=True,
     )
 
@@ -448,7 +443,6 @@ def _check_sorted(instance: Instance) -> None:
 
 
 def _sorted_oracle(instance: Instance) -> list[int]:
-    _check_sorted(instance)
     pts = instance.points
     order = sorted(range(len(pts)), key=lambda t: pts[t].x)
     partner = {}
@@ -479,35 +473,29 @@ def sorted_matching() -> OnlineAlgorithm:
     )
 
 
-def _check_mnm_convex(instance: Instance) -> None:
-    if instance.kind != MNM:
-        raise InvalidInstance("this algorithm runs on MNM instances")
-    if instance.geometry not in (CIRCLE, CONVEX):
-        raise NotConvex("this algorithm needs points in convex position")
+class _ParityPlayer:
+    """The asap oracle's player: it knows every hull parity and matches as
+    soon as an opposite-parity point is available, by the asap player's
+    tie-break, so both sides see identical available sets."""
+
+    def __init__(self, chi: list[int], tie_break: str):
+        self.chi = chi
+        self.pick = min if tie_break == "min" else max
+
+    def decide(self, i, point, view, tape):
+        chi, idxs = self.chi, view.indices()
+        for j in idxs:
+            if chi[j - 1] != chi[i - 1]:
+                return self.pick(idxs)
+        return None
 
 
 def _asap_word(instance: Instance, tie_break: str) -> DyckWord:
-    """Replay the player's availability evolution with full knowledge of
-    parities: bit i says whether an opposite-parity point is available at
-    arrival i.  The oracle mirrors the player's tie-break exactly so both
-    sides see identical available sets."""
-    chi = geometry.parity(instance)
-    eng = make_engine(instance)
-    bits = []
-    for i in range(1, instance.size + 1):
-        cnt = eng.on_arrival(i)
-        matched = False
-        if cnt:
-            idxs = eng.indices()
-            if any(chi[j - 1] != chi[i - 1] for j in idxs):
-                bits.append(1)
-                j = min(idxs) if tie_break == "min" else max(idxs)
-                eng.commit_match(j)
-                matched = True
-        if not matched:
-            bits.append(0)
-            eng.commit_skip()
-    return DyckWord(tuple(bits))
+    """Bit i says whether an opposite-parity point is available at
+    arrival i, replayed through the player's loop."""
+    player = _ParityPlayer(geometry.parity(instance), tie_break)
+    steps = _play(instance, make_engine(instance), player, None)
+    return DyckWord(tuple(0 if j is None else 1 for _i, _a, j, _l, _r in steps))
 
 
 class _ASAPPlayer:
@@ -543,7 +531,6 @@ def asap_matching(known_n: bool = True, tie_break: str = "min") -> OnlineAlgorit
         raise ValueError("tie_break must be 'min' or 'max'")
 
     def oracle(instance: Instance) -> list[int]:
-        _check_mnm_convex(instance)
         word = _asap_word(instance, tie_break)
         tape = AdviceTape()
         if not known_n:
@@ -555,7 +542,7 @@ def asap_matching(known_n: bool = True, tie_break: str = "min") -> OnlineAlgorit
         name="asap",
         oracle=oracle,
         make_player=lambda: _ASAPPlayer(known_n, tie_break),
-        check=_check_mnm_convex,
+        check=_check_convex(MNM),
         needs_n=known_n,
     )
 

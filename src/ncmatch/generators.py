@@ -29,6 +29,8 @@ _ANGLE_BITS = 20
 
 def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
     """2n points at distinct dyadic angles, in random arrival order."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = random.Random(seed)
     grid = 1 << _ANGLE_BITS
     ticks = rng.sample(range(grid), 2 * n)
@@ -48,6 +50,8 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
     draws use coordinates below 6m + 12, where large m nearly always meets
     parallel vectors; later draws widen that to m^3, where they are rare.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
     if m == 2:
@@ -136,6 +140,8 @@ def random_general_instance(n: int, seed: int, span: int = 10**6) -> Instance:
     the whole batch is drawn at once, checked in O(n^2) by
     ``geometry.collinear_triple`` and redrawn on the odd failure.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
     for _ in range(64):

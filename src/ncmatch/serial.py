@@ -105,7 +105,7 @@ def instance_from_json(data: dict) -> AnnotatedInstance:
     points = [_point_from_json(rp, idx) for idx, rp in enumerate(raw_points, start=1)]
     instance = Instance.build(points, kind, geometry_)
     if "n" in data and data["n"] != instance.n:
-        raise InvalidInstance(f"declared n={data['n']} but instance has n={instance.n}")
+        raise InvalidInstance(f"declared n={data['n']!r} but instance has n={instance.n}")
     ann = data.get("annotations") or {}
     try:
         return AnnotatedInstance(

@@ -3,7 +3,7 @@ as a reference: each red descends the advice tree by half-plane tests
 against the labeled edges, then sorts its available blues clockwise."""
 from ncmatch import geometry
 from ncmatch.codecs import _preorder, catalan, read_ranked, tree_unrank
-from ncmatch.engine import OnlineAlgorithm, _bt_oracle, _check_bnm_convex
+from ncmatch.engine import OnlineAlgorithm, _bt_oracle, bt_matching
 from ncmatch.errors import IllegalMatch, NotConvex
 from ncmatch.geometry import LEFT
 
@@ -70,5 +70,5 @@ class DescentBTPlayer:
 
 def descent_bt():
     """`bt` with the descent player; runs on either engine."""
-    return OnlineAlgorithm("bt", _bt_oracle, DescentBTPlayer, _check_bnm_convex)
+    return OnlineAlgorithm("bt", _bt_oracle, DescentBTPlayer, bt_matching().check)
 

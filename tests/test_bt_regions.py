@@ -42,8 +42,7 @@ def _assert_same_as_descent(inst):
     new = simulate(bt_matching(), inst)
     ref = simulate(descent_bt(), inst, engine="brute")
     assert new.matching == ref.matching
-    assert new.per_step_log == ref.per_step_log
-    assert new.match_events == ref.match_events
+    assert new.steps == ref.steps
     assert (new.bits_written, new.bits_read) == (ref.bits_written, ref.bits_read)
     assert new.violations == ref.violations
 

@@ -43,11 +43,10 @@ def _sim_digest(res) -> str:
     v = res.violations
     return _sha({
         "matching": sorted(res.matching.edges),
-        "log": res.per_step_log,
-        "events": [
-            (e.arrival, e.partner, e.left_available, e.right_available)
-            for e in res.match_events
-        ],
+        # the digests were taken over the former per-arrival log and
+        # per-match events; both are rebuilt here from the steps
+        "log": [(i, j, a) for i, a, j, _l, _r in res.steps],
+        "events": [(i, j, lt, rt) for i, _a, j, lt, rt in res.steps if j is not None],
         "violations": [
             v.matched_count, v.crossings, v.color_violations,
             v.duplicate_endpoints, v.out_of_range, v.perfect,

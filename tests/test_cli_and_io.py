@@ -420,3 +420,54 @@ def test_cli_run_precondition_failures_exit_3(run_files, alg, file, error):
     res = CliRunner().invoke(main, ["run", alg, str(run_files / f"{file}.json")])
     assert res.exit_code == 3
     assert res.stderr == json.dumps({"error": error}) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# bad sizes and unwritable paths: exit 2 with a JSON error
+
+
+@pytest.mark.parametrize("family", ["random-convex", "random-general"])
+@pytest.mark.parametrize("n", [0, -1])
+# random-convex draws a circle on even seeds and a polygon on odd ones
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_generate_rejects_sizes_below_one(tmp_path, family, n, seed):
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(
+        main, ["generate", family, "--n", str(n), "--seed", str(seed), "--out", str(out)]
+    )
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "ValueError: need n >= 1"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--n", "1", "--trials", "50"]])
+def test_cli_verify_coupling_without_a_y_coin_exits_2(args):
+    res = CliRunner().invoke(main, ["verify", "coupling", *args])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("ValueError: no Y coin")
+    assert res.stdout == ""
+
+
+def test_cli_generate_to_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    res = CliRunner().invoke(main, ["generate", "random-general", "--n", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("FileNotFoundError: ")
+
+
+def test_cli_run_svg_to_a_missing_directory_exits_2(tmp_path):
+    gen, svg_out = tmp_path / "g.json", tmp_path / "missing" / "x.svg"
+    runner = CliRunner()
+    res = runner.invoke(main, ["generate", "random-general", "--n", "2", "--out", str(gen)])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["run", "sorted", str(gen), "--svg", str(svg_out)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("FileNotFoundError: ")
+    assert res.stdout == ""
+
+
+def test_loader_quotes_a_declared_n_of_the_wrong_type():
+    doc = serial.instance_to_json(generators.random_circle_instance(1, MNM, 0))
+    doc["n"] = "1"
+    with pytest.raises(InvalidInstance, match=r"^declared n='1' but instance has n=1$"):
+        serial.instance_from_json(doc)

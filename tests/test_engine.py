@@ -51,7 +51,7 @@ def test_greedy_two_points():
     sim = simulate(greedy(), inst)
     assert sorted(sim.matching.edges) == [(1, 2)]
     assert sim.bits_written == sim.bits_read == 0
-    assert sim.per_step_log == [(1, None, 0), (2, 1, 1)]
+    assert sim.steps == [(1, 0, None, None, None), (2, 1, 1, 0, 0)]
 
 
 def test_greedy_can_strand_points_but_never_crosses():
@@ -148,14 +148,7 @@ def test_engines_agree_step_by_step():
         s1 = simulate(alg, inst, engine="region")
         s2 = simulate(ref, inst, engine="brute")
         assert s1.matching == s2.matching
-        assert s1.per_step_log == s2.per_step_log
-        assert [
-            (e.arrival, e.partner, e.left_available, e.right_available)
-            for e in s1.match_events
-        ] == [
-            (e.arrival, e.partner, e.left_available, e.right_available)
-            for e in s2.match_events
-        ]
+        assert s1.steps == s2.steps
 
 
 def test_engines_agree_under_random_play():
