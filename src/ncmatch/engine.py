@@ -8,14 +8,16 @@ rejects any attempted match that is not available, so no simulation can
 commit a crossing edge.
 
 Two interchangeable availability engines back the harness: a brute-force
-one that runs geometry.scan_available at every arrival, and a
-laminar-region tracker for every convex-position instance (circles and
-polygons).  Two points in convex position can be joined without a
-crossing iff no committed chord separates them, so region identity is
-availability.  Each region keeps its boundary arcs and its free points as
-two rank-sorted lists: an arrival costs bisects plus one list insert, a
-match costs bisects plus the slices it moves, and arc relabels total
-O(m log m) because the side with fewer arcs takes the new id.  The region
+one that runs geometry.scan_available at every arrival on the instance's
+exact view (hull ranks in convex position, integer coordinates in general
+position), and a laminar-region tracker for every convex-position
+instance (circles and polygons).  Two points in convex position can be
+joined without a crossing iff no committed chord separates them, so
+region identity is availability.  Each region keeps its boundary arcs and
+its free points as two rank-sorted lists: an arrival costs bisects plus
+one list insert, a match costs bisects plus the slices it moves, and arc
+relabels total O(m log m) because the side with fewer arcs takes the new
+id.  The region
 engine also names each arrival's region, which is the tree slot that the bt
 oracle fills when it builds the tree and that the bt player replays, and
 the k-th available blue clockwise from a red.
@@ -41,8 +43,8 @@ from .codecs import (
     tree_rank,
     write_ranked,
 )
-from .errors import DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BLUE, BNM, CIRCLE, CONVEX, LEFT, MNM, RED, Instance, Matching, Point
+from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
+from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching, Point
 from .offline import MatchingReport
 
 
@@ -55,13 +57,13 @@ class _BruteEngine:
 
     Every arrival runs ``geometry.scan_available`` against the committed
     edges, which are kept as pairs of the instance's ``crossing_view`` ends
-    (hull ranks on circles, integer coordinates otherwise).
+    (hull ranks in convex position, integer coordinates otherwise); a match
+    splits the other available points left and right with the view's turn.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.pts = instance.points
-        self.ends = instance.crossing_view[0]
+        self.ends, _crosses, self.turn = instance.crossing_view
         self.edges: list[tuple] = []  # committed edges as pairs of ends
         self.matched: set[int] = set()
         self.cur: tuple[int, list[int]] | None = None
@@ -91,20 +93,17 @@ class _BruteEngine:
 
     def commit_match(self, j: int) -> tuple[int, int]:
         i, av = self.cur
-        p, q = self.pts[i - 1], self.pts[j - 1]
-        left = right = 0
-        for t in av:
-            if t == j:
-                continue
-            if geometry.half_plane_side((p, q), self.pts[t - 1]) == LEFT:
-                left += 1
-            else:
-                right += 1
+        ends, turn = self.ends, self.turn
+        p, q = ends[i - 1], ends[j - 1]
+        sides = [turn(p, q, ends[t - 1]) for t in av if t != j]
+        if 0 in sides:
+            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
+        left = sum(side > 0 for side in sides)
         self.matched.add(i)
         self.matched.add(j)
-        self.edges.append((self.ends[i - 1], self.ends[j - 1]))
+        self.edges.append((p, q))
         self.cur = None
-        return left, right
+        return left, len(sides) - left
 
 
 class _RegionEngine:
@@ -476,18 +475,17 @@ def sorted_matching() -> OnlineAlgorithm:
 class _ParityPlayer:
     """The asap oracle's player: it knows every hull parity and matches as
     soon as an opposite-parity point is available, by the asap player's
-    tie-break, so both sides see identical available sets."""
+    tie-break, so both sides see identical available sets.  Under asap a
+    region's free points share one parity (a skip adds one of that parity,
+    a match removes one), so the tie-break's pick alone decides."""
 
     def __init__(self, chi: list[int], tie_break: str):
         self.chi = chi
-        self.pick = min if tie_break == "min" else max
+        self.tie_break = tie_break
 
     def decide(self, i, point, view, tape):
-        chi, idxs = self.chi, view.indices()
-        for j in idxs:
-            if chi[j - 1] != chi[i - 1]:
-                return self.pick(idxs)
-        return None
+        j = view.min_arrival() if self.tie_break == "min" else view.max_arrival()
+        return j if j is not None and self.chi[j - 1] != self.chi[i - 1] else None
 
 
 def _asap_word(instance: Instance, tie_break: str) -> DyckWord:

@@ -3,21 +3,24 @@ everything else is built on.
 
 Coordinates are exact rationals.  A point on the unit circle additionally
 carries an exact turn-fraction angle in [0, 1), measured counterclockwise
-from the positive x axis; every predicate whose operands all lie on the
-circle is decided from angle order alone.  The x/y of circle points are
-display placeholders (nearest representable position) that ``Point``
-derives from the angle when they are first read; they never reach a
-predicate.  Circle instances sort their angles once, into
-``Instance.ranks``.  Clockwise means decreasing angle.
+from the positive x axis.  The x/y of circle points are display
+placeholders (nearest representable position) that ``Point`` derives from
+the angle when they are first read; they never reach a predicate.
+Clockwise means decreasing angle.
 
-Every other predicate runs on integers: scaling all coordinates by their
-common denominator preserves orientations and intersections.  Instances
-build that integer view once (``Instance.int_xy``) for the segment test
-``seg_cross_int`` and the general-position check ``collinear_triple``.
-``Instance.crossing_view`` pairs each instance with its one exact crossing
-test: ``chords_cross`` on hull ranks for circles, ``seg_cross_int`` on the
-integer view otherwise.  ``segments_cross`` decides the same question on
-``Point``s and serves as the reference.
+Each instance has one exact view, picked by ``Instance.crossing_view``:
+``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
+runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
+interleave (``chords_cross``), and three points turn left iff their ranks
+run counterclockwise (``cyclic_turn``).  Circles sort their angles into
+ranks; polygons rank by one convex hull on integer coordinates.  General
+position runs on integers: scaling all coordinates by their common
+denominator preserves orientations and intersections, so instances build
+that view once (``Instance.int_xy``) for the segment test
+``seg_cross_int``, the cross product ``cross_int`` and the
+general-position check ``collinear_triple``.  ``orientation``,
+``segments_cross`` and ``half_plane_side`` decide the same questions on
+``Point``s through these predicates and serve as references.
 """
 from __future__ import annotations
 
@@ -33,8 +36,6 @@ from .errors import (
     NotConvex,
     SharedEndpoint,
 )
-
-Rational = Fraction
 
 BLUE = "blue"
 RED = "red"
@@ -198,12 +199,30 @@ def seg_cross_int(e1: tuple, e2: tuple) -> bool:
 
 def chords_cross(e1: tuple, e2: tuple) -> bool:
     """True iff two chords of a convex polygon cross; endpoints are four
-    distinct cyclic ranks.  They cross iff exactly one endpoint of the
-    second lies strictly between the ranks of the first."""
+    distinct cyclic ranks (or circle angles).  They cross iff exactly one
+    endpoint of the second lies strictly between those of the first."""
     (a, b), (c, d) = e1, e2
     if a > b:
         a, b = b, a
     return (a < c < b) != (a < d < b)
+
+
+def cross_int(a: tuple, b: tuple, c: tuple) -> int:
+    """The cross product (b-a) x (c-a) of integer (x, y) pairs: positive iff
+    c is strictly counterclockwise of the ray a->b, zero iff collinear."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def cyclic_turn(a, b, c) -> int:
+    """1 if a, b, c run counterclockwise in cyclic order (ranks or angles),
+    -1 if clockwise, 0 if two coincide.  They run counterclockwise iff
+    exactly one step of the cycle a -> b -> c -> a wraps past 0; neither
+    count reaches 2 when two of them coincide."""
+    if (a < b) + (b < c) + (c < a) == 2:
+        return 1
+    if (b < a) + (c < b) + (a < c) == 2:
+        return -1
+    return 0
 
 
 def collinear_triple(xy: Sequence[tuple[int, int]]) -> tuple[int, int, int] | None:
@@ -239,57 +258,32 @@ def orientation(a: Point, b: Point, c: Point) -> str:
     three points carry angles the answer comes from cyclic angle order
     (three distinct circle points are never collinear).
     """
-    ta, tb, tc = a.angle, b.angle, c.angle
-    if ta is not None and tb is not None and tc is not None:
-        # a, b, c run counterclockwise iff exactly one step of the cycle
-        # a -> b -> c -> a wraps past angle 0; neither count reaches 2
-        # when two of the angles coincide
-        if (ta < tb) + (tb < tc) + (tc < ta) == 2:
-            return LEFT
-        if (tb < ta) + (tc < tb) + (ta < tc) == 2:
-            return RIGHT
-        raise Degenerate("coincident circle points in orientation test")
-    (ax, ay), (bx, by), (cx, cy) = integer_coords((a, b, c))
-    sign = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if sign > 0:
-        return LEFT
-    if sign < 0:
-        return RIGHT
-    return COLLINEAR
-
-
-def _in_open_ccw_arc(a: Fraction, b: Fraction, x: Fraction) -> bool:
-    """True iff angle x lies strictly inside the ccw arc from a to b."""
-    if a < b:
-        return a < x < b
-    return a != b and (x > a or x < b)
+    if a.angle is not None and b.angle is not None and c.angle is not None:
+        sign = cyclic_turn(a.angle, b.angle, c.angle)
+        if not sign:
+            raise Degenerate("coincident circle points in orientation test")
+    else:
+        sign = cross_int(*integer_coords((a, b, c)))
+    return LEFT if sign > 0 else RIGHT if sign < 0 else COLLINEAR
 
 
 def segments_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     """True iff the closed segments intersect.
 
     Endpoints must be four distinct points; a shared endpoint is an error
-    because matched points are never reused.
+    because matched points are never reused.  Circle chords cross iff their
+    angles interleave.
     """
-    p1, p2 = e1
-    q1, q2 = e2
-    for u in (p1, p2):
-        for v in (q1, q2):
+    for u in e1:
+        for v in e2:
             if same_position(u, v):
                 raise SharedEndpoint(
                     f"segments share endpoint at arrival {u.arrival_index}/{v.arrival_index}"
                 )
-    if (
-        p1.angle is not None
-        and p2.angle is not None
-        and q1.angle is not None
-        and q2.angle is not None
-    ):
-        # chords of a circle cross iff their endpoints interleave
-        c_in = _in_open_ccw_arc(p1.angle, p2.angle, q1.angle)
-        d_in = _in_open_ccw_arc(p1.angle, p2.angle, q2.angle)
-        return c_in != d_in
-    a, b, c, d = integer_coords((p1, p2, q1, q2))
+    p1, p2, q1, q2 = pts = (*e1, *e2)
+    if all(p.angle is not None for p in pts):
+        return chords_cross((p1.angle, p2.angle), (q1.angle, q2.angle))
+    a, b, c, d = integer_coords(pts)
     return seg_cross_int((a, b), (c, d))
 
 
@@ -357,21 +351,24 @@ class Instance:
         return integer_coords(self.points)
 
     @cached_property
-    def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool]]:
-        """``(ends, crosses)``: each point's exact stand-in, in arrival order,
-        and the test that decides whether two segments given as pairs of
-        stand-ins intersect.  Circles use their hull ranks and
-        ``chords_cross``; every other geometry uses ``int_xy`` and
-        ``seg_cross_int``."""
-        if self.geometry == CIRCLE:
-            return self.ranks, chords_cross
-        return self.int_xy, seg_cross_int
+    def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool], Callable]:
+        """``(ends, crosses, turn)``: each point's exact stand-in, in arrival
+        order; the test that decides whether two segments given as pairs of
+        stand-ins intersect; and the turn of three stand-ins, positive iff
+        the third lies left of the directed line through the first two,
+        zero iff collinear.  Convex position (circles and polygons) uses its
+        hull ranks, ``chords_cross`` and ``cyclic_turn``; general position
+        uses ``int_xy``, ``seg_cross_int`` and ``cross_int``."""
+        if self.geometry in (CIRCLE, CONVEX):
+            return self.ranks, chords_cross, cyclic_turn
+        return self.int_xy, seg_cross_int, cross_int
 
     @cached_property
     def ranks(self) -> list[int]:
         """Counterclockwise hull position of each point (``cyclic_ranks``),
-        in arrival order; shared by the region engine, the circle audit and
-        ``hull_order``, so callers must not modify it."""
+        in arrival order; shared by validation, the crossing view, the
+        region engine, the hull audit and ``hull_order``, so callers must
+        not modify it."""
         return cyclic_ranks(self.points)
 
     def blues(self) -> tuple[Point, ...]:
@@ -420,9 +417,7 @@ def validate_instance(inst: Instance) -> Instance:
     if len({(p.x, p.y) for p in pts}) != m:
         raise InvalidInstance("duplicate points")
     if inst.geometry == CONVEX:
-        hull = _convex_hull_ccw(pts)
-        if len(hull) != m:
-            raise NotConvex("convex instances require every point on the hull")
+        inst.ranks  # raises NotConvex unless every point is a hull vertex
     else:
         triple = collinear_triple(inst.int_xy)
         if triple is not None:
@@ -431,18 +426,20 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
-def _convex_hull_ccw(pts: Sequence[Point]) -> list[Point]:
-    """Monotone chain with strict turns: collinear points are not vertices."""
-    ordered = sorted(pts, key=lambda p: (p.x, p.y))
+def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions in ``xy`` of the convex hull's vertices, counterclockwise
+    from the lowest leftmost point.  Monotone chain with strict turns:
+    collinear points are not vertices."""
+    ordered = sorted(range(len(xy)), key=xy.__getitem__)
     if len(ordered) <= 2:
-        return list(ordered)
+        return ordered
 
     def build(seq):
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and orientation(out[-2], out[-1], p) != LEFT:
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and cross_int(xy[out[-2]], xy[out[-1]], xy[i]) <= 0:
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
     lower = build(ordered)
@@ -454,19 +451,17 @@ def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
     """Counterclockwise hull position of each point, in input order.
 
     Points that all carry angles are ranked by the exact angle sort keys;
-    anything else by the convex hull, which must contain every point.  In
-    convex position the orientation of three points is the cyclic order of
-    their ranks, so callers can trade predicates for integer comparisons.
+    anything else by the convex hull of their integer coordinates, which
+    must contain every point.  In convex position the orientation of three
+    points is the cyclic order of their ranks (``cyclic_turn``).
     """
     if all(p.angle is not None for p in pts):
         keys = angle_sort_keys(pts)
         order = sorted(range(len(pts)), key=keys.__getitem__)
     else:
-        slot = {id(p): i for i, p in enumerate(pts)}
-        hull = _convex_hull_ccw(pts)
-        if len(hull) != len(pts):
-            raise NotConvex("some point is strictly inside the hull")
-        order = [slot[id(p)] for p in hull]
+        order = _convex_hull_ccw(integer_coords(pts))
+        if len(order) != len(pts):
+            raise NotConvex("convex instances require every point on the hull")
     ranks = [0] * len(pts)
     for pos, i in enumerate(order):
         ranks[i] = pos
@@ -490,12 +485,13 @@ def hull_order(instance: Instance) -> list[int]:
 
 
 def parity(instance: Instance) -> list[int]:
-    """Hull rank mod 2 for every point, in arrival order; parity of p_1 is 0."""
-    order = hull_order(instance)
-    bits = [0] * len(order)
-    for pos, arr in enumerate(order):
-        bits[arr - 1] = pos % 2
-    return bits
+    """Parity of each point's clockwise hull distance from p_1, in arrival
+    order; with an even point count, that of its rank minus p_1's."""
+    if instance.geometry not in (CIRCLE, CONVEX):
+        raise NotConvex("hull parity needs circle or convex geometry")
+    ranks = instance.ranks
+    r0 = ranks[0]
+    return [(r - r0) & 1 for r in ranks]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +569,7 @@ def scan_available(
     the other color on BNM, and the segment p_i p_j crosses none of the
     committed ``edges``, which are given as pairs of the instance's
     ``crossing_view`` ends."""
-    ends, crosses = instance.crossing_view
+    ends, crosses, _turn = instance.crossing_view
     pts = instance.points
     color = pts[i - 1].color if instance.kind == BNM else None
     p = ends[i - 1]

@@ -90,7 +90,7 @@ def noncrossing_pairings(
     (i, j) edges in the order chosen; (2n-1)!! leaves at worst, far fewer
     after pruning.
     """
-    ends, crosses = instance.crossing_view
+    ends, crosses, _turn = instance.crossing_view
     segs = [(ends[a - 1], ends[b - 1]) for a, b in prior]
     chosen: list[tuple[int, int]] = []
 
@@ -319,7 +319,7 @@ def validate_matching(
     ):
         segs = []  # fast path: provably no crossing pair
     else:
-        ends, crosses = instance.crossing_view
+        ends, crosses, _turn = instance.crossing_view
         segs = [(ends[a - 1], ends[b - 1]) for a, b in usable]
     for x in range(len(segs)):
         for y in range(x + 1, len(segs)):

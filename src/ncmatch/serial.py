@@ -31,7 +31,7 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -104,7 +104,8 @@ def instance_from_json(data: dict) -> AnnotatedInstance:
         raise InvalidInstance("points must be a list")
     points = [_point_from_json(rp, idx) for idx, rp in enumerate(raw_points, start=1)]
     instance = Instance.build(points, kind, geometry_)
-    if "n" in data and data["n"] != instance.n:
+    # an exact int: JSON true and 1.0 both compare equal to 1
+    if "n" in data and (type(data["n"]) is not int or data["n"] != instance.n):
         raise InvalidInstance(f"declared n={data['n']!r} but instance has n={instance.n}")
     ann = data.get("annotations") or {}
     try:

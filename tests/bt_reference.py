@@ -18,12 +18,13 @@ def clockwise_from(anchor, others):
         order = sorted(range(len(others)), key=keys.__getitem__, reverse=True)
         k = next((t for t, i in enumerate(order) if keys[i] < start), len(order))
         return [others[i] for i in order[k:] + order[:k]]
-    hull = geometry._convex_hull_ccw([anchor, *others])
-    if len(hull) != len(others) + 1:
+    pts = [anchor, *others]
+    hull = geometry._convex_hull_ccw(geometry.integer_coords(pts))
+    if len(hull) != len(pts):
         raise NotConvex("clockwise ordering needs convex position")
     hull.reverse()
-    k = hull.index(anchor)
-    return hull[k + 1 :] + hull[:k]
+    k = hull.index(0)
+    return [pts[t] for t in hull[k + 1 :] + hull[:k]]
 
 
 class _LabeledNode:

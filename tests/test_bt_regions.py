@@ -91,12 +91,13 @@ def test_bt_on_the_brute_engine_raises_a_typed_error():
 
 
 def _pairwise_crossings(inst, edges):
-    ends, crosses = inst.crossing_view
+    # segments on integer coordinates, independent of the hull ranks
+    ends = inst.int_xy
     return [
         (e, f)
         for x, e in enumerate(edges)
         for f in edges[x + 1 :]
-        if crosses((ends[e[0] - 1], ends[e[1] - 1]), (ends[f[0] - 1], ends[f[1] - 1]))
+        if geometry.seg_cross_int((ends[e[0] - 1], ends[e[1] - 1]), (ends[f[0] - 1], ends[f[1] - 1]))
     ]
 
 

@@ -471,3 +471,24 @@ def test_loader_quotes_a_declared_n_of_the_wrong_type():
     doc["n"] = "1"
     with pytest.raises(InvalidInstance, match=r"^declared n='1' but instance has n=1$"):
         serial.instance_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("x", True), ("y", False), ("n", True), ("n", 1.0)],
+    ids=["x-true", "y-false", "n-true", "n-float"],
+)
+def test_cli_run_rejects_json_booleans_and_floats_as_integers(tmp_path, field, value):
+    # bool subclasses int and 1.0 == 1, so neither may slip through as a number
+    doc = serial.instance_to_json(generators.random_general_instance(1, 0))
+    if field == "n":
+        doc["n"] = value
+    else:
+        doc["points"][0][field] = value
+    with pytest.raises(InvalidInstance):
+        serial.instance_from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "greedy", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("InvalidInstance: ")

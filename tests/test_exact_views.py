@@ -1,0 +1,113 @@
+"""Each geometry runs on its one exact view: convex position on hull ranks,
+general position on integer coordinates.  No ``Point`` predicate runs in
+the package, a polygon builds its hull once, the brute engine's planar
+left/right split equals the ``half_plane_side`` reference, and the coupling
+campaign gives the same results in one process or two."""
+import pytest
+
+from ncmatch import generators, geometry
+from ncmatch.adversaries import (
+    bnm_family,
+    consistent,
+    min_strategy_cover,
+    mnm_family,
+    noncrossing_priors,
+)
+from ncmatch.campaigns import check_coupling
+from ncmatch.engine import asap_matching, bt_matching, greedy, simulate, sorted_matching
+from ncmatch.geometry import BNM, CONVEX, GENERAL, LEFT, MNM, RIGHT, Instance, Matching
+from ncmatch.offline import min_length_pm, validate_matching
+
+POINT_PREDICATES = ("orientation", "half_plane_side", "segments_cross")
+
+
+def _rebuilt(inst):
+    """The instance built and validated afresh from its points."""
+    return Instance.build(list(inst.points), inst.kind, inst.geometry)
+
+
+def test_no_point_predicate_runs_in_the_package(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Point predicate ran")
+
+    for name in POINT_PREDICATES:
+        monkeypatch.setattr(geometry, name, forbidden)
+
+    convex_generators = (
+        generators.random_circle_instance,
+        generators.random_convex_polygon_instance,
+    )
+    convex = {
+        (gen.__name__, kind): _rebuilt(gen(6, kind, 1))
+        for gen in convex_generators
+        for kind in (MNM, BNM)
+    }
+    general = _rebuilt(generators.random_general_instance(6, 1))
+    for inst in convex.values():
+        assert sorted(inst.ranks) == list(range(12))
+        geometry.parity(inst)
+    every = [*convex.values(), general]
+
+    for (_gen, kind), inst in convex.items():
+        alg = bt_matching() if kind == BNM else asap_matching()
+        assert simulate(alg, inst).violations.perfect
+    assert simulate(sorted_matching(), general).violations.perfect
+    for inst in every:
+        for engine in ("auto", "brute"):
+            sim = simulate(greedy(), inst, engine=engine)
+            assert sim.violations.valid
+        # every pair of consecutive arrivals: crossings on either view
+        pairs = [(i, i + 1) for i in range(1, inst.size, 2)]
+        assert validate_matching(inst, pairs).matched_count == inst.size
+
+    small = [gen(4, kind, 2) for gen in convex_generators for kind in (MNM, BNM)]
+    for inst in small + [generators.random_general_instance(4, 2)]:
+        assert len(min_length_pm(inst)) == 4
+    for ai in mnm_family(1):
+        for prior in noncrossing_priors(ai):
+            consistent(prior, ai)
+    assert min_strategy_cover(list(bnm_family(3))) == 5
+
+
+def test_a_polygon_builds_its_hull_once(monkeypatch):
+    points = list(generators.random_convex_polygon_instance(30, BNM, 2).points)
+    calls = []
+    real = geometry._convex_hull_ccw
+    monkeypatch.setattr(geometry, "_convex_hull_ccw", lambda xy: calls.append(xy) or real(xy))
+    inst = Instance.build(points, BNM, CONVEX)
+    geometry.validate_instance(inst)
+    inst.ranks, inst.crossing_view, geometry.parity(inst)
+    assert simulate(bt_matching(), inst).violations.perfect
+    assert len(calls) == 1
+
+
+def _planar_instances():
+    for seed in range(12):
+        yield generators.random_general_instance(1 + seed % 7, seed)
+
+
+@pytest.mark.parametrize("make", [sorted_matching, greedy], ids=["sorted", "greedy"])
+def test_planar_left_right_are_the_half_plane_counts(make):
+    seen = set()
+    for inst in _planar_instances():
+        assert inst.geometry == GENERAL
+        pts = inst.points
+        m = Matching()
+        for i, available, j, left, right in simulate(make(), inst).steps:
+            avail = geometry.available_set(inst, m, i)
+            assert available == len(avail)
+            if j is None:
+                continue
+            edge = (pts[i - 1], pts[j - 1])
+            sides = [geometry.half_plane_side(edge, pts[t - 1]) for t in avail - {j}]
+            assert (left, right) == (sides.count(LEFT), sides.count(RIGHT))
+            seen.update(side for side, count in ((LEFT, left), (RIGHT, right)) if count)
+            m = m.with_edge(i, j)
+    assert seen == {LEFT, RIGHT}
+
+
+def test_coupling_results_do_not_depend_on_the_worker_count():
+    one = check_coupling(n=50, trials=40, seed=3, workers=1)
+    two = check_coupling(n=50, trials=40, seed=3, workers=2)
+    assert two["params"]["workers"] == 2
+    assert two["results"] == one["results"]

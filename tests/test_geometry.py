@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncmatch import geometry
+from ncmatch import generators, geometry
 from ncmatch.errors import (
     Degenerate,
     InvalidInstance,
@@ -245,9 +245,9 @@ def test_parity_two_points_and_anchor():
 
 def test_parity_alternates_and_splits_evenly():
     rng = random.Random(13)
-    for _ in range(20):
-        ticks = rng.sample(range(1 << 10), 10)
-        inst = circle_instance(ticks)
+    circles = [circle_instance(rng.sample(range(1 << 10), 10)) for _ in range(20)]
+    polygons = [generators.random_convex_polygon_instance(5, MNM, seed) for seed in range(20)]
+    for inst in circles + polygons:
         chi = parity(inst)
         assert chi[0] == 0
         assert sum(chi) == 5
