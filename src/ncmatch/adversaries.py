@@ -453,7 +453,7 @@ def min_strategy_cover(
         shared = instances[0].points[:n]
         for inst in instances[1:]:
             if any(
-                not geometry.same_position(a, b)
+                a.position() != b.position()
                 for a, b in zip(shared, inst.points[:n])
             ):
                 raise ValueError("BNM family members must share blue points")

@@ -13,7 +13,6 @@ import sys
 import click
 
 from . import __version__, adversaries, campaigns, generators, serial, svg
-from .codecs import Permutation
 from .engine import ALGORITHMS, simulate
 from .errors import (
     BadSubset,
@@ -42,46 +41,38 @@ def main() -> None:
     """Online non-crossing matching: algorithms, adversaries, verification."""
 
 
+FAMILIES = {
+    "bnm-perm": adversaries.bnm_red_instance,
+    "mnm-family": adversaries.mnm_family_instance,
+    "markov": adversaries.markov_instance,
+    "random-convex": generators.random_convex_instance,
+    "random-general": generators.random_general_instance,
+}
+
+
 @main.command()
-@click.argument(
-    "family",
-    type=click.Choice(["bnm-perm", "mnm-family", "markov", "random-convex", "random-general"]),
-)
+@click.argument("family", type=click.Choice(list(FAMILIES)))
 @click.option("--n", type=int, default=None, help="Half the point count.")
 @click.option("--k", type=int, default=None, help="Scale of the interval family (n = 3k).")
-@click.option("--j", "j_", type=int, default=None, help="Interval count for mnm-family.")
+@click.option("--j", type=int, default=None, help="Interval count for mnm-family.")
 @click.option("--intervals", type=str, default="", help="Comma-separated interval ids.")
-@click.option("--sigma", type=str, default="", help="Comma-separated permutation values.")
+@click.option("--sigma", type=str, default=None, help="Comma-separated permutation values.")
 @click.option("--kind", type=click.Choice([MNM, BNM]), default=MNM, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def generate(family, n, k, j_, intervals, sigma, kind, seed, out) -> None:
-    """Write an instance file for one of the built-in families."""
-    meta = {"family": family, "seed": seed, "generator": f"ncmatch-{__version__}"}
+def generate(family, out, **options) -> None:
+    """Write an instance file; the family's builder gets the options its
+    signature names, comma-separated lists as lists of ints."""
+    meta = {"family": family, "seed": options["seed"], "generator": f"ncmatch-{__version__}"}
+    build = FAMILIES[family]
+    kwargs = {p: options[p] for p in inspect.signature(build).parameters if p in options}
     try:
-        if family == "bnm-perm":
-            if not sigma:
-                raise InvalidInstance("bnm-perm needs --sigma")
-            values = tuple(int(v) for v in sigma.split(","))
-            payload = adversaries.bnm_red_instance(Permutation(values))
-        elif family == "mnm-family":
-            if k is None or j_ is None:
-                raise InvalidInstance("mnm-family needs --k and --j")
-            chosen = [int(v) for v in intervals.split(",") if v] if intervals else []
-            payload = adversaries.mnm_family_instance(k, j_, chosen)
-        elif family == "markov":
-            if n is None:
-                raise InvalidInstance("markov needs --n")
-            payload = adversaries.markov_instance(n, seed)
-        elif family == "random-convex":
-            if n is None:
-                raise InvalidInstance("random-convex needs --n")
-            payload = generators.random_convex_instance(n, kind, seed)
-        else:
-            if n is None:
-                raise InvalidInstance("random-general needs --n")
-            payload = generators.random_general_instance(n, seed)
-        serial.dump_instance(out, payload, meta=meta)
+        missing = [f"--{p}" for p, v in kwargs.items() if v is None]
+        if missing:
+            raise InvalidInstance(f"{family} needs {' and '.join(missing)}")
+        for p in {"sigma", "intervals"} & kwargs.keys():
+            kwargs[p] = [int(v) for v in kwargs[p].split(",") if v]
+        serial.dump_instance(out, build(**kwargs), meta=meta)
     except (NcmatchError, ValueError, OSError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return

@@ -8,7 +8,6 @@ known to the reader.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -246,49 +245,48 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
         yield DyckWord(bits)
 
 
-@lru_cache(maxsize=None)
-def _ballot(slots: int, open_: int) -> int:
-    """Completions of a prefix with `open_` unmatched 0s and `slots` left.
-
-    By reflection: of the C(s, k) paths with k = (s - h) / 2 up-steps that
-    end at height 0, the C(s, k - 1) that dip below 0 are cut off.
-    """
-    if open_ < 0 or open_ > slots or (slots - open_) % 2:
-        return 0
-    k = (slots - open_) // 2
-    return comb(slots, k) - (comb(slots, k - 1) if k else 0)
-
-
 def dyck_rank(w: DyckWord) -> int:
-    """Lexicographic rank among balanced words of the same length."""
+    """Lexicographic rank among balanced words of the same length.
+
+    c = C(u + d, u) counts the arrangements of the u 0s and d 1s left; by
+    reflection, C(u + d - 1, u - 1) * (d - u + 2) / (d + 1) of them are
+    balanced and put a 0 next.  Every division is exact left to right."""
     rank = 0
-    open_ = 0
-    slots = len(w.bits)
+    u = d = w.n
+    c = comb(2 * u, u)
     for b in w.bits:
-        slots -= 1
+        s = u + d
         if b == 1:
             # every word continuing with 0 here comes first
-            rank += _ballot(slots, open_ + 1)
-            open_ -= 1
+            rank += c * u // s * (d - u + 2) // (d + 1)
+            c = c * d // s
+            d -= 1
         else:
-            open_ += 1
+            c = c * u // s
+            u -= 1
     return rank
 
 
 def dyck_unrank(n: int, r: int) -> DyckWord:
+    """Inverse of dyck_rank, walking the same binomial."""
     if not 0 <= r < catalan(n):
         raise RankOutOfRange(f"rank {r} out of range for balanced words of length {2 * n}")
     bits = []
-    open_ = 0
-    for slots in range(2 * n - 1, -1, -1):
-        zero_block = _ballot(slots, open_ + 1)
+    u = d = n
+    c = comb(2 * n, n)
+    for _ in range(2 * n):
+        s = u + d
+        after_zero = c * u // s
+        zero_block = after_zero * (d - u + 2) // (d + 1)
         if r < zero_block:
             bits.append(0)
-            open_ += 1
+            c = after_zero
+            u -= 1
         else:
             r -= zero_block
             bits.append(1)
-            open_ -= 1
+            c = c * d // s
+            d -= 1
     return DyckWord(tuple(bits))
 
 

@@ -142,12 +142,6 @@ def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
     return Point(Fraction(x), Fraction(y), arrival_index, color, None)
 
 
-def same_position(a: Point, b: Point) -> bool:
-    if a.angle is not None:
-        return b.angle is not None and a.angle == b.angle
-    return b.angle is None and a.x == b.x and a.y == b.y
-
-
 def angle_sort_keys(pts: Sequence[Point]) -> list:
     """Exact sort keys for circle points: plain ints when every angle
     denominator is a power of two (true of all at-scale generators here),
@@ -276,7 +270,7 @@ def segments_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     """
     for u in e1:
         for v in e2:
-            if same_position(u, v):
+            if u.position() == v.position():
                 raise SharedEndpoint(
                     f"segments share endpoint at arrival {u.arrival_index}/{v.arrival_index}"
                 )
@@ -401,15 +395,13 @@ def validate_instance(inst: Instance) -> Instance:
             raise InvalidInstance("MNM points must be uncolored")
 
     if inst.geometry == CIRCLE:
-        angles = []
         for p in pts:
             if p.angle is None:
                 raise InvalidInstance("circle instances need an angle on every point")
-            if not (0 <= p.angle < 1):
+            num, den = p.angle.as_integer_ratio()
+            if not 0 <= num < den:
                 raise InvalidInstance("angles must be turn fractions in [0, 1)")
-            angles.append(p.angle)
-        if len(set(angles)) != m:
-            raise InvalidInstance("duplicate circle points")
+        inst.ranks  # raises InvalidInstance on duplicate angles
         return inst
 
     if any(p.angle is not None for p in pts):
@@ -450,14 +442,17 @@ def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
 def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
     """Counterclockwise hull position of each point, in input order.
 
-    Points that all carry angles are ranked by the exact angle sort keys;
-    anything else by the convex hull of their integer coordinates, which
-    must contain every point.  In convex position the orientation of three
-    points is the cyclic order of their ranks (``cyclic_turn``).
+    Points that all carry angles are ranked by the exact angle sort keys,
+    where two equal keys raise ``InvalidInstance``; anything else by the
+    convex hull of their integer coordinates, which must contain every
+    point.  In convex position the orientation of three points is the
+    cyclic order of their ranks (``cyclic_turn``).
     """
     if all(p.angle is not None for p in pts):
         keys = angle_sort_keys(pts)
         order = sorted(range(len(pts)), key=keys.__getitem__)
+        if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+            raise InvalidInstance("duplicate circle points")
     else:
         order = _convex_hull_ccw(integer_coords(pts))
         if len(order) != len(pts):

@@ -8,6 +8,7 @@ permutations, interval choices).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -30,11 +31,18 @@ def format_rational(q: Fraction) -> str:
         ) from exc
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s: Any) -> Fraction:
+    """An int, or a string as ``format_rational`` writes it: a signed ASCII
+    integer, optionally ``/`` and digits (``Fraction`` expands exponents)."""
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
         return Fraction(s)
     if isinstance(s, str):
         try:
+            if not _RATIONAL.fullmatch(s):
+                raise ValueError
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"bad rational literal {s!r}") from exc
@@ -94,15 +102,20 @@ def _point_from_json(rp: Any, idx: int) -> Point:
 
 
 def instance_from_json(data: dict) -> AnnotatedInstance:
+    return _annotated(data, *_parsed_fields(data))
+
+
+def _parsed_fields(data: Any) -> tuple[str, str, list[Point]]:
     try:
-        kind = data["kind"]
-        geometry_ = data["geometry"]
-        raw_points = data["points"]
+        kind, geometry_, raw_points = data["kind"], data["geometry"], data["points"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
     if not isinstance(raw_points, list):
         raise InvalidInstance("points must be a list")
-    points = [_point_from_json(rp, idx) for idx, rp in enumerate(raw_points, start=1)]
+    return kind, geometry_, [_point_from_json(rp, i) for i, rp in enumerate(raw_points, 1)]
+
+
+def _annotated(data: dict, kind: str, geometry_: str, points: list[Point]) -> AnnotatedInstance:
     instance = Instance.build(points, kind, geometry_)
     # an exact int: JSON true and 1.0 both compare equal to 1
     if "n" in data and (type(data["n"]) is not int or data["n"] != instance.n):
@@ -141,4 +154,6 @@ def load_instance(path) -> AnnotatedInstance:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
             raise InvalidInstance(f"not valid JSON: {exc}") from exc
-    return instance_from_json(data)
+    fields = _parsed_fields(data)
+    del data["points"]  # free the raw strings before validation ranks the points
+    return _annotated(data, *fields)

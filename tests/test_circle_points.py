@@ -155,6 +155,21 @@ def test_instance_ranks_are_cached_cyclic_ranks():
     assert engine.make_engine(inst, "region").rank_of is inst.ranks
 
 
+def test_a_circle_is_ranked_once_from_build_to_asap(monkeypatch):
+    calls = []
+
+    def counting(pts):
+        calls.append(len(pts))
+        return cyclic_ranks(pts)
+
+    monkeypatch.setattr(geometry, "cyclic_ranks", counting)
+    inst = generators.random_circle_instance(50, MNM, 3)
+    geometry.validate_instance(inst)
+    assert inst.ranks is inst.ranks
+    assert engine.simulate(engine.asap_matching(), inst).violations.perfect
+    assert calls == [100]
+
+
 # ---------------------------------------------------------------------------
 # outputs pinned with the eager points
 

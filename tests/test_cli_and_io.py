@@ -85,6 +85,23 @@ def test_rational_parsing():
         serial.parse_rational("x")
 
 
+@pytest.mark.parametrize("text", ["1e400", "2.5", " 3/4"])
+def test_rational_parsing_takes_only_the_written_form(text):
+    with pytest.raises(InvalidInstance, match="bad rational literal"):
+        serial.parse_rational(text)
+
+
+def test_run_on_a_coordinate_with_an_exponent_exits_2(tmp_path):
+    doc = serial.instance_to_json(generators.random_general_instance(2, 0))
+    doc["points"][0]["x"] = "1e400"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "InvalidInstance: bad rational literal '1e400'"}
+    assert res.stdout == ""
+
+
 def test_polygon_instance_roundtrip_and_svg(tmp_path):
     from ncmatch import svg
 
@@ -334,6 +351,62 @@ def test_generate_markov_past_the_digit_limit_exits_2_without_a_file(tmp_path):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "RationalTooLarge" in res.output
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# `ncmatch generate` dispatch through cli.FAMILIES
+
+_FAMILY_CALLS = {
+    "bnm-perm": (["--sigma", "2,1,4,3"], lambda: adversaries.bnm_red_instance((2, 1, 4, 3))),
+    "mnm-family": (
+        ["--k", "2", "--j", "2", "--intervals", "1,5"],
+        lambda: adversaries.mnm_family_instance(2, 2, [1, 5]),
+    ),
+    "markov": (["--n", "9", "--seed", "4"], lambda: adversaries.markov_instance(9, 4)),
+    "random-convex": (
+        ["--n", "5", "--kind", "BNM", "--seed", "3"],
+        lambda: generators.random_convex_instance(5, BNM, 3),
+    ),
+    "random-general": (
+        ["--n", "4", "--seed", "2"],
+        lambda: generators.random_general_instance(4, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_CALLS))
+def test_generate_writes_the_file_of_a_direct_builder_call(tmp_path, family):
+    from ncmatch import __version__
+    from ncmatch.cli import FAMILIES
+
+    assert set(FAMILIES) == set(_FAMILY_CALLS)
+    args, build = _FAMILY_CALLS[family]
+    out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
+    res = CliRunner().invoke(main, ["generate", family, *args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    seed = int(args[args.index("--seed") + 1]) if "--seed" in args else 0
+    meta = {"family": family, "seed": seed, "generator": f"ncmatch-{__version__}"}
+    serial.dump_instance(ref, build(), meta=meta)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        ("bnm-perm", [], "bnm-perm needs --sigma"),
+        ("mnm-family", [], "mnm-family needs --k and --j"),
+        ("mnm-family", ["--k", "2"], "mnm-family needs --j"),
+        ("markov", [], "markov needs --n"),
+        ("random-convex", [], "random-convex needs --n"),
+        ("random-general", ["--seed", "3"], "random-general needs --n"),
+    ],
+)
+def test_generate_names_the_missing_options(tmp_path, family, args, message):
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["generate", family, *args, "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
     assert not out.exists()
 
 

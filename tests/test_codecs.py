@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from ncmatch.codecs import (
     AdviceTape,
-    _ballot,
     BinaryTree,
     DyckWord,
     Permutation,
@@ -141,6 +142,49 @@ def test_dyck_validation():
         DyckWord((0, 0, 1, 1, 1, 0))
 
 
+def _ballot(slots, open_):
+    """Completions of a prefix with `open_` unmatched 0s and `slots` left.
+
+    By reflection: of the C(s, k) paths with k = (s - h) / 2 up-steps that
+    end at height 0, the C(s, k - 1) that dip below 0 are cut off.
+    """
+    if open_ < 0 or open_ > slots or (slots - open_) % 2:
+        return 0
+    k = (slots - open_) // 2
+    return comb(slots, k) - (comb(slots, k - 1) if k else 0)
+
+
+def _reference_rank(bits):
+    """Lexicographic rank of a balanced word, one closed-form ballot
+    number per 1."""
+    rank = 0
+    open_ = 0
+    slots = len(bits)
+    for b in bits:
+        slots -= 1
+        if b == 1:
+            rank += _ballot(slots, open_ + 1)
+            open_ -= 1
+        else:
+            open_ += 1
+    return rank
+
+
+def _reference_unrank(n, r):
+    bits = []
+    open_ = 0
+    for slots in range(2 * n - 1, -1, -1):
+        zero_block = _ballot(slots, open_ + 1)
+        if r < zero_block:
+            bits.append(0)
+            open_ += 1
+        else:
+            r -= zero_block
+            bits.append(1)
+            open_ -= 1
+    return tuple(bits)
+
+
 def test_ballot_closed_form_matches_the_recurrence():
     memo = {}
 
@@ -181,6 +225,29 @@ def test_dyck_unrank_always_valid(n, data):
     w = dyck_unrank(n, r)
     assert len(w.bits) == 2 * n
     assert dyck_rank(w) == r
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_dyck_walk_matches_the_closed_form_reference(n):
+    rng = random.Random(n)
+    ranks = [0, catalan(n) - 1] + [rng.randrange(catalan(n)) for _ in range(3)]
+    for r in ranks:
+        bits = _reference_unrank(n, r)
+        assert dyck_unrank(n, r).bits == bits
+        assert dyck_rank(DyckWord(bits)) == _reference_rank(bits) == r
+
+
+def test_dyck_round_trip_at_ten_thousand_pairs():
+    # about 0.6 s on a 2-core box; one ballot number recomputed per step
+    # took over 150 s
+    n = 10**4
+    budget = 10
+    r = random.Random(0).randrange(catalan(n))
+    started = time.perf_counter()
+    w = dyck_unrank(n, r)
+    assert dyck_rank(w) == r
+    elapsed = time.perf_counter() - started
+    assert elapsed < budget, f"round trip took {elapsed:.1f}s, budget {budget}s"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -445,6 +446,24 @@ def test_asap_unknown_n_pays_for_the_length_prefix():
         sim = simulate(asap_matching(known_n=False), inst)
         assert sim.violations.perfect
         assert sim.bits_read == sim.bits_written == width(n) + len(elias_delta_encode(n))
+
+
+@pytest.mark.parametrize("known_n", [True, False], ids=["known-n", "unknown-n"])
+@pytest.mark.parametrize("tie_break", ["min", "max"])
+def test_asap_at_ten_thousand_pairs_on_a_random_circle(tie_break, known_n):
+    # about 1.5 s each on a 2-core box, generation included; the balanced
+    # word's rank and unrank took 26 s and 144 s with one closed-form
+    # ballot number per step
+    n = 10**4
+    budget = 15
+    started = time.perf_counter()
+    inst = generators.random_circle_instance(n, MNM, 0)
+    sim = simulate(asap_matching(known_n=known_n, tie_break=tie_break), inst)
+    elapsed = time.perf_counter() - started
+    assert sim.violations.perfect
+    prefix = 0 if known_n else len(elias_delta_encode(n))
+    assert sim.bits_read == sim.bits_written == width(n) + prefix
+    assert elapsed < budget, f"asap took {elapsed:.1f}s, budget {budget}s"
 
 
 def test_asap_tie_break_independent():

@@ -25,6 +25,7 @@ from ncmatch.geometry import (
     RIGHT,
     Instance,
     Matching,
+    Point,
     available_set,
     circle_point,
     half_plane_side,
@@ -189,6 +190,32 @@ def test_validate_rejects_duplicates_and_bad_colors():
             MNM,
             GENERAL,
         )  # collinear triple
+
+
+def _raw_circle(angles):
+    """MNM circle points carrying the angles as given; circle_point would
+    reduce them mod 1."""
+    return [Point(None, None, i, None, a) for i, a in enumerate(angles, start=1)]
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)],
+        [Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), Fraction(1, 3)],
+    ],
+    ids=["dyadic", "non-dyadic"],
+)
+def test_validate_rejects_duplicate_circle_angles(angles):
+    with pytest.raises(InvalidInstance, match="duplicate circle points"):
+        Instance.build(_raw_circle(angles), MNM, CIRCLE)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), Fraction(-1, 2)], ids=["one", "minus-half"])
+def test_validate_rejects_circle_angles_outside_one_turn(bad):
+    # the range is checked before duplicates
+    with pytest.raises(InvalidInstance, match=r"turn fractions in \[0, 1\)"):
+        Instance.build(_raw_circle([Fraction(1, 3), bad, bad, Fraction(1, 2)]), MNM, CIRCLE)
 
 
 def test_validate_rejects_interior_point_for_convex():
