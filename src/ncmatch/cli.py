@@ -11,6 +11,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import __version__, adversaries, campaigns, generators, serial, svg
 from .engine import ALGORITHMS, simulate
@@ -62,11 +63,17 @@ FAMILIES = {
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def generate(family, out, **options) -> None:
     """Write an instance file; the family's builder gets the options its
-    signature names, comma-separated lists as lists of ints."""
+    signature names, comma-separated lists as lists of ints.  An option
+    given on the command line that the builder does not take is an error."""
     meta = {"family": family, "seed": options["seed"], "generator": f"ncmatch-{__version__}"}
     build = FAMILIES[family]
-    kwargs = {p: options[p] for p in inspect.signature(build).parameters if p in options}
+    takes = inspect.signature(build).parameters
+    kwargs = {p: options[p] for p in takes if p in options}
+    source = click.get_current_context().get_parameter_source
     try:
+        for p in options:
+            if p not in takes and source(p) == ParameterSource.COMMANDLINE:
+                raise InvalidInstance(f"{family} does not take --{p}")
         missing = [f"--{p}" for p, v in kwargs.items() if v is None]
         if missing:
             raise InvalidInstance(f"{family} needs {' and '.join(missing)}")

@@ -8,19 +8,24 @@ rejects any attempted match that is not available, so no simulation can
 commit a crossing edge.
 
 Two interchangeable availability engines back the harness: a brute-force
-one that runs geometry.scan_available at every arrival on the instance's
-exact view (hull ranks in convex position, integer coordinates in general
-position), and a laminar-region tracker for every convex-position
-instance (circles and polygons).  Two points in convex position can be
-joined without a crossing iff no committed chord separates them, so
-region identity is availability.  Each region keeps its boundary arcs and
-its free points as two rank-sorted lists: an arrival costs bisects plus
-one list insert, a match costs bisects plus the slices it moves, and arc
-relabels total O(m log m) because the side with fewer arcs takes the new
-id.  The region
-engine also names each arrival's region, which is the tree slot that the bt
-oracle fills when it builds the tree and that the bt player replays, and
-the k-th available blue clockwise from a red.
+one that runs direct crossing tests on the instance's exact view (hull
+ranks in convex position, integer coordinates in general position), and a
+laminar-region tracker for every convex-position instance (circles and
+polygons).  The brute engine keeps, per point, bit masks of the committed
+edges whose line has the point strictly on its left or passes through it,
+and tests a candidate segment only against the edges whose line separates
+its ends or passes through one; its answers equal
+geometry.scan_available's, which stays the reference.
+
+Two points in convex position can be joined without a crossing iff no
+committed chord separates them, so region identity is availability.  Each
+region keeps its boundary arcs and its free points as two rank-sorted
+lists: an arrival costs bisects plus one list insert, a match costs
+bisects plus the slices it moves, and arc relabels total O(m log m)
+because the side with fewer arcs takes the new id.  The region engine also
+names each arrival's region, which is the tree slot that the bt oracle
+fills when it builds the tree and that the bt player replays, and the k-th
+available blue clockwise from a red.
 """
 from __future__ import annotations
 
@@ -55,21 +60,46 @@ from .offline import MatchingReport
 class _BruteEngine:
     """Availability by direct crossing tests; the reference engine.
 
-    Every arrival runs ``geometry.scan_available`` against the committed
-    edges, which are kept as pairs of the instance's ``crossing_view`` ends
-    (hull ranks in convex position, integer coordinates otherwise); a match
-    splits the other available points left and right with the view's turn.
+    Committed edges are kept as pairs of the instance's ``crossing_view``
+    ends (hull ranks in convex position, integer coordinates otherwise),
+    numbered 0, 1, 2, ... in commit order.  Each unmatched point t keeps two
+    bit masks over the edges: bit k of ``side[t]`` is set when t lies
+    strictly left of edge k by the view's turn, bit k of ``on[t]`` when t
+    lies on its line; a match fills in its bit for every unmatched point.
+    A segment whose ends lie strictly on one side of an edge's line cannot
+    touch that edge, so an arrival tests a candidate only against the edges
+    in ``(side[i] ^ side[j]) | on[i] | on[j]``, each with the view's one
+    crossing test.  The answers equal ``geometry.scan_available``'s.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.ends, _crosses, self.turn = instance.crossing_view
+        self.ends, self.crosses, self.turn = instance.crossing_view
         self.edges: list[tuple] = []  # committed edges as pairs of ends
-        self.matched: set[int] = set()
+        m = len(self.ends)
+        self.side = [0] * (m + 1)  # by arrival index; slot 0 unused
+        self.on = [0] * (m + 1)
+        self.free: list[int] = []  # unmatched arrivals, ascending
         self.cur: tuple[int, list[int]] | None = None
 
     def on_arrival(self, i: int) -> int:
-        av = geometry.scan_available(self.instance, i, self.matched, self.edges)
+        ends, crosses, edges, side, on = self.ends, self.crosses, self.edges, self.side, self.on
+        pts = self.instance.points
+        color = pts[i - 1].color if self.instance.kind == BNM else None
+        p, si, oi = ends[i - 1], side[i], on[i]
+        av = []
+        for j in self.free:
+            if color is not None and pts[j - 1].color == color:
+                continue
+            mask = (si ^ side[j]) | oi | on[j]
+            seg = (p, ends[j - 1])
+            while mask:
+                low = mask & -mask
+                if crosses(seg, edges[low.bit_length() - 1]):
+                    break
+                mask ^= low
+            else:
+                av.append(j)
         self.cur = (i, av)
         return len(av)
 
@@ -89,18 +119,27 @@ class _BruteEngine:
         return j in self.cur[1]
 
     def commit_skip(self) -> None:
+        self.free.append(self.cur[0])
         self.cur = None
 
     def commit_match(self, j: int) -> tuple[int, int]:
         i, av = self.cur
         ends, turn = self.ends, self.turn
         p, q = ends[i - 1], ends[j - 1]
-        sides = [turn(p, q, ends[t - 1]) for t in av if t != j]
+        rest = [t for t in self.free if t != j]
+        rest += range(i + 1, len(ends) + 1)
+        sign = {t: turn(p, q, ends[t - 1]) for t in rest}
+        sides = [sign[t] for t in av if t != j]
         if 0 in sides:
             raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
         left = sum(side > 0 for side in sides)
-        self.matched.add(i)
-        self.matched.add(j)
+        bit = 1 << len(self.edges)
+        for t, s in sign.items():
+            if s > 0:
+                self.side[t] |= bit
+            elif s == 0:
+                self.on[t] |= bit
+        self.free.remove(j)
         self.edges.append((p, q))
         self.cur = None
         return left, len(sides) - left

@@ -321,8 +321,24 @@ def validate_matching(
     else:
         ends, crosses, _turn = instance.crossing_view
         segs = [(ends[a - 1], ends[b - 1]) for a, b in usable]
-    for x in range(len(segs)):
-        for y in range(x + 1, len(segs)):
+    k = len(segs)
+    planar = instance.geometry not in (CIRCLE, CONVEX)
+    if planar:
+        # segments whose closed x-ranges are disjoint neither touch nor
+        # share a position, so the pair is skipped; a segment of length
+        # zero shares a position with every other and spans them all
+        lo = [min(p[0], q[0]) for p, q in segs]
+        hi = [max(p[0], q[0]) for p, q in segs]
+        for x, (p, q) in enumerate(segs):
+            if p == q:
+                lo[x], hi[x] = min(lo), max(hi)
+    for x in range(k):
+        if planar:
+            lx, hx = lo[x], hi[x]
+            near = [y for y in range(x + 1, k) if lo[y] <= hx and lx <= hi[y]]
+        else:
+            near = range(x + 1, k)
+        for y in near:
             if len({*usable[x], *usable[y]}) < 4:
                 continue  # endpoint reuse already reported
             if len({*segs[x], *segs[y]}) < 4:

@@ -410,6 +410,25 @@ def test_generate_names_the_missing_options(tmp_path, family, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        ("random-general", ["--n", "2", "--kind", "BNM"], "random-general does not take --kind"),
+        ("markov", ["--n", "3", "--kind", "BNM"], "markov does not take --kind"),
+        ("bnm-perm", ["--sigma", "1,2", "--n", "5"], "bnm-perm does not take --n"),
+        # a given value equal to the default still counts as given
+        ("bnm-perm", ["--sigma", "1,2", "--seed", "0"], "bnm-perm does not take --seed"),
+        ("mnm-family", ["--kind", "MNM"], "mnm-family does not take --kind"),
+    ],
+)
+def test_generate_rejects_options_its_family_ignores(tmp_path, family, args, message):
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["generate", family, *args, "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # `ncmatch run` dispatch through engine.ALGORITHMS
 

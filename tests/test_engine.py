@@ -19,6 +19,7 @@ from ncmatch.engine import (
     sorted_matching,
 )
 from ncmatch.errors import (
+    Degenerate,
     DuplicateX,
     IllegalMatch,
     InvalidInstance,
@@ -281,6 +282,84 @@ def test_brute_engine_integer_path_matches_available_set():
                 m = m.with_edge(i, j)
             else:
                 eng.commit_skip()
+
+
+def _brute_play_against_available_set(inst, rng) -> int:
+    """Drive the brute engine with a random legal player (skip, or a random
+    available partner) and check every arrival's count, ``indices`` and
+    ``has`` against ``geometry.available_set``; return the matches made."""
+    eng = make_engine(inst, "brute")
+    m = Matching()
+    for i in range(1, inst.size + 1):
+        cnt = eng.on_arrival(i)
+        expected = sorted(available_set(inst, m, i))
+        assert cnt == eng.count() == len(expected)
+        assert eng.indices() == expected
+        assert [j for j in range(1, i) if eng.has(j)] == expected
+        if expected and rng.random() < 0.6:
+            j = rng.choice(expected)
+            eng.commit_match(j)
+            m = m.with_edge(i, j)
+        else:
+            eng.commit_skip()
+    return len(m)
+
+
+def test_brute_engine_masks_agree_with_available_set_on_general_instances():
+    rng = random.Random(43)
+    matches = 0
+    for trial in range(120):
+        n = 1 + trial % 12
+        inst = generators.random_general_instance(n, rng.randrange(10**6))
+        matches += _brute_play_against_available_set(inst, rng)
+    assert matches > 300
+
+
+@pytest.mark.parametrize("kind", [MNM, BNM])
+@pytest.mark.parametrize("gen", CONVEX_GENERATORS, ids=["circle", "polygon"])
+def test_brute_engine_masks_agree_with_available_set_in_convex_position(gen, kind):
+    rng = random.Random(47)
+    for trial in range(40):
+        inst = gen(1 + trial % 9, kind, rng.randrange(10**6))
+        _brute_play_against_available_set(inst, rng)
+
+
+def test_brute_engine_tests_a_point_on_an_edge_line_beyond_the_segment():
+    # 3 and 5 lie on the line of edge (1, 2) but off the segment: a segment
+    # from either is tested against that edge; 3-4 misses it, 3-5 covers it
+    xy = [(0, 0), (2, 0), (4, 0), (3, 1), (-1, 0), (1, 5)]
+    pts = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(xy)]
+    inst = Instance.build(pts, MNM, GENERAL, validate=False)
+    eng = make_engine(inst, "brute")
+    m = Matching()
+    for i, partner in enumerate([None, 1, None, None, 4, 3], start=1):
+        cnt = eng.on_arrival(i)
+        expected = sorted(available_set(inst, m, i))
+        assert cnt == len(expected) and eng.indices() == expected
+        assert [j for j in range(1, i) if eng.has(j)] == expected
+        if partner is None:
+            eng.commit_skip()
+        else:
+            eng.commit_match(partner)
+            m = m.with_edge(i, partner)
+        if i == 4:
+            assert expected == [3]
+        if i == 5:
+            assert expected == [4]  # 3-5 runs along the edge
+    assert eng.on[3] == eng.on[5] == 1  # only edge 0's line
+    assert len(m) == 3
+
+
+def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
+    pts = [plane_point(x, 0, i + 1) for i, x in enumerate((0, 1, 2, 5))]
+    inst = Instance.build(pts, MNM, GENERAL, validate=False)
+    eng = make_engine(inst, "brute")
+    for i in (1, 2):
+        eng.on_arrival(i)
+        eng.commit_skip()
+    assert eng.on_arrival(3) == 2
+    with pytest.raises(Degenerate):
+        eng.commit_match(1)
 
 
 def test_region_engine_counts_match_available_set():

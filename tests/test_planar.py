@@ -5,13 +5,16 @@ polygon generator's wide-span fallback; planar runs at n = 1000."""
 import hashlib
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from ncmatch import generators, offline, serial
+from ncmatch import generators, geometry, offline, serial
 from ncmatch.cli import main
+from ncmatch.engine import greedy, simulate, sorted_matching
 from ncmatch.errors import InvalidInstance, NcmatchError, SharedEndpoint
 from ncmatch.geometry import (
     CONVEX,
@@ -234,6 +237,17 @@ def _general_instance(rng, m: int, rational: bool) -> Instance:
             )
 
 
+def _first_shared_pair(xy, edges):
+    """The first pair of edges, in the audit's loop order, with four distinct
+    indices but fewer than four distinct positions."""
+    for x in range(len(edges)):
+        for y in range(x + 1, len(edges)):
+            ends = (*edges[x], *edges[y])
+            if len(set(ends)) == 4 and len({xy[t - 1] for t in ends}) < 4:
+                return x, y
+    return None
+
+
 def test_validate_matching_reports_equal_the_reference():
     rng = random.Random(5)
     for trial in range(400):
@@ -254,6 +268,33 @@ def test_validate_matching_reports_equal_the_reference():
         report = offline.validate_matching(big, edges, require_perfect=True)
         assert report.crossings == reference_crossings(big, edges)
         assert report.crossings  # random pairings cross
+    # x from three values only: vertical segments, equal and touching
+    # closed x-ranges, and coincident positions, which raise on both sides
+    # at the first such pair in loop order
+    vertical = touching = crossed = raised = 0
+    for trial in range(600):
+        m = rng.choice((4, 6, 8))
+        xy = [(rng.randrange(3), rng.randrange(-4, 5)) for _ in range(m)]
+        pts = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(xy)]
+        inst = Instance.build(pts, MNM, GENERAL, validate=False)
+        idx = list(range(1, m + 1))
+        rng.shuffle(idx)
+        edges = [tuple(sorted(idx[2 * t : 2 * t + 2])) for t in range(m // 2)]
+        spans = [sorted((xy[a - 1][0], xy[b - 1][0])) for a, b in edges]
+        vertical += sum(lo == hi for lo, hi in spans)
+        touching += sum(s[1] == t[0] for s in spans for t in spans)
+        first = _first_shared_pair(xy, edges)
+        if first is None:
+            expected = reference_crossings(inst, edges)
+            assert offline.validate_matching(inst, edges).crossings == expected
+            crossed += bool(expected)
+            continue
+        segs = [str((xy[a - 1], xy[b - 1])) for a, b in edges]
+        message = f"segments {segs[first[0]]} and {segs[first[1]]} share an endpoint position"
+        with pytest.raises(SharedEndpoint, match=f"^{re.escape(message)}$"):
+            offline.validate_matching(inst, edges)
+        raised += 1
+    assert min(vertical, touching, crossed, raised) > 50
 
 
 def test_validate_matching_raises_on_coincident_positions():
@@ -264,6 +305,13 @@ def test_validate_matching_raises_on_coincident_positions():
         offline.validate_matching(inst, [(1, 2), (3, 4)])
     with pytest.raises(SharedEndpoint):
         reference_crossings(inst, [(1, 2), (3, 4)])
+    # a segment of length zero shares a position with any other segment,
+    # however far apart their x-ranges are
+    far = [plane_point(5, 1, 1), plane_point(0, 0, 2), plane_point(5, 1, 3),
+           plane_point(1, 4, 4)]
+    inst = Instance.build(far, MNM, GENERAL, validate=False)
+    with pytest.raises(SharedEndpoint):
+        offline.validate_matching(inst, [(1, 3), (2, 4)])
     # reused indices are reported, never tested for crossing
     report = offline.validate_matching(inst, [(1, 2), (2, 4)])
     assert report.duplicate_endpoints == [2] and report.crossings == []
@@ -319,6 +367,40 @@ def test_sorted_run_on_a_general_file_at_n_1000(tmp_path):
     assert report["perfect"] and report["matched"] == 2000
     assert report["bits_written"] == report["bits_read"] == 3000
     assert not any(report["violations"].values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sorted_run_at_n_200_makes_few_crossing_tests(seed, monkeypatch):
+    # the brute engine tests a candidate only against the edges whose line
+    # separates it from the arrival (or passes through either), and the audit
+    # only x-overlapping pairs: 55-75 k tests here against 373-466 k when
+    # every arrival tested every candidate against every edge
+    calls = 0
+
+    def counting(e1, e2):
+        nonlocal calls
+        calls += 1
+        return seg_cross_int(e1, e2)
+
+    monkeypatch.setattr(geometry, "seg_cross_int", counting)
+    inst = generators.random_general_instance(200, seed)
+    assert inst.crossing_view[1] is counting
+    sim = simulate(sorted_matching(), inst)
+    assert sim.violations.perfect
+    assert calls <= 100_000, f"{calls} crossing tests"
+
+
+def test_sorted_and_greedy_at_n_1000_in_process():
+    # about 6 s on a 2-core box, generation included
+    budget = 30
+    started = time.perf_counter()
+    inst = generators.random_general_instance(1000, 4)
+    by_sorted = simulate(sorted_matching(), inst)
+    by_greedy = simulate(greedy(), inst)
+    elapsed = time.perf_counter() - started
+    assert by_sorted.violations.perfect
+    assert by_greedy.violations.valid
+    assert elapsed < budget, f"sorted and greedy took {elapsed:.1f}s, budget {budget}s"
 
 
 def test_run_rejects_a_rational_file_with_a_collinear_triple(tmp_path):
