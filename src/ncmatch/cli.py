@@ -36,6 +36,18 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _options_for(registry: dict, name: str, options: dict) -> dict:
+    """The options that ``registry[name]``'s signature names, by keyword; one
+    given on the command line that it does not take raises InvalidInstance."""
+    ctx = click.get_current_context()
+    takes = inspect.signature(registry[name]).parameters
+    for param in ctx.command.params:
+        given = ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE
+        if given and param.name in options and param.name not in takes:
+            raise InvalidInstance(f"{name} does not take {param.opts[0]}")
+    return {p: options[p] for p in takes if p in options}
+
+
 @click.group()
 @click.version_option(__version__, prog_name="ncmatch")
 def main() -> None:
@@ -66,20 +78,14 @@ def generate(family, out, **options) -> None:
     signature names, comma-separated lists as lists of ints.  An option
     given on the command line that the builder does not take is an error."""
     meta = {"family": family, "seed": options["seed"], "generator": f"ncmatch-{__version__}"}
-    build = FAMILIES[family]
-    takes = inspect.signature(build).parameters
-    kwargs = {p: options[p] for p in takes if p in options}
-    source = click.get_current_context().get_parameter_source
     try:
-        for p in options:
-            if p not in takes and source(p) == ParameterSource.COMMANDLINE:
-                raise InvalidInstance(f"{family} does not take --{p}")
+        kwargs = _options_for(FAMILIES, family, options)
         missing = [f"--{p}" for p, v in kwargs.items() if v is None]
         if missing:
             raise InvalidInstance(f"{family} needs {' and '.join(missing)}")
         for p in {"sigma", "intervals"} & kwargs.keys():
             kwargs[p] = [int(v) for v in kwargs[p].split(",") if v]
-        serial.dump_instance(out, build(**kwargs), meta=meta)
+        serial.dump_instance(out, FAMILIES[family](**kwargs), meta=meta)
     except (NcmatchError, ValueError, OSError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
@@ -90,19 +96,19 @@ def generate(family, out, **options) -> None:
 @click.argument("algorithm", type=click.Choice(list(ALGORITHMS)))
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--svg", "svg_out", type=click.Path(dir_okay=False), default=None)
-@click.option("--unknown-n", is_flag=True, help="asap only: ship n on the tape.")
+@click.option(
+    "--unknown-n", "known_n", flag_value=False, default=True, help="asap only: ship n on the tape."
+)
 @click.option("--tie-break", type=click.Choice(["min", "max"]), default="min")
-def run(algorithm, instance_path, svg_out, unknown_n, tie_break) -> None:
-    """Run one algorithm over an instance file and print a JSON report."""
+def run(algorithm, instance_path, svg_out, **options) -> None:
+    """Run one algorithm over an instance file and print a JSON report; the
+    algorithm takes the options its signature names, and no others."""
     try:
+        alg = ALGORITHMS[algorithm](**_options_for(ALGORITHMS, algorithm, options))
         ai = serial.load_instance(instance_path)
     except NcmatchError as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
-    if algorithm == "asap":
-        alg = ALGORITHMS[algorithm](known_n=not unknown_n, tie_break=tie_break)
-    else:
-        alg = ALGORITHMS[algorithm]()
     instance = ai.instance
     try:
         result = simulate(alg, instance)
@@ -145,14 +151,12 @@ def run(algorithm, instance_path, svg_out, unknown_n, tie_break) -> None:
 def verify(check, **options) -> None:
     """Run a verification campaign; exit 1 if any sub-check fails.
 
-    Each option goes to the campaigns that take it; an option left out
-    takes the campaign's own default."""
-    campaign = campaigns.CHECKS[check]
-    takes = inspect.signature(campaign).parameters
-    kwargs = {k: v for k, v in options.items() if v is not None and k in takes}
+    The campaign takes the options its signature names, and no others; an
+    option left out takes the campaign's own default."""
     try:
-        summary = campaign(**kwargs)
-    except (CapExceeded, BadSubset, Not231Avoiding, ValueError) as exc:
+        kwargs = _options_for(campaigns.CHECKS, check, options)
+        summary = campaigns.CHECKS[check](**{k: v for k, v in kwargs.items() if v is not None})
+    except (InvalidInstance, CapExceeded, BadSubset, Not231Avoiding, ValueError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
     click.echo(json.dumps(summary))

@@ -4,6 +4,7 @@ tree-advice algorithm ships over the tape, and matching validation.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -321,31 +322,25 @@ def validate_matching(
     else:
         ends, crosses, _turn = instance.crossing_view
         segs = [(ends[a - 1], ends[b - 1]) for a, b in usable]
-    k = len(segs)
-    planar = instance.geometry not in (CIRCLE, CONVEX)
-    if planar:
-        # segments whose closed x-ranges are disjoint neither touch nor
-        # share a position, so the pair is skipped; a segment of length
-        # zero shares a position with every other and spans them all
-        lo = [min(p[0], q[0]) for p, q in segs]
-        hi = [max(p[0], q[0]) for p, q in segs]
-        for x, (p, q) in enumerate(segs):
-            if p == q:
-                lo[x], hi[x] = min(lo), max(hi)
-    for x in range(k):
-        if planar:
-            lx, hx = lo[x], hi[x]
-            near = [y for y in range(x + 1, k) if lo[y] <= hx and lx <= hi[y]]
-        else:
-            near = range(x + 1, k)
-        for y in near:
+    # Every point of a segment lies between its ends in the view's order
+    # (hull ranks, or (x, y) pairs compared lexicographically), so segments
+    # whose spans are disjoint neither touch nor share a position: sort the
+    # spans by their smaller end and test each against the later ones it meets.
+    spans = sorted((min(p, q), max(p, q), x) for x, (p, q) in enumerate(segs))
+    starts = [lo for lo, _hi, _x in spans]
+    shared, crossed = [], []
+    for s, (_lo, hi, u) in enumerate(spans):
+        for *_, v in spans[s + 1 : bisect_right(starts, hi)]:
+            x, y = min(u, v), max(u, v)
             if len({*usable[x], *usable[y]}) < 4:
                 continue  # endpoint reuse already reported
-            if len({*segs[x], *segs[y]}) < 4:
-                raise SharedEndpoint(
-                    f"segments {segs[x]} and {segs[y]} share an endpoint position"
-                )
-            if crosses(segs[x], segs[y]):
-                report.crossings.append((usable[x], usable[y]))
+            if {*segs[x]} & {*segs[y]}:
+                shared.append((x, y))
+            elif crosses(segs[x], segs[y]):
+                crossed.append((x, y))
+    if shared:
+        x, y = min(shared)
+        raise SharedEndpoint(f"segments {segs[x]} and {segs[y]} share an endpoint position")
+    report.crossings = [(usable[x], usable[y]) for x, y in sorted(crossed)]
     report.perfect = report.valid and report.matched_count == m
     return report

@@ -175,6 +175,12 @@ def test_bt_at_ten_thousand_pairs_on_a_random_circle():
     _bt_perfect_within(20, lambda: generators.random_circle_instance(10**4, BNM, 0))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bt_at_a_thousand_pairs_on_a_random_polygon(seed):
+    # about 1 s each on a 2-core box, most of it generation
+    _bt_perfect_within(15, lambda: generators.random_convex_polygon_instance(1000, BNM, seed))
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reverse"])
 @pytest.mark.parametrize("n, budget", [(2000, 25), (10**4, 30)], ids=["2000", "10000"])
 def test_bt_on_nested_sigma_at_scale(n, budget, reverse):

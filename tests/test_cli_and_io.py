@@ -1,5 +1,7 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -427,6 +429,56 @@ def test_generate_rejects_options_its_family_ignores(tmp_path, family, args, mes
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["greedy", "--unknown-n", "--tie-break", "max"], "greedy does not take --unknown-n"),
+        (["bt", "--tie-break", "min"], "bt does not take --tie-break"),
+        (["sorted", "--unknown-n"], "sorted does not take --unknown-n"),
+    ],
+)
+def test_run_rejects_options_its_algorithm_ignores(run_files, args, message):
+    alg, *options = args
+    res = CliRunner().invoke(main, ["run", alg, str(run_files / "gen.json"), *options])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["rate-table", "--n", "5"], "rate-table does not take --n"),
+        (["bnm-lb", "--k", "2"], "bnm-lb does not take --k"),
+        (["mnm-lb", "--seed", "1"], "mnm-lb does not take --seed"),
+        (["catalan-bijections", "--trials", "3"], "catalan-bijections does not take --trials"),
+        (["coupling", "--n", "40", "--k", "3"], "coupling does not take --k"),
+    ],
+)
+def test_verify_rejects_options_its_campaign_ignores(args, message):
+    res = CliRunner().invoke(main, ["verify", *args])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
+    assert res.stdout == ""
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch):
+    # every generate and run line of the README's CLI block, in order, so
+    # the option rule cannot break documented usage
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [
+        shlex.split(line) for line in block.splitlines()
+        if line.startswith(("ncmatch generate ", "ncmatch run "))
+    ]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for _ncmatch, *args in lines:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
+    assert (tmp_path / "perm.svg").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -238,12 +238,14 @@ def _general_instance(rng, m: int, rational: bool) -> Instance:
 
 
 def _first_shared_pair(xy, edges):
-    """The first pair of edges, in the audit's loop order, with four distinct
-    indices but fewer than four distinct positions."""
+    """The first pair of edges, in (x, y) index order, with four distinct
+    indices and a position common to the two segments, as
+    ``reference_segments_cross`` compares them."""
     for x in range(len(edges)):
         for y in range(x + 1, len(edges)):
-            ends = (*edges[x], *edges[y])
-            if len(set(ends)) == 4 and len({xy[t - 1] for t in ends}) < 4:
+            if len({*edges[x], *edges[y]}) < 4:
+                continue
+            if {xy[t - 1] for t in edges[x]} & {xy[t - 1] for t in edges[y]}:
                 return x, y
     return None
 
@@ -270,7 +272,7 @@ def test_validate_matching_reports_equal_the_reference():
         assert report.crossings  # random pairings cross
     # x from three values only: vertical segments, equal and touching
     # closed x-ranges, and coincident positions, which raise on both sides
-    # at the first such pair in loop order
+    # at the first such pair in index order
     vertical = touching = crossed = raised = 0
     for trial in range(600):
         m = rng.choice((4, 6, 8))
@@ -305,16 +307,53 @@ def test_validate_matching_raises_on_coincident_positions():
         offline.validate_matching(inst, [(1, 2), (3, 4)])
     with pytest.raises(SharedEndpoint):
         reference_crossings(inst, [(1, 2), (3, 4)])
-    # a segment of length zero shares a position with any other segment,
-    # however far apart their x-ranges are
+    # a segment of length zero shares no position with a segment that does
+    # not pass through its point, however it lies
     far = [plane_point(5, 1, 1), plane_point(0, 0, 2), plane_point(5, 1, 3),
            plane_point(1, 4, 4)]
     inst = Instance.build(far, MNM, GENERAL, validate=False)
-    with pytest.raises(SharedEndpoint):
-        offline.validate_matching(inst, [(1, 3), (2, 4)])
+    report = offline.validate_matching(inst, [(1, 3), (2, 4)])
+    assert report.crossings == reference_crossings(inst, [(1, 3), (2, 4)]) == []
     # reused indices are reported, never tested for crossing
     report = offline.validate_matching(inst, [(1, 2), (2, 4)])
     assert report.duplicate_endpoints == [2] and report.crossings == []
+
+
+def test_validate_matching_on_a_zero_length_segment_lying_on_another():
+    # at an end of the other segment it shares that position and raises; in
+    # its interior it touches the segment, a crossing, as in the reference
+    for at, raises in (((4, 0), True), ((2, 0), False)):
+        pts = [plane_point(0, 0, 1), plane_point(4, 0, 2), plane_point(*at, 3),
+               plane_point(*at, 4)]
+        inst = Instance.build(pts, MNM, GENERAL, validate=False)
+        edges = [(1, 2), (3, 4)]
+        if raises:
+            message = f"segments ((0, 0), (4, 0)) and ({at}, {at}) share an endpoint position"
+            with pytest.raises(SharedEndpoint, match=f"^{re.escape(message)}$"):
+                offline.validate_matching(inst, edges)
+            with pytest.raises(SharedEndpoint):
+                reference_crossings(inst, edges)
+        else:
+            report = offline.validate_matching(inst, edges)
+            assert report.crossings == reference_crossings(inst, edges) == [((1, 2), (3, 4))]
+
+
+def test_validate_matching_sweeps_ten_thousand_disjoint_segments():
+    # the audit tests only segments whose spans overlap in (x, y) order, so
+    # segments with disjoint x-ranges cost a sort; about 0.06 s on a 2-core
+    # box (1.8 to 2.0 s when every pair was visited)
+    budget = 0.5
+    k = 10**4
+    pts = []
+    for i in range(k):
+        pts += [plane_point(2 * i, i % 7, 2 * i + 1), plane_point(2 * i + 1, 20 + i % 11, 2 * i + 2)]
+    inst = Instance.build(pts, MNM, GENERAL, validate=False)
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(k)]
+    started = time.perf_counter()
+    report = offline.validate_matching(inst, edges, require_perfect=True)
+    elapsed = time.perf_counter() - started
+    assert report.perfect and report.crossings == []
+    assert elapsed < budget, f"audit took {elapsed:.2f}s, budget {budget}s"
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +412,7 @@ def test_sorted_run_on_a_general_file_at_n_1000(tmp_path):
 def test_sorted_run_at_n_200_makes_few_crossing_tests(seed, monkeypatch):
     # the brute engine tests a candidate only against the edges whose line
     # separates it from the arrival (or passes through either), and the audit
-    # only x-overlapping pairs: 55-75 k tests here against 373-466 k when
+    # only pairs whose spans overlap: 55-75 k tests here against 373-466 k when
     # every arrival tested every candidate against every edge
     calls = 0
 
