@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import geometry, offline
-from .codecs import Permutation, is_231_avoiding
+from .codecs import Permutation, enumerate_231_avoiding, is_231_avoiding
 from .engine import SimulationResult
 from .errors import (
     BadSubset,
@@ -116,11 +116,9 @@ def bnm_red_instance(
     )
 
 
-def bnm_family(n: int, cap: int = 10) -> Iterator[AnnotatedInstance]:
+def bnm_family(n: int) -> Iterator[AnnotatedInstance]:
     """R(sigma) for every 231-avoiding sigma of 1..n."""
-    from .codecs import enumerate_231_avoiding
-
-    for perm in enumerate_231_avoiding(n, cap=cap):
+    for perm in enumerate_231_avoiding(n):
         yield bnm_red_instance(perm)
 
 
@@ -140,7 +138,9 @@ def mnm_family_instance(k: int, j: int, intervals: Iterable[int]) -> AnnotatedIn
         raise ValueError("need k >= 1")
     if not 0 <= j <= 2 * k:
         raise BadSubset(f"j must lie in [0, {2 * k}]")
-    chosen = tuple(sorted(set(intervals)))
+    chosen = tuple(sorted(intervals))
+    if len(set(chosen)) != len(chosen):
+        raise BadSubset(f"interval ids repeat in {chosen}")
     if len(chosen) != j:
         raise BadSubset(f"expected {j} distinct intervals, got {chosen}")
     if chosen and not (1 <= chosen[0] and chosen[-1] <= 4 * k - 1):
@@ -262,52 +262,32 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
 
     scale = m + 2  # enough halvings: angles are multiples of 2^-scale
     one = 1 << scale
-    north = one >> 2
-    south = 3 * (one >> 2)
-    placed = sorted((north, south))
-    angles = [north, south]
-    parent = [0, 0, 1]  # 1-based; p_1 is neither parent nor fake
-    fake = [0, 0, 0]
-
-    def adjacent_mid(center: int, go_ccw: bool) -> int:
-        pos = bisect_left(placed, center)
-        if go_ccw:
-            nxt = placed[pos + 1] if pos + 1 < len(placed) else placed[0] + one
-            return ((center + nxt) // 2) % one
-        prv = placed[pos - 1] if pos else placed[-1] - one
-        return ((prv + center) // 2) % one
+    ticks = [one >> 2, 3 * (one >> 2)]  # by arrival: north, south
+    placed = ticks[:]  # in angle order
+    fake = [0, 0, 0]  # 1-based; p_1 is neither parent nor fake
 
     cur_parent = 2  # arrival index of the active parent
     for i in range(3, m + 1):
-        if fake[i - 1]:
-            # the point after a fake lands in the parent's other arc
-            anchor = angles[cur_parent - 1]
-            go_ccw = coins_r[cur_parent] == 0  # opposite of the fake's side
-            new_fake = 0
+        # R=1 is the right (ccw) arc; the point after a fake lands in the
+        # parent's other arc and is never a fake itself
+        go_ccw = coins_r[cur_parent] != fake[i - 1]
+        new_fake = 0 if fake[i - 1] else coins_f[i]
+        center = ticks[cur_parent - 1]
+        pos = bisect_left(placed, center)
+        if go_ccw:
+            end = placed[pos + 1] if pos + 1 < len(placed) else placed[0] + one
         else:
-            anchor = angles[cur_parent - 1]
-            go_ccw = coins_r[cur_parent] == 1  # R=1 is the right (ccw) arc
-            new_fake = coins_f[i]
-        a = adjacent_mid(anchor, go_ccw)
-        angles.append(a)
-        insort(placed, a)
+            end = placed[pos - 1] if pos else placed[-1] - one
+        ticks.append((center + end) // 2 % one)
+        insort(placed, ticks[-1])
         fake.append(new_fake)
-        parent.append(0 if new_fake else 1)
         if not new_fake:
             cur_parent = i
 
-    def dyadic(a: int) -> Fraction:
-        if a == 0:
-            return Fraction(0)
-        shift = (a & -a).bit_length() - 1  # reduce by the shared power of two
-        return geometry._raw_fraction(a >> shift, one >> shift)
-
-    # the dyadics are reduced and lie in [0, 1): no circle_point normalisation
-    pts = [Point(None, None, idx + 1, None, dyadic(a)) for idx, a in enumerate(angles)]
-    instance = Instance.build(pts, MNM, CIRCLE, validate=False)
+    instance = Instance.build(geometry.grid_points(ticks, scale), MNM, CIRCLE, validate=False)
     return AnnotatedInstance(
         instance=instance,
-        parent=tuple(parent[1:]),
+        parent=(0,) + tuple(1 - f for f in fake[2:]),
         fake=tuple(fake[1:]),
         coins_f=tuple(coins_f),
         coins_r=tuple(coins_r),

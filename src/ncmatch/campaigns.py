@@ -109,9 +109,10 @@ def check_mnm_lb(k: int = 2) -> dict:
 def check_catalan_bijections(n: int = 8) -> dict:
     """Tree, balanced-word and 231-avoiding counts all equal catalan(n)."""
     expected = catalan(n)
+    # the capped enumeration first, so n past its cap fails before any work
+    perms = sum(1 for _ in enumerate_231_avoiding(n))
     trees = sum(1 for _ in enumerate_trees(n))
     dycks = sum(1 for _ in enumerate_dyck(n))
-    perms = sum(1 for _ in enumerate_231_avoiding(n))
     return _finish(
         "catalan-bijections",
         {"n": n},
@@ -154,11 +155,13 @@ def check_coupling(
     if workers is None:
         workers = int(os.environ.get("NCMATCH_WORKERS", "1"))
     args = [(n, seed + t) for t in range(trials)]
-    if workers > 1:
+    chunk = 64  # trials per worker task
+    processes = min(workers, -(-trials // chunk))  # no more than the chunks
+    if processes > 1:
         from multiprocessing import Pool
 
-        with Pool(workers) as pool:
-            rows = pool.map(_coupling_trial, args, chunksize=64)
+        with Pool(processes) as pool:
+            rows = pool.map(_coupling_trial, args, chunksize=chunk)
     else:
         rows = [_coupling_trial(a) for a in args]
 

@@ -162,7 +162,3 @@ def verify(check, **options) -> None:
     click.echo(json.dumps(summary))
     if not summary["ok"]:
         sys.exit(EXIT_VERIFY_FAILED)
-
-
-if __name__ == "__main__":
-    main()

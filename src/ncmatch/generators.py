@@ -1,13 +1,13 @@
 """Seeded random instance builders used by tests, campaigns and the CLI.
 
-Everything is deterministic given (params, seed); circle instances draw
-angles from a dyadic grid so the fast angle machinery applies.
+Everything is deterministic given (params, seed).  Circle instances draw
+integer ticks on a power-of-two grid and turn them into points through
+``geometry.grid_points``, so no angle needs a gcd.
 """
 from __future__ import annotations
 
 import functools
 import random
-from fractions import Fraction
 
 from .errors import InvalidInstance, NotConvex
 from .geometry import (
@@ -19,26 +19,26 @@ from .geometry import (
     MNM,
     RED,
     Instance,
-    circle_point,
     collinear_triple,
+    grid_points,
     plane_point,
 )
 
 _ANGLE_BITS = 20
+_GENERAL_SPAN = 10**6  # coordinates of random_general_instance lie below it
+
+
+def _arrival_colors(n: int, kind: str) -> list[str | None]:
+    """Colours of 2n points by arrival: n blue then n red on BNM, none on MNM."""
+    return [BLUE] * n + [RED] * n if kind == BNM else [None] * (2 * n)
 
 
 def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
     """2n points at distinct dyadic angles, in random arrival order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = random.Random(seed)
-    grid = 1 << _ANGLE_BITS
-    ticks = rng.sample(range(grid), 2 * n)
-    points = []
-    for idx, t in enumerate(ticks, start=1):
-        color = (BLUE if idx <= n else RED) if kind == BNM else None
-        points.append(circle_point(Fraction(t, grid), idx, color))
-    return Instance.build(points, kind, CIRCLE)
+    ticks = random.Random(seed).sample(range(1 << _ANGLE_BITS), 2 * n)
+    return Instance.build(grid_points(ticks, _ANGLE_BITS, _arrival_colors(n, kind)), kind, CIRCLE)
 
 
 def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
@@ -54,13 +54,11 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
+    colors = _arrival_colors(n, kind)
     if m == 2:
         x1, y1 = rng.randrange(100), rng.randrange(100)
         x2, y2 = x1 + 1 + rng.randrange(100), y1 + rng.randrange(100)
-        pts = [
-            plane_point(x1, y1, 1, BLUE if kind == BNM else None),
-            plane_point(x2, y2, 2, RED if kind == BNM else None),
-        ]
+        pts = [plane_point(x1, y1, 1, colors[0]), plane_point(x2, y2, 2, colors[1])]
         return Instance.build(pts, kind, CONVEX)
     for span in [6 * m + 12] * 64 + [m**3] * 64:
         vecs = _polygon_vectors(rng, m, span)
@@ -74,10 +72,10 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
             y += dy
         order = list(range(m))
         rng.shuffle(order)
-        points = []
-        for arrival, t in enumerate(order, start=1):
-            color = (BLUE if arrival <= n else RED) if kind == BNM else None
-            points.append(plane_point(verts[t][0], verts[t][1], arrival, color))
+        points = [
+            plane_point(*verts[t], arrival, color)
+            for arrival, (t, color) in enumerate(zip(order, colors), start=1)
+        ]
         try:
             return Instance.build(points, kind, CONVEX)
         except (NotConvex, InvalidInstance):
@@ -133,23 +131,23 @@ def random_convex_instance(n: int, kind: str, seed: int) -> Instance:
     return random_convex_polygon_instance(n, kind, seed)
 
 
-def random_general_instance(n: int, seed: int, span: int = 10**6) -> Instance:
+def random_general_instance(n: int, seed: int) -> Instance:
     """2n integer points in general position with pairwise distinct x.
 
-    On a span this wide a collinear triple among a random draw is rare, so
-    the whole batch is drawn at once, checked in O(n^2) by
-    ``geometry.collinear_triple`` and redrawn on the odd failure.
+    With coordinates below ``_GENERAL_SPAN`` a collinear triple among a
+    random draw is rare, so the whole batch is drawn at once, checked in
+    O(n^2) by ``geometry.collinear_triple`` and redrawn on the odd failure.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
     for _ in range(64):
-        xs = rng.sample(range(span), m)
-        ys = [rng.randrange(span) for _ in range(m)]
+        xs = rng.sample(range(_GENERAL_SPAN), m)
+        ys = [rng.randrange(_GENERAL_SPAN) for _ in range(m)]
         pts = list(zip(xs, ys))
         if collinear_triple(pts) is not None:
             continue
         points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
         return Instance.build(points, MNM, GENERAL, validate=False)
-    raise InvalidInstance("could not reach general position; widen the span")
+    raise InvalidInstance(f"no draw in general position in 64 tries for n={n}, seed={seed}")

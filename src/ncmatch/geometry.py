@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -93,8 +94,8 @@ class Point:
         trig = _PLACEHOLDER_TRIG.get(name)
         if trig is None:
             raise AttributeError(name)
-        a = self.angle
-        value = _float_fraction(trig(2.0 * math.pi * (a.numerator / a.denominator)))
+        turn = self.angle.numerator / self.angle.denominator
+        value = _raw_fraction(*trig(2.0 * math.pi * turn).as_integer_ratio())
         object.__setattr__(self, name, value)
         return value
 
@@ -120,10 +121,6 @@ def _raw_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-def _float_fraction(v: float) -> Fraction:
-    return _raw_fraction(*v.as_integer_ratio())
-
-
 def circle_point(angle: Fraction | int, arrival_index: int, color: str | None = None) -> Point:
     """Point on the unit circle at an exact turn fraction, reduced mod 1.
 
@@ -136,6 +133,20 @@ def circle_point(angle: Fraction | int, arrival_index: int, color: str | None = 
     elif not 0 <= angle.numerator < angle.denominator:
         angle = angle % 1
     return Point(None, None, arrival_index, color, angle)
+
+
+def grid_points(
+    ticks: Iterable[int], bits: int, colors: Iterable[str | None] | None = None
+) -> list[Point]:
+    """Circle points at turn fractions t / 2^bits for ticks t in [0, 2^bits),
+    arriving as 1, 2, ... and coloured by ``colors`` (none when omitted):
+    ``circle_point(Fraction(t, 2**bits), ...)``, but each angle is reduced
+    by shifting out the tick's trailing zero bits, so no gcd runs."""
+    points = []
+    for idx, (t, color) in enumerate(zip(ticks, colors or repeat(None)), start=1):
+        shift = (t & -t).bit_length() - 1 if t else bits  # tick 0 is 0/1
+        points.append(Point(None, None, idx, color, _raw_fraction(t >> shift, 1 << bits - shift)))
+    return points
 
 
 def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:

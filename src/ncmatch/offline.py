@@ -1,5 +1,5 @@
 """Offline matching oracles: brute-force minimum-length matching, the
-convex divide-and-conquer constructor, the matching-to-tree transform the
+convex stack-scan constructor, the matching-to-tree transform the
 tree-advice algorithm ships over the tape, and matching validation.
 """
 from __future__ import annotations
@@ -159,7 +159,7 @@ def min_length_pm(instance: Instance, cap: int = BRUTE_FORCE_CAP) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# convex divide and conquer
+# convex stack scan
 
 
 def convex_noncrossing_pm(instance: Instance) -> Matching:
@@ -168,8 +168,8 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
     Walks the hull clockwise from p_1 with a stack and pairs each point with
     the top of the stack when the two may pair (opposite colors on BNM,
     always on MNM), else pushes it.  That pairs every point with its first
-    balanced partner, as the divide and conquer does.  Deterministic, so
-    golden tests can pin its output.  O(n) after the hull order.
+    balanced partner.  Deterministic, so golden tests can pin its output.
+    O(n) after the hull order.
     """
     if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("convex matching construction needs convex position")

@@ -131,6 +131,15 @@ def test_mnm_family_rejects_bad_subsets():
         mnm_family_instance(1, 2, (1,))
 
 
+def test_mnm_family_rejects_repeated_interval_ids():
+    for j, intervals in ((1, (1, 1)), (2, (5, 1, 5)), (2, [3, 3, 3])):
+        with pytest.raises(BadSubset, match="interval ids repeat"):
+            mnm_family_instance(2, j, intervals)
+    # distinct ids in any order name the same member
+    a, b = mnm_family_instance(2, 2, (5, 1)), mnm_family_instance(2, 2, (1, 5))
+    assert a.instance == b.instance and a.hidden_choice == b.hidden_choice == (2, (1, 5))
+
+
 def test_parity_fingerprint_injective_and_sensitive():
     members = list(mnm_family(2))
     fps = [parity_fingerprint(ai) for ai in members]

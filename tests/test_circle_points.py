@@ -130,9 +130,40 @@ def test_loaded_circle_file_keeps_its_coordinates(tmp_path):
             p.y = Fraction(0)
 
 
+@pytest.mark.parametrize("bits", [1, 20, 402, 10002])
+def test_grid_points_equal_circle_points_of_the_same_fractions(bits):
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    ticks = [0, 1, top] + [rng.randrange(top + 1) for _ in range(40)]
+    ticks += [rng.randrange(1, top + 1) << rng.randrange(bits) & top for _ in range(20)]
+    colors = [rng.choice(("blue", "red", None)) for _ in ticks]
+    grid = geometry.grid_points(ticks, bits, colors)
+    for idx, (t, color, p) in enumerate(zip(ticks, colors, grid), start=1):
+        ref = circle_point(Fraction(t, 1 << bits), idx, color)
+        assert p.angle.as_integer_ratio() == ref.angle.as_integer_ratio()
+        assert p == ref and repr(p) == repr(ref) and hash(p) == hash(ref)
+    assert [p.color for p in geometry.grid_points(ticks[:3], bits)] == [None] * 3
+
+
+def test_markov_and_random_circles_build_through_grid_points(monkeypatch):
+    calls, grid_points = [], geometry.grid_points
+
+    def recording(ticks, bits, colors=None):
+        calls.append(bits)
+        return grid_points(ticks, bits, colors)
+
+    monkeypatch.setattr(generators, "grid_points", recording)
+    generators.random_circle_instance(5, BNM, 1)
+    generators.random_convex_instance(5, MNM, 2)
+    assert calls == [20, 20]
+    monkeypatch.setattr(geometry, "grid_points", recording)
+    adversaries.markov_instance(5, 1)
+    assert calls == [20, 20, 12]
+
+
 def test_markov_points_are_circle_points():
-    # markov_instance skips circle_point's reduction: its angles are reduced
-    # dyadics in [0, 1) already
+    # markov_instance builds through grid_points: its angles are reduced
+    # dyadics in [0, 1)
     ai = adversaries.markov_instance(60, 11)
     for p in ai.instance.points:
         assert 0 <= p.angle < 1

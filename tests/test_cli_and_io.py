@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
 import shlex
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,9 +13,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmatch import adversaries, generators, serial
+from ncmatch import adversaries, campaigns, generators, serial
 from ncmatch.cli import main
-from ncmatch.errors import InvalidInstance, NcmatchError, RationalTooLarge
+from ncmatch.errors import BadSubset, InvalidInstance, NcmatchError, RationalTooLarge
 from ncmatch.geometry import BNM, CIRCLE, CONVEX, GENERAL, MNM
 
 
@@ -261,6 +266,66 @@ def test_cli_verify_coupling_defaults_to_two_hundred_pairs(monkeypatch):
     assert summary["params"] == {"n": 200, "trials": 300, "seed": 5, "workers": 1}
 
 
+def test_cli_verify_catalan_bijections_fails_fast_past_the_cap():
+    # C_12 = 208 012 trees and words would be counted before the capped
+    # 231-avoiding enumeration if it ran last
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["verify", "catalan-bijections", "--n", "12"])
+    elapsed = time.perf_counter() - start
+    assert res.exit_code == 2
+    assert "CapExceeded" in res.output
+    assert elapsed < 0.5
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the process count asked
+    for and maps in this process."""
+
+    started: list = []
+
+    def __init__(self, processes):
+        self.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize):
+        return [fn(a) for a in args]
+
+
+@pytest.mark.parametrize("trials, processes", [(100, [2]), (64, []), (600, [8])])
+def test_coupling_starts_no_more_workers_than_chunks(monkeypatch, trials, processes):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    many = campaigns.check_coupling(n=6, trials=trials, seed=2, workers=8)
+    assert _RecordingPool.started == processes
+    one = campaigns.check_coupling(n=6, trials=trials, seed=2, workers=1)
+    assert many["params"] == {**one["params"], "workers": 8}
+    assert many["results"] == one["results"]
+
+
+def test_coupling_over_a_real_pool_of_two_matches_one_process():
+    # three chunks of trials, so two worker processes start
+    two = campaigns.check_coupling(n=10, trials=130, seed=3, workers=2)
+    one = campaigns.check_coupling(n=10, trials=130, seed=3, workers=1)
+    assert two["params"]["workers"] == 2
+    assert two["results"] == one["results"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(adversaries.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "ncmatch", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ncmatch, version 0.1.0"
+
+
 # ---------------------------------------------------------------------------
 # malformed input: typed errors only
 
@@ -428,6 +493,16 @@ def test_generate_rejects_options_its_family_ignores(tmp_path, family, args, mes
     res = CliRunner().invoke(main, ["generate", family, *args, "--out", str(out)])
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("j, intervals", [("1", "1,1"), ("2", "5,1,5")])
+def test_generate_rejects_repeated_interval_ids(tmp_path, j, intervals):
+    out = tmp_path / "f.json"
+    args = ["--k", "2", "--j", j, "--intervals", intervals, "--out", str(out)]
+    res = CliRunner().invoke(main, ["generate", "mnm-family", *args])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("BadSubset: interval ids repeat")
     assert not out.exists()
 
 
