@@ -11,6 +11,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from . import geometry, offline
@@ -284,7 +285,7 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
         if not new_fake:
             cur_parent = i
 
-    instance = Instance.build(geometry.grid_points(ticks, scale), MNM, CIRCLE, validate=False)
+    instance = Instance.from_ticks(ticks, scale, MNM, validate=False)
     return AnnotatedInstance(
         instance=instance,
         parent=(0,) + tuple(1 - f for f in fake[2:]),
@@ -339,7 +340,7 @@ def coupling_diagnostics(ai: AnnotatedInstance, sim: SimulationResult) -> Coupli
     """
     if ai.parent is None:
         raise ValueError("coupling diagnostics need a Markov-family instance")
-    m = len(ai.instance.points)
+    m = ai.instance.size
     parent = (0,) + ai.parent  # 1-based
     coins_f = ai.coins_f
     coins_r = ai.coins_r
@@ -401,7 +402,7 @@ def approx_lb_rate(alpha: float, variant: str = "proof") -> float:
 
 
 def min_strategy_cover(
-    family: Sequence[Instance | AnnotatedInstance],
+    family: Iterable[Instance | AnnotatedInstance],
     cap_instances: int = 64,
     cap_points: int = 12,
 ) -> int:
@@ -411,10 +412,13 @@ def min_strategy_cover(
     may branch only where observed prefixes differ geometrically, and two
     algorithms acting identically on every member are the same strategy.
     Solvable instance subsets are enumerated bottom-up over the trie
-    (maximal antichains only) and finished with an exact set cover.
+    (maximal antichains only) and finished with an exact set cover.  The
+    family is read lazily: past ``cap_instances`` members it raises
+    ``CapExceeded`` without taking more.
     """
     instances = [
-        x.instance if isinstance(x, AnnotatedInstance) else x for x in family
+        x.instance if isinstance(x, AnnotatedInstance) else x
+        for x in islice(family, cap_instances + 1)
     ]
     if not instances:
         return 0

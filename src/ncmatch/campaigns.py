@@ -40,8 +40,7 @@ def _finish(check: str, params: dict, results: list[dict]) -> dict:
 
 def check_bnm_lb(n: int = 3) -> dict:
     """Strategy cover of the full 231-avoiding family equals catalan(n)."""
-    family = list(bnm_family(n))
-    cover = min_strategy_cover(family)
+    cover = min_strategy_cover(bnm_family(n))
     results = [_entry(f"cover(all avoiding sigma, n={n})", catalan(n), cover)]
     if n >= 3:
         results.append(

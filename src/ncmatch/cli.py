@@ -115,6 +115,9 @@ def run(algorithm, instance_path, svg_out, **options) -> None:
     except (NotConvex, DuplicateX, InvalidInstance) as exc:
         _fail(EXIT_PRECONDITION, f"{type(exc).__name__}: {exc}")
         return
+    except NcmatchError as exc:
+        _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
+        return
     report = {
         "algorithm": algorithm,
         "kind": instance.kind,

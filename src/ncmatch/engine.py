@@ -1,11 +1,13 @@
 """Online simulation harness and the advice algorithms that run in it.
 
 The harness threads an advice tape from an oracle phase (full instance
-visible) into a player phase (points revealed one at a time).  Players only
-ever see revealed points plus the availability engine's queries (``count``,
-``indices``, ``min_arrival``, ``max_arrival``, ``has``); the harness
-rejects any attempted match that is not available, so no simulation can
-commit a crossing edge.
+visible) into a player phase (points revealed one at a time).  A player's
+``decide(i, view, tape)`` sees the availability engine's queries
+(``count``, ``indices``, ``min_arrival``, ``max_arrival``, ``has``) and,
+through ``view.point()``, the arriving point, whose instance builds its
+points view only then.  The harness hands each decision to the engine as
+one ``commit(j)``, j None for a skip, which raises IllegalMatch unless
+``has(j)`` admits j, so no simulation can commit a crossing edge.
 
 Two interchangeable availability engines back the harness: a brute-force
 one that runs direct crossing tests on the instance's exact view (hull
@@ -84,12 +86,12 @@ class _BruteEngine:
 
     def on_arrival(self, i: int) -> int:
         ends, crosses, edges, side, on = self.ends, self.crosses, self.edges, self.side, self.on
-        pts = self.instance.points
-        color = pts[i - 1].color if self.instance.kind == BNM else None
+        colors = self.instance.colors
+        color = colors[i - 1] if self.instance.kind == BNM else None
         p, si, oi = ends[i - 1], side[i], on[i]
         av = []
         for j in self.free:
-            if color is not None and pts[j - 1].color == color:
+            if color is not None and colors[j - 1] == color:
                 continue
             mask = (si ^ side[j]) | oi | on[j]
             seg = (p, ends[j - 1])
@@ -118,12 +120,19 @@ class _BruteEngine:
     def has(self, j: int) -> bool:
         return j in self.cur[1]
 
-    def commit_skip(self) -> None:
-        self.free.append(self.cur[0])
-        self.cur = None
+    def point(self) -> Point:
+        return self.instance.points[self.cur[0] - 1]
 
-    def commit_match(self, j: int) -> tuple[int, int]:
+    def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
+        """Match the arrival to j, or skip it (j None); the counts left and
+        right of the chord, or (None, None).  IllegalMatch unless has(j)."""
+        if j is None:
+            self.free.append(self.cur[0])
+            self.cur = None
+            return None, None
         i, av = self.cur
+        if not self.has(j):
+            raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
         ends, turn = self.ends, self.turn
         p, q = ends[i - 1], ends[j - 1]
         rest = [t for t in self.free if t != j]
@@ -166,14 +175,14 @@ class _RegionEngine:
     """
 
     def __init__(self, instance: Instance):
-        pts = instance.points
-        self.pts = pts
+        self.instance = instance
+        self.colors = instance.colors
         self.rank_of = instance.ranks  # ccw hull position
-        self.arrival_at_rank = [0] * len(pts)
+        self.arrival_at_rank = [0] * len(self.rank_of)
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
         self.ranks_sorted: list[int] = []
-        self.arc_reg = [0] * len(pts)
+        self.arc_reg = [0] * len(self.rank_of)
         self.arcs: dict[int, list[int]] = {0: []}
         self.free: dict[int, list[int]] = {0: []}
         self.split: tuple[int, int] | None = None
@@ -190,7 +199,7 @@ class _RegionEngine:
         self.arc_reg[r] = g
         insort(self.arcs[g], r)
         # a blue is never available to a blue
-        av = self.free[g] if self.pts[i - 1].color != BLUE else ()
+        av = self.free[g] if self.colors[i - 1] != BLUE else ()
         self.cur = (i, r, g, av)
         return len(av)
 
@@ -224,15 +233,21 @@ class _RegionEngine:
         pos = bisect_left(av, rq)
         return pos < len(av) and av[pos] == rq
 
-    def commit_skip(self) -> None:
-        i, r, g, _av = self.cur
-        # reds arrive last on BNM, so no later arrival may join a red
-        if self.pts[i - 1].color != RED:
-            insort(self.free[g], r)
-        self.cur = None
+    def point(self) -> Point:
+        return self.instance.points[self.cur[0] - 1]
 
-    def commit_match(self, j: int) -> tuple[int, int]:
-        _i, r, g, _av = self.cur
+    def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
+        """Match the arrival to j, or skip it (j None); the counts left and
+        right of the chord, or (None, None).  IllegalMatch unless has(j)."""
+        i, r, g, _av = self.cur
+        if j is None:
+            # reds arrive last on BNM, so no later arrival may join a red
+            if self.colors[i - 1] != RED:
+                insort(self.free[g], r)
+            self.cur = None
+            return None, None
+        if not self.has(j):
+            raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
         self.cur = None
         rq = self.rank_of[j - 1]
         arcs, free = self.arcs[g], self.free[g]
@@ -326,23 +341,16 @@ def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tupl
     Raises IllegalMatch the moment the player names an unavailable partner."""
     n = instance.n
     first = n + 1 if instance.kind == BNM else 1
+    arrive, commit = eng.on_arrival, eng.commit
     for i in range(1, first):
-        eng.on_arrival(i)
-        eng.commit_skip()
-    points = instance.points
+        arrive(i)
+        commit(None)
     decide = player.decide
     steps: list[tuple] = []
     for i in range(first, 2 * n + 1):
-        available = eng.on_arrival(i)
-        decision = decide(i, points[i - 1], eng, tape)
-        if decision is None:
-            eng.commit_skip()
-            steps.append((i, available, None, None, None))
-            continue
-        j = int(decision)
-        if not eng.has(j):
-            raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
-        left, right = eng.commit_match(j)
+        available = arrive(i)
+        j = decide(i, eng, tape)
+        left, right = commit(j)
         steps.append((i, available, j, left, right))
     return steps
 
@@ -403,7 +411,7 @@ class _BTPlayer:
         self.slot = {0: root}
         self.last = None  # the node matched at the previous red
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
         if self.last is not None:
             left, right = view.split
             self.slot[left], self.slot[right] = self.last.left, self.last.right
@@ -454,12 +462,13 @@ class _SortedPlayer:
     def begin(self, ctx, tape) -> None:
         self.unmatched: list[tuple] = []  # (x, arrival), sorted
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
+        x = view.point().x
         if tape.read_bit() == 0:
-            insort(self.unmatched, (point.x, i))
+            insort(self.unmatched, (x, i))
             return None
         go_right = tape.read_bit()
-        pos = bisect_left(self.unmatched, (point.x, i))
+        pos = bisect_left(self.unmatched, (x, i))
         if go_right:
             if pos >= len(self.unmatched):
                 raise IllegalMatch(f"arrival {i}: advice points right of every unmatched x")
@@ -522,7 +531,7 @@ class _ParityPlayer:
         self.chi = chi
         self.tie_break = tie_break
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
         j = view.min_arrival() if self.tie_break == "min" else view.max_arrival()
         return j if j is not None and self.chi[j - 1] != self.chi[i - 1] else None
 
@@ -546,7 +555,7 @@ class _ASAPPlayer:
         self.word = dyck_unrank(n, rank).bits
         self.step = 0
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
         bit = self.word[self.step]
         self.step += 1
         if bit == 0:
@@ -588,7 +597,7 @@ class _GreedyPlayer:
     def begin(self, ctx, tape) -> None:
         pass
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
         return view.min_arrival()
 
 

@@ -1,8 +1,9 @@
 """Seeded random instance builders used by tests, campaigns and the CLI.
 
 Everything is deterministic given (params, seed).  Circle instances draw
-integer ticks on a power-of-two grid and turn them into points through
-``geometry.grid_points``, so no angle needs a gcd.
+integer ticks on a power-of-two grid and keep them as columns
+(``Instance.from_ticks``); their points, built through
+``geometry.grid_points`` when first read, need no gcd.
 """
 from __future__ import annotations
 
@@ -13,14 +14,12 @@ from .errors import InvalidInstance, NotConvex
 from .geometry import (
     BLUE,
     BNM,
-    CIRCLE,
     CONVEX,
     GENERAL,
     MNM,
     RED,
     Instance,
     collinear_triple,
-    grid_points,
     plane_point,
 )
 
@@ -38,7 +37,7 @@ def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
     if n < 1:
         raise ValueError("need n >= 1")
     ticks = random.Random(seed).sample(range(1 << _ANGLE_BITS), 2 * n)
-    return Instance.build(grid_points(ticks, _ANGLE_BITS, _arrival_colors(n, kind)), kind, CIRCLE)
+    return Instance.from_ticks(ticks, _ANGLE_BITS, kind, _arrival_colors(n, kind))
 
 
 def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:

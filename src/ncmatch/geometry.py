@@ -8,12 +8,16 @@ placeholders (nearest representable position) that ``Point`` derives from
 the angle when they are first read; they never reach a predicate.
 Clockwise means decreasing angle.
 
+Circle instances built from integer ticks (``Instance.from_ticks``) keep
+them instead of points: size, colours and ranks come from columns, and
+``Instance.points`` is a view built on first read.
+
 Each instance has one exact view, picked by ``Instance.crossing_view``:
 ``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
 runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
 interleave (``chords_cross``), and three points turn left iff their ranks
-run counterclockwise (``cyclic_turn``).  Circles sort their angles into
-ranks; polygons rank by one convex hull on integer coordinates.  General
+run counterclockwise (``cyclic_turn``).  Circles sort their ticks or angles
+into ranks; polygons rank by one convex hull on integer coordinates.  General
 position runs on integers: scaling all coordinates by their common
 denominator preserves orientations and intersections, so instances build
 that view once (``Instance.int_xy``) for the segment test
@@ -155,8 +159,8 @@ def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
 
 def angle_sort_keys(pts: Sequence[Point]) -> list:
     """Exact sort keys for circle points: plain ints when every angle
-    denominator is a power of two (true of all at-scale generators here),
-    else the Fractions themselves."""
+    denominator is a power of two (true of every file the at-scale
+    generators write), else the Fractions themselves."""
     ratios = [p.angle.as_integer_ratio() for p in pts]
     if all(d & (d - 1) == 0 for _, d in ratios):
         width = max(d for _, d in ratios).bit_length()
@@ -312,18 +316,40 @@ def half_plane_side(edge: tuple[Point, Point], p: Point) -> str:
 # instances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """An ordered point sequence for one online matching problem.
 
     For BNM the first n points are blue (offline batch) and the last n red.
-    Construct through :meth:`build` so invariants are checked; internal
-    generators that guarantee them may pass ``validate=False``.
+    Construct through :meth:`build`, or :meth:`from_ticks` for circle points
+    on an integer grid, so invariants are checked; internal generators that
+    guarantee them may pass ``validate=False``.  An instance from ticks
+    keeps them and its colours as columns, and builds ``points`` when it is
+    first read, through ``grid_points``, dropping the ticks then.
     """
 
     points: tuple[Point, ...]
     kind: str
     geometry: str
+
+    def __init__(self, points, kind: str, geometry: str, grid=None, colors=None):
+        set_ = object.__setattr__
+        if points is not None:
+            set_(self, "points", tuple(points))
+            colors = [p.color for p in self.points]
+        set_(self, "kind", kind)
+        set_(self, "geometry", geometry)
+        set_(self, "colors", tuple(colors))  # each point's colour, by arrival
+        set_(self, "_grid", grid)  # (ticks, bits) until the points are built
+
+    def __getattr__(self, name):
+        # reached only for unset attributes: the points of an instance from ticks
+        if name != "points" or not self._grid:
+            raise AttributeError(name)
+        ticks, bits = self._grid
+        object.__setattr__(self, "_grid", None)
+        object.__setattr__(self, "points", tuple(grid_points(ticks, bits, self.colors)))
+        return self.points
 
     @classmethod
     def build(
@@ -333,18 +359,23 @@ class Instance:
         geometry: str,
         validate: bool = True,
     ) -> "Instance":
-        inst = cls(tuple(points), kind, geometry)
-        if validate:
-            validate_instance(inst)
-        return inst
+        inst = cls(points, kind, geometry)
+        return validate_instance(inst) if validate else inst
+
+    @classmethod
+    def from_ticks(cls, ticks: Sequence[int], bits: int, kind: str, colors=None, validate=True):
+        """Circle points at turn fractions t / 2^bits for the ticks t, in
+        arrival order, coloured by ``colors`` (none when omitted)."""
+        inst = cls(None, kind, CIRCLE, (ticks, bits), colors or [None] * len(ticks))
+        return validate_instance(inst) if validate else inst
 
     @property
     def n(self) -> int:
-        return len(self.points) // 2
+        return self.size // 2
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.colors)
 
     def point(self, arrival_index: int) -> Point:
         return self.points[arrival_index - 1]
@@ -370,10 +401,12 @@ class Instance:
 
     @cached_property
     def ranks(self) -> list[int]:
-        """Counterclockwise hull position of each point (``cyclic_ranks``),
-        in arrival order; shared by validation, the crossing view, the
-        region engine, the hull audit and ``hull_order``, so callers must
-        not modify it."""
+        """Counterclockwise hull position of each point (``cyclic_ranks``,
+        or the sorted ticks while the instance has them), in arrival order;
+        shared by validation, the crossing view, the region engine, the hull
+        audit and ``hull_order``, so callers must not modify it."""
+        if self._grid is not None:
+            return _key_ranks(self._grid[0])
         return cyclic_ranks(self.points)
 
     def blues(self) -> tuple[Point, ...]:
@@ -384,35 +417,39 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> Instance:
-    pts = inst.points
-    m = len(pts)
+    m = inst.size
     if m == 0 or m % 2 != 0:
         raise InvalidInstance("instances need a positive even number of points")
     if inst.kind not in KINDS:
         raise InvalidInstance(f"unknown kind {inst.kind!r}")
     if inst.geometry not in GEOMETRIES:
         raise InvalidInstance(f"unknown geometry {inst.geometry!r}")
+    grid = inst._grid
+    pts = inst.points if grid is None else ()  # ticks imply the arrival order
     for i, p in enumerate(pts):
         if p.arrival_index != i + 1:
             raise InvalidInstance(
                 f"point at position {i} has arrival_index {p.arrival_index}"
             )
     n = m // 2
+    colors = inst.colors
     if inst.kind == BNM:
-        if any(p.color != BLUE for p in pts[:n]) or any(p.color != RED for p in pts[n:]):
+        if any(c != BLUE for c in colors[:n]) or any(c != RED for c in colors[n:]):
             raise InvalidInstance("BNM requires n blue points then n red points")
     else:
-        if any(p.color is not None for p in pts):
+        if any(c is not None for c in colors):
             raise InvalidInstance("MNM points must be uncolored")
 
     if inst.geometry == CIRCLE:
+        if grid and not all(0 <= t < 1 << grid[1] for t in grid[0]):
+            raise InvalidInstance(f"ticks must lie in [0, 2^{grid[1]})")
         for p in pts:
             if p.angle is None:
                 raise InvalidInstance("circle instances need an angle on every point")
             num, den = p.angle.as_integer_ratio()
             if not 0 <= num < den:
                 raise InvalidInstance("angles must be turn fractions in [0, 1)")
-        inst.ranks  # raises InvalidInstance on duplicate angles
+        inst.ranks  # raises InvalidInstance on duplicate angles or ticks
         return inst
 
     if any(p.angle is not None for p in pts):
@@ -453,23 +490,27 @@ def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
 def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
     """Counterclockwise hull position of each point, in input order.
 
-    Points that all carry angles are ranked by the exact angle sort keys,
-    where two equal keys raise ``InvalidInstance``; anything else by the
-    convex hull of their integer coordinates, which must contain every
-    point.  In convex position the orientation of three points is the
-    cyclic order of their ranks (``cyclic_turn``).
+    Points that all carry angles are ranked by the exact angle sort keys
+    (``_key_ranks``); anything else by the convex hull of their integer
+    coordinates, which must contain every point.  In convex position the
+    orientation of three points is the cyclic order of their ranks
+    (``cyclic_turn``).
     """
     if all(p.angle is not None for p in pts):
-        keys = angle_sort_keys(pts)
-        order = sorted(range(len(pts)), key=keys.__getitem__)
-        if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-            raise InvalidInstance("duplicate circle points")
-    else:
-        order = _convex_hull_ccw(integer_coords(pts))
-        if len(order) != len(pts):
-            raise NotConvex("convex instances require every point on the hull")
-    ranks = [0] * len(pts)
-    for pos, i in enumerate(order):
+        return _key_ranks(angle_sort_keys(pts))
+    order = _convex_hull_ccw(integer_coords(pts))
+    if len(order) != len(pts):
+        raise NotConvex("convex instances require every point on the hull")
+    return sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+
+
+def _key_ranks(keys: Sequence) -> list[int]:
+    """Position of each key in sorted order; two equal keys raise
+    ``InvalidInstance``."""
+    if len(set(keys)) < len(keys):
+        raise InvalidInstance("duplicate circle points")
+    ranks = [0] * len(keys)
+    for pos, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         ranks[i] = pos
     return ranks
 
@@ -576,12 +617,12 @@ def scan_available(
     committed ``edges``, which are given as pairs of the instance's
     ``crossing_view`` ends."""
     ends, crosses, _turn = instance.crossing_view
-    pts = instance.points
-    color = pts[i - 1].color if instance.kind == BNM else None
+    colors = instance.colors
+    color = colors[i - 1] if instance.kind == BNM else None
     p = ends[i - 1]
     out = []
     for j in range(1, i):
-        if j in matched or (color is not None and pts[j - 1].color == color):
+        if j in matched or (color is not None and colors[j - 1] == color):
             continue
         seg = (p, ends[j - 1])
         if not any(crosses(seg, e) for e in edges):

@@ -15,6 +15,7 @@ from .codecs import BinaryTree, _assemble
 from .errors import (
     CapExceeded,
     CrossingDetected,
+    IllegalMatch,
     NotConvex,
     NotPerfect,
     SharedEndpoint,
@@ -121,13 +122,13 @@ def enumerate_perfect_noncrossing(
     instance: Instance, cap: int = BRUTE_FORCE_CAP
 ) -> Iterator[Matching]:
     """Every perfect non-crossing matching of a small instance."""
-    pts = instance.points
-    m = len(pts)
+    colors = instance.colors
+    m = len(colors)
     if m > cap:
         raise CapExceeded(f"brute force capped at {cap} points, got {m}")
 
     def bichromatic(i: int, j: int) -> bool:
-        return pts[i - 1].color != pts[j - 1].color
+        return colors[i - 1] != colors[j - 1]
 
     may_pair = bichromatic if instance.kind == BNM else None
     for edges in noncrossing_pairings(instance, range(1, m + 1), may_pair=may_pair):
@@ -173,12 +174,12 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
     """
     if instance.geometry not in (CIRCLE, CONVEX):
         raise NotConvex("convex matching construction needs convex position")
-    pts = instance.points
+    colors = instance.colors
     is_bnm = instance.kind == BNM
     edges: list[tuple[int, int]] = []
     stack: list[int] = []
     for q in geometry.hull_order(instance):
-        if stack and (not is_bnm or pts[stack[-1] - 1].color != pts[q - 1].color):
+        if stack and (not is_bnm or colors[stack[-1] - 1] != colors[q - 1]):
             edges.append((stack.pop(), q))
         else:
             stack.append(q)
@@ -217,7 +218,7 @@ def matching_to_bt(instance: Instance, matching: Matching) -> BinaryTree:
     eng = _RegionEngine(instance)
     for i in range(1, n + 1):
         eng.on_arrival(i)
-        eng.commit_skip()
+        eng.commit(None)
     lefts, rights = [-1] * n, [-1] * n
     # region id -> (child links, parent node); the root fills a dummy link
     slot = {0: ([-1], 0)}
@@ -226,9 +227,10 @@ def matching_to_bt(instance: Instance, matching: Matching) -> BinaryTree:
         links, parent = slot.pop(eng.region())
         links[parent] = k
         j = partner[i]
-        if not eng.has(j):
-            raise CrossingDetected(f"edge {i}-{j} crosses the edge of an earlier red")
-        eng.commit_match(j)
+        try:
+            eng.commit(j)
+        except IllegalMatch:
+            raise CrossingDetected(f"edge {i}-{j} crosses the edge of an earlier red") from None
         left, right = eng.split
         slot[left], slot[right] = (lefts, k), (rights, k)
     return _assemble(lefts, rights)
@@ -289,8 +291,8 @@ def validate_matching(
     require_perfect: bool = False,
 ) -> MatchingReport:
     """Report crossings, color violations, endpoint reuse and coverage."""
-    pts = instance.points
-    m = len(pts)
+    colors = instance.colors
+    m = len(colors)
     if isinstance(matching, Matching):
         edges = sorted(matching.edges)
     else:
@@ -309,7 +311,7 @@ def validate_matching(
                 report.duplicate_endpoints.append(idx)
             seen.add(idx)
         usable.append(e)
-        if instance.kind == BNM and pts[a - 1].color == pts[b - 1].color:
+        if instance.kind == BNM and colors[a - 1] == colors[b - 1]:
             report.color_violations.append(e)
     report.matched_count = len(seen)
 

@@ -52,7 +52,8 @@ class DescentBTPlayer:
         n = len(ctx.blues)
         self.root = _labeled_copy(tree_unrank(n, read_ranked(tape, catalan(n))))
 
-    def decide(self, i, point, view, tape):
+    def decide(self, i, view, tape):
+        point = view.point()
         node = self.root
         while node is not None and node.label is not None:
             side = geometry.half_plane_side(node.label, point)

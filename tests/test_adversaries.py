@@ -389,7 +389,7 @@ def test_coupling_side_case_hand_traced_with_lazy_player():
         def begin(self, ctx, tape):
             pass
 
-        def decide(self, i, point, view, tape):
+        def decide(self, i, view, tape):
             if i == 2:
                 return None  # pass up the first match on purpose
             return view.min_arrival()
@@ -481,6 +481,21 @@ def test_cover_respects_caps():
         min_strategy_cover(fam, cap_instances=2)
     with pytest.raises(CapExceeded):
         min_strategy_cover(fam, cap_points=4)
+
+
+def test_cover_reads_at_most_one_member_past_its_cap():
+    taken = []
+
+    def family():
+        for ai in bnm_family(4):
+            taken.append(ai)
+            yield ai
+
+    with pytest.raises(CapExceeded):
+        min_strategy_cover(family(), cap_instances=5)
+    assert len(taken) == 6
+    # a generator within the cap gives what its list gives
+    assert min_strategy_cover(bnm_family(3)) == min_strategy_cover(list(bnm_family(3))) == 5
 
 
 def test_cover_single_instance_is_one():

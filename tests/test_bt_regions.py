@@ -203,10 +203,10 @@ def _engine_phase_seconds(inst):
         cnt = eng.on_arrival(i)
         j = partner[i]
         if j > i:
-            eng.commit_skip()
+            eng.commit(None)
             continue
         assert eng.has(j)
-        left, right = eng.commit_match(j)
+        left, right = eng.commit(j)
         assert left + right == cnt - 1
     elapsed = time.perf_counter() - started
     assert all(not free for free in eng.free.values())

@@ -146,18 +146,23 @@ def test_grid_points_equal_circle_points_of_the_same_fractions(bits):
 
 
 def test_markov_and_random_circles_build_through_grid_points(monkeypatch):
+    # they keep ticks; their points view is built through grid_points when
+    # it is first read, and not before
     calls, grid_points = [], geometry.grid_points
 
     def recording(ticks, bits, colors=None):
         calls.append(bits)
         return grid_points(ticks, bits, colors)
 
-    monkeypatch.setattr(generators, "grid_points", recording)
-    generators.random_circle_instance(5, BNM, 1)
-    generators.random_convex_instance(5, MNM, 2)
-    assert calls == [20, 20]
     monkeypatch.setattr(geometry, "grid_points", recording)
-    adversaries.markov_instance(5, 1)
+    instances = [
+        generators.random_circle_instance(5, BNM, 1),
+        generators.random_convex_instance(5, MNM, 2),
+        adversaries.markov_instance(5, 1).instance,
+    ]
+    assert calls == []
+    for inst in instances:
+        assert len(inst.points) == 10
     assert calls == [20, 20, 12]
 
 
@@ -187,13 +192,14 @@ def test_instance_ranks_are_cached_cyclic_ranks():
 
 
 def test_a_circle_is_ranked_once_from_build_to_asap(monkeypatch):
-    calls = []
+    # a generated circle ranks its ticks, with the sort angles go through too
+    calls, key_ranks = [], geometry._key_ranks
 
-    def counting(pts):
-        calls.append(len(pts))
-        return cyclic_ranks(pts)
+    def counting(keys):
+        calls.append(len(keys))
+        return key_ranks(keys)
 
-    monkeypatch.setattr(geometry, "cyclic_ranks", counting)
+    monkeypatch.setattr(geometry, "_key_ranks", counting)
     inst = generators.random_circle_instance(50, MNM, 3)
     geometry.validate_instance(inst)
     assert inst.ranks is inst.ranks

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -275,6 +276,44 @@ def test_cli_verify_catalan_bijections_fails_fast_past_the_cap():
     assert res.exit_code == 2
     assert "CapExceeded" in res.output
     assert elapsed < 0.5
+
+
+def test_cli_verify_bnm_lb_fails_fast_past_the_cap():
+    # C_10 = 16 796 family members were built before the 64-member cap check
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["verify", "bnm-lb", "--n", "10"])
+    elapsed = time.perf_counter() - start
+    assert res.exit_code == 2
+    assert "CapExceeded" in res.output
+    assert elapsed < 0.5
+
+
+def test_cli_verify_bnm_lb_results_at_n_3():
+    res = CliRunner().invoke(main, ["verify", "bnm-lb", "--n", "3"])
+    assert res.exit_code == 0, res.output
+    assert [(r["name"], r["measured"]) for r in json.loads(res.output)["results"]] == [
+        ("cover(all avoiding sigma, n=3)", 5),
+        ("cover below factorial count", True),
+        ("cover of the {231, 213} pair", 1),
+    ]
+
+
+def test_run_maps_every_ncmatch_error_to_a_json_error(tmp_path):
+    # x fields that disagree with the angles make sorted name a partner the
+    # engine refuses: an IllegalMatch, which exits 2 with a JSON error
+    path = tmp_path / "shuffled.json"
+    serial.dump_instance(path, generators.random_circle_instance(3, MNM, 0))
+    doc = json.loads(path.read_text())
+    xs = [p["x"] for p in doc["points"]]
+    random.Random(0).shuffle(xs)
+    for p, x in zip(doc["points"], xs):
+        p["x"] = x
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {
+        "error": "IllegalMatch: arrival 6 tried to match unavailable point 4"
+    }
 
 
 class _RecordingPool:

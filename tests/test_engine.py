@@ -93,7 +93,7 @@ def test_illegal_match_aborts():
         def begin(self, ctx, tape):
             pass
 
-        def decide(self, i, point, view, tape):
+        def decide(self, i, view, tape):
             if i == 2:
                 return 1
             if i == 4:
@@ -110,7 +110,7 @@ def test_player_cannot_read_unwritten_tape():
         def begin(self, ctx, tape):
             pass
 
-        def decide(self, i, point, view, tape):
+        def decide(self, i, view, tape):
             tape.read_bit()
             return None
 
@@ -177,10 +177,10 @@ def test_engines_agree_under_random_play():
                 assert e1.has(probe) == e2.has(probe)
             if idx1 and moves.random() < 0.6:
                 j = moves.choice(idx1)
-                assert e1.commit_match(j) == e2.commit_match(j)
+                assert e1.commit(j) == e2.commit(j)
             else:
-                e1.commit_skip()
-                e2.commit_skip()
+                e1.commit(None)
+                e2.commit(None)
 
 
 def test_engines_agree_under_random_play_on_bnm():
@@ -208,10 +208,10 @@ def test_engines_agree_under_random_play_on_bnm():
                 assert e1.has(probe) == e2.has(probe)
             if i > n and idx1 and moves.random() < 0.7:
                 j = moves.choice(idx1)
-                assert e1.commit_match(j) == e2.commit_match(j)
+                assert e1.commit(j) == e2.commit(j)
             else:
-                e1.commit_skip()
-                e2.commit_skip()
+                e1.commit(None)
+                e2.commit(None)
 
 
 def test_engines_agree_under_random_play_at_up_to_forty_pairs():
@@ -242,10 +242,10 @@ def test_engines_agree_under_random_play_at_up_to_forty_pairs():
             if idx1 and moves.random() < 0.5:
                 j = moves.choice(idx1)
                 wrapped.add(ranks[i - 1] > ranks[j - 1])
-                assert e1.commit_match(j) == e2.commit_match(j)
+                assert e1.commit(j) == e2.commit(j)
             else:
-                e1.commit_skip()
-                e2.commit_skip()
+                e1.commit(None)
+                e2.commit(None)
     assert wrapped == {True, False}
 
 
@@ -256,7 +256,7 @@ def test_view_count_agrees_with_indices_on_both_engines():
         for i in range(1, 9):
             eng.on_arrival(i)
             assert eng.count() == len(eng.indices())
-            eng.commit_skip()
+            eng.commit(None)
 
 
 def test_brute_engine_integer_path_matches_available_set():
@@ -278,10 +278,10 @@ def test_brute_engine_integer_path_matches_available_set():
             assert sorted(eng.indices()) == sorted(expected)
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
-                eng.commit_match(j)
+                eng.commit(j)
                 m = m.with_edge(i, j)
             else:
-                eng.commit_skip()
+                eng.commit(None)
 
 
 def _brute_play_against_available_set(inst, rng) -> int:
@@ -298,10 +298,10 @@ def _brute_play_against_available_set(inst, rng) -> int:
         assert [j for j in range(1, i) if eng.has(j)] == expected
         if expected and rng.random() < 0.6:
             j = rng.choice(expected)
-            eng.commit_match(j)
+            eng.commit(j)
             m = m.with_edge(i, j)
         else:
-            eng.commit_skip()
+            eng.commit(None)
     return len(m)
 
 
@@ -338,9 +338,9 @@ def test_brute_engine_tests_a_point_on_an_edge_line_beyond_the_segment():
         assert cnt == len(expected) and eng.indices() == expected
         assert [j for j in range(1, i) if eng.has(j)] == expected
         if partner is None:
-            eng.commit_skip()
+            eng.commit(None)
         else:
-            eng.commit_match(partner)
+            eng.commit(partner)
             m = m.with_edge(i, partner)
         if i == 4:
             assert expected == [3]
@@ -356,10 +356,10 @@ def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
     eng = make_engine(inst, "brute")
     for i in (1, 2):
         eng.on_arrival(i)
-        eng.commit_skip()
+        eng.commit(None)
     assert eng.on_arrival(3) == 2
     with pytest.raises(Degenerate):
-        eng.commit_match(1)
+        eng.commit(1)
 
 
 def test_region_engine_counts_match_available_set():
@@ -376,10 +376,10 @@ def test_region_engine_counts_match_available_set():
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
                 assert eng.has(j)
-                eng.commit_match(j)
+                eng.commit(j)
                 m = m.with_edge(i, j)
             else:
-                eng.commit_skip()
+                eng.commit(None)
 
 
 # ---------------------------------------------------------------------------

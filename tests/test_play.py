@@ -26,11 +26,11 @@ def reference_asap_word(instance, tie_break):
             if any(chi[j - 1] != chi[i - 1] for j in idxs):
                 bits.append(1)
                 j = min(idxs) if tie_break == "min" else max(idxs)
-                eng.commit_match(j)
+                eng.commit(j)
                 matched = True
         if not matched:
             bits.append(0)
-            eng.commit_skip()
+            eng.commit(None)
     return DyckWord(tuple(bits))
 
 

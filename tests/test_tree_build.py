@@ -338,9 +338,9 @@ def test_clockwise_from_matches_modular_sort():
             expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
             assert got == [p.arrival_index for p in expected]
             if got and moves.random() < 0.5:
-                eng.commit_match(moves.choice(got))
+                eng.commit(moves.choice(got))
             else:
-                eng.commit_skip()
+                eng.commit(None)
 
 
 # ---------------------------------------------------------------------------
