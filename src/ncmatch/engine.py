@@ -307,7 +307,6 @@ class BeginContext:
     """What a player is allowed to know before the first online arrival."""
 
     n: int | None = None
-    blues: tuple[Point, ...] | None = None
 
 
 @dataclass
@@ -361,8 +360,9 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     The algorithm's precondition check runs once, before the oracle.
     Raises IllegalMatch the moment a player names an unavailable partner,
     so a committed crossing is impossible by construction.  For BNM the
-    player learns the blue batch up front and ``steps`` covers the red
-    (decision) arrivals only; the matching is built from ``steps``.
+    player learns n up front, the blues reach the engine first, unrecorded,
+    and ``steps`` covers the red (decision) arrivals only; the matching is
+    built from ``steps``.
     """
     alg.check(instance)
     tape = AdviceTape(list(alg.oracle(instance)) if alg.oracle is not None else [])
@@ -370,11 +370,8 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     if alg.needs_regions and not isinstance(eng, _RegionEngine):
         raise InvalidInstance(f"{alg.name} reads region ids and needs the region engine")
     player = alg.make_player()
-    if instance.kind == BNM:
-        ctx = BeginContext(n=instance.n, blues=instance.blues())
-    else:
-        ctx = BeginContext(n=instance.n if alg.needs_n else None)
-    player.begin(ctx, tape)
+    knows_n = alg.needs_n or instance.kind == BNM
+    player.begin(BeginContext(n=instance.n if knows_n else None), tape)
     steps = _play(instance, eng, player, tape)
     matching = Matching.from_pairs((j, i) for i, _a, j, _l, _r in steps if j is not None)
     return SimulationResult(
@@ -403,7 +400,7 @@ class _BTPlayer:
     """
 
     def begin(self, ctx: BeginContext, tape: AdviceTape) -> None:
-        n = len(ctx.blues)
+        n = ctx.n
         root = tree_unrank(n, read_ranked(tape, catalan(n)))
         self.size = {id(None): 0}
         for node in reversed(_preorder(root) if root is not None else []):

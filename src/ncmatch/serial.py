@@ -4,10 +4,17 @@ Rationals travel as "p/q" strings so files round-trip bit exactly; the
 optional "angle" field is the turn fraction of circle points, and the
 optional "annotations" block carries generator-private data (coins,
 permutations, interval choices).
+
+The loader builds each rational from its two integers without
+``Fraction``'s normalisation: every at-scale generator writes
+power-of-two denominators, which reduce by shifting out trailing zero
+bits, so loading such a file runs no gcd.  What remains of a large load
+is the decimal-to-int conversion of the literals.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -15,7 +22,7 @@ from typing import Any
 
 from .adversaries import AnnotatedInstance
 from .errors import InvalidInstance, RationalTooLarge
-from .geometry import Instance, Point
+from .geometry import Instance, Point, _raw_fraction
 
 SCHEMA_VERSION = 1
 
@@ -31,22 +38,49 @@ def format_rational(q: Fraction) -> str:
         ) from exc
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(s: Any) -> Fraction:
     """An int, or a string as ``format_rational`` writes it: a signed ASCII
-    integer, optionally ``/`` and digits (``Fraction`` expands exponents)."""
+    integer, optionally ``/`` and digits; no exponent, point or space.
+
+    The value equals ``Fraction(s)``, built without its normalisation: a
+    power-of-two denominator is reduced by shifting out the numerator's
+    trailing zero bits (as ``geometry.grid_points`` does), so no gcd runs;
+    any other denominator is divided by the gcd."""
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            if not _RATIONAL.fullmatch(s):
-                raise ValueError
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInstance(f"bad rational literal {s!r}") from exc
-    raise InvalidInstance(f"bad rational value {s!r}")
+        return _raw_fraction(s, 1)
+    if not isinstance(s, str):
+        raise InvalidInstance(f"bad rational value {s!r}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise InvalidInstance(f"bad rational literal {s!r}")
+    num, den = match[1], match[2] or "1"
+    try:
+        p, q = int(num), int(den)
+    except ValueError as exc:  # Python's string-to-int digit limit
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise RationalTooLarge(
+            f"a rational literal with {digits} digits exceeds the interpreter's "
+            f"integer string limit of {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    if q == 0:
+        raise InvalidInstance(f"bad rational literal {s!r}")
+    if p == 0:
+        return _raw_fraction(0, 1)
+    # a literal already in lowest terms (all the writer emits) keeps the two
+    # ints int() made: a shift by 0 or a division by 1 would copy them, and
+    # those copies fragment the heap (+4 % peak RSS loading Markov files)
+    if q.bit_count() == 1:  # a power of two: shift out the common factors of 2
+        shift = 0 if p & 1 else min((p & -p).bit_length(), q.bit_length()) - 1
+        if shift:
+            p, q = p >> shift, q >> shift
+    else:
+        g = math.gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
+    return _raw_fraction(p, q)
 
 
 def point_to_json(p: Point) -> dict:

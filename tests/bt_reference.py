@@ -48,8 +48,7 @@ def _labeled_copy(t):
 
 class DescentBTPlayer:
     def begin(self, ctx, tape):
-        self.blue_by_index = {p.arrival_index: p for p in ctx.blues}
-        n = len(ctx.blues)
+        n = ctx.n
         self.root = _labeled_copy(tree_unrank(n, read_ranked(tape, catalan(n))))
 
     def decide(self, i, view, tape):
@@ -61,7 +60,7 @@ class DescentBTPlayer:
         if node is None:
             raise IllegalMatch(f"tree descent fell off at red {i}")
         k = (node.left.size if node.left else 0) + 1
-        avail = [self.blue_by_index[j] for j in view.indices()]
+        avail = [view.instance.point(j) for j in view.indices()]
         ordered = clockwise_from(point, avail)
         if k > len(ordered):
             raise IllegalMatch(f"red {i} wants blue #{k} but only {len(ordered)} available")

@@ -93,7 +93,9 @@ def test_rational_parsing():
         serial.parse_rational("x")
 
 
-@pytest.mark.parametrize("text", ["1e400", "2.5", " 3/4"])
+@pytest.mark.parametrize(
+    "text", ["1e400", "2.5", " 3/4", "3/4 ", "x", "1/0", "1/-2", "/2", "1/", "", "1_000", "\u0661/2"]
+)
 def test_rational_parsing_takes_only_the_written_form(text):
     with pytest.raises(InvalidInstance, match="bad rational literal"):
         serial.parse_rational(text)

@@ -124,6 +124,14 @@ def test_a_greedy_coupling_trial_builds_no_points(monkeypatch):
         assert instance._grid is not None
 
 
+def test_a_bt_run_builds_no_points():
+    # the bt player learns n up front, not the blue points
+    inst = generators.random_circle_instance(50, BNM, 1)
+    sim = simulate(engine.bt_matching(), inst)
+    assert sim.violations.perfect
+    assert "points" not in vars(inst)
+
+
 @pytest.mark.parametrize("mode", ["region", "brute"])
 def test_commit_rejects_an_unavailable_point_on_both_engines(mode):
     inst = generators.random_circle_instance(3, MNM, 0)

@@ -1,0 +1,220 @@
+"""The instance loader: ``serial.parse_rational`` against ``Fraction``, the
+digit limit, the Fraction-free load of dyadic files, round trips of every
+``ncmatch generate`` family, and a mutation fuzz of ``ncmatch run``."""
+import copy
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+
+from ncmatch import adversaries, errors, generators, serial
+from ncmatch.cli import FAMILIES, main
+from ncmatch.engine import ALGORITHMS
+from ncmatch.errors import RationalTooLarge
+from ncmatch.geometry import BNM, CIRCLE, GENERAL, MNM
+
+# ---------------------------------------------------------------------------
+# parse_rational is Fraction(s) on every literal the gate admits
+
+
+def _digits(rng, p: int) -> str:
+    return "0" * rng.choice((0, 0, 1, 3)) + str(p)
+
+
+def _random_literal(rng) -> str:
+    bits = rng.choice((0, 1, 8, 64, 700, 6000, 12000))  # up to about 4000 digits
+    shift = rng.choice((0, 0, 1, 5, 64, 900))
+    p = rng.getrandbits(bits) << shift if bits else 0
+    den = rng.choice(("none", "two", "odd", "mixed"))
+    dbits = rng.randint(0, 12000 - bits)
+    if den == "none":
+        return rng.choice(("", "+", "-")) + _digits(rng, p)
+    if den == "two":
+        q = 1 << dbits
+    elif den == "odd":
+        q = rng.getrandbits(dbits) | 1
+    else:
+        q = (rng.getrandbits(max(dbits // 2, 1)) | 1) << rng.randint(1, max(dbits // 2, 1))
+    return rng.choice(("", "+", "-")) + _digits(rng, p) + "/" + _digits(rng, q)
+
+
+_EDGE_LITERALS = [
+    "0", "+0", "-0", "-0/8", "+0/3", "0000/0001", "7", "-7", "+007",
+    "1/1", "4/2", "-12/8", "3/6", "-6/9", "1/1024", "1024/1", "3072/1024",
+    "-0005/0010", "1/" + str(2**12000), str(2**12000) + "/" + str(2**11999),
+]
+
+
+def _same(a: Fraction, b: Fraction) -> bool:
+    return (type(a), a.numerator, a.denominator, hash(a)) == (
+        type(b), b.numerator, b.denominator, hash(b),
+    )
+
+
+def test_parse_rational_matches_fraction_on_seeded_literals():
+    rng = random.Random(17)
+    literals = _EDGE_LITERALS + [_random_literal(rng) for _ in range(1500)]
+    assert max(len(s) for s in literals) > 3500
+    for s in literals:
+        assert _same(serial.parse_rational(s), Fraction(s)), s
+    for v in (0, 1, -5, 2**80):
+        assert _same(serial.parse_rational(v), Fraction(v))
+
+
+def test_a_literal_past_the_digit_limit_names_the_limit_not_the_literal():
+    limit = sys.get_int_max_str_digits()
+    for s, digits in [("1/" + "1" * 5000, 5000), ("-" + "7" * 4500 + "/3", 4500)]:
+        with pytest.raises(RationalTooLarge) as info:
+            serial.parse_rational(s)
+        message = str(info.value)
+        assert f"{digits} digits" in message and f"limit of {limit} digits" in message
+        assert len(message) < 120
+
+
+def test_run_on_a_literal_past_the_digit_limit_exits_2_with_a_short_error(tmp_path):
+    doc = serial.instance_to_json(generators.random_general_instance(2, 0))
+    doc["points"][0]["x"] = "1/" + "1" * 5000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {
+        "error": "RationalTooLarge: a rational literal with 5000 digits exceeds the "
+        f"interpreter's integer string limit of {sys.get_int_max_str_digits()} digits"
+    }
+    assert res.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# loading a dyadic file builds no Fraction through its constructor
+
+
+def test_loading_a_markov_file_constructs_no_fraction(tmp_path, monkeypatch):
+    path = tmp_path / "markov.json"
+    ai = adversaries.markov_instance(500, 3)
+    serial.dump_instance(path, ai)
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    back = serial.load_instance(path)
+    assert calls == []
+    assert back.instance.ranks == ai.instance.ranks
+    Fraction(1, 2)  # the counter is live
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# every `ncmatch generate` family survives a round trip
+
+_SIGMAS = [(1,), (2, 1, 4, 3), (3, 2, 1, 5, 4)]
+
+
+def _mnm_member(seed):
+    rng = random.Random(seed)
+    j = rng.randint(0, 4)
+    return adversaries.mnm_family_instance(2, j, rng.sample(range(1, 8), j))
+
+
+_SMALL = {
+    "bnm-perm": lambda seed: adversaries.bnm_red_instance(_SIGMAS[seed]),
+    "mnm-family": _mnm_member,
+    "markov": lambda seed: adversaries.markov_instance(9, seed),
+    "random-convex": lambda seed: generators.random_convex_instance(5, BNM if seed else MNM, seed),
+    "random-general": lambda seed: generators.random_general_instance(4, seed),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SMALL))
+def test_every_family_round_trips_to_equal_instances_and_bytes(tmp_path, family):
+    assert set(_SMALL) == set(FAMILIES)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for seed in range(3):
+        built = _SMALL[family](seed)
+        serial.dump_instance(first, built)
+        back = serial.load_instance(first)
+        assert back.instance == getattr(built, "instance", built)
+        serial.dump_instance(second, back)
+        assert second.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# mutated family files: `ncmatch run` exits 0-3, errors as JSON, no traceback
+
+_LONG = "9" * 5000
+_VALUES = [
+    None, True, False, 0, -1, 7, 2**70, 1.5, -0.0, "", "x", "1/0", "1/2", "-3/8",
+    "1e400", " 3/4", _LONG, "1/" + _LONG, "-" + _LONG + "/2", "1" * 4000,
+    [], [1, 2], ["1/2", "1/3"], {}, {"x": "1/2", "y": "1/3"}, MNM, BNM, CIRCLE, GENERAL,
+    "blue", "red",
+]
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, rng) -> None:
+    paths = list(_paths(doc))
+    path = rng.choice(paths)
+    parent, key = _parent(doc, path), path[-1]
+    op = rng.choice(("delete", "replace", "duplicate", "swap"))
+    if op == "delete":
+        del parent[key]
+    elif op == "replace":
+        parent[key] = copy.deepcopy(rng.choice(_VALUES))
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif op == "duplicate":  # copy the value under a sibling's or a new key
+        other = rng.choice([*parent, "x", "y", "angle", "n", "sigma", "parent"])
+        parent[other] = copy.deepcopy(parent[key])
+    else:
+        path2 = rng.choice(paths)
+        if path2[: len(path)] == path or path[: len(path2)] == path2:
+            return  # one encloses the other
+        parent2, key2 = _parent(doc, path2), path2[-1]
+        parent[key], parent2[key2] = parent2[key2], parent[key]
+
+
+def test_run_on_mutated_family_files_exits_with_json_errors_only(tmp_path):
+    rng = random.Random(2024)
+    path = tmp_path / "mutant.json"
+    docs = {}
+    for family, build in _SMALL.items():
+        serial.dump_instance(path, build(1))
+        docs[family] = json.loads(path.read_text())
+    runner = CliRunner()
+    codes = set()
+    for trial in range(1000):
+        doc = copy.deepcopy(docs[rng.choice(sorted(docs))])
+        for _ in range(rng.randint(1, 3)):
+            if doc:
+                _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        alg = rng.choice(sorted(ALGORITHMS))
+        res = runner.invoke(main, ["run", alg, str(path)])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (trial, res.exception)
+        assert res.exit_code in (0, 1, 2, 3) and "Traceback" not in res.output
+        if res.exit_code:
+            (error,) = json.loads(res.stderr).values()
+            assert issubclass(getattr(errors, error.split(":")[0]), errors.NcmatchError)
+        codes.add(res.exit_code)
+    assert codes == {0, 2, 3}
