@@ -15,15 +15,7 @@ from click.core import ParameterSource
 
 from . import __version__, adversaries, campaigns, generators, serial, svg
 from .engine import ALGORITHMS, simulate
-from .errors import (
-    BadSubset,
-    CapExceeded,
-    DuplicateX,
-    InvalidInstance,
-    NcmatchError,
-    Not231Avoiding,
-    NotConvex,
-)
+from .errors import DuplicateX, InvalidInstance, NcmatchError, NotConvex
 from .geometry import BNM, MNM
 
 EXIT_VERIFY_FAILED = 1
@@ -159,7 +151,7 @@ def verify(check, **options) -> None:
     try:
         kwargs = _options_for(campaigns.CHECKS, check, options)
         summary = campaigns.CHECKS[check](**{k: v for k, v in kwargs.items() if v is not None})
-    except (InvalidInstance, CapExceeded, BadSubset, Not231Avoiding, ValueError) as exc:
+    except (NcmatchError, ValueError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
         return
     click.echo(json.dumps(summary))

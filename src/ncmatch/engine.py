@@ -3,21 +3,21 @@
 The harness threads an advice tape from an oracle phase (full instance
 visible) into a player phase (points revealed one at a time).  A player's
 ``decide(i, view, tape)`` sees the availability engine's queries
-(``count``, ``indices``, ``min_arrival``, ``max_arrival``, ``has``) and,
-through ``view.point()``, the arriving point, whose instance builds its
-points view only then.  The harness hands each decision to the engine as
-one ``commit(j)``, j None for a skip, which raises IllegalMatch unless
-``has(j)`` admits j, so no simulation can commit a crossing edge.
+(``has``, ``min_arrival``, ``max_arrival``, and in convex position
+``region`` and ``kth_clockwise``).  The harness hands each decision to the
+engine as one ``commit(j)``, j None for a skip, which raises IllegalMatch
+unless ``has(j)`` admits j, so no simulation can commit a crossing edge.
 
-Two interchangeable availability engines back the harness: a brute-force
-one that runs direct crossing tests on the instance's exact view (hull
-ranks in convex position, integer coordinates in general position), and a
-laminar-region tracker for every convex-position instance (circles and
-polygons).  The brute engine keeps, per point, bit masks of the committed
-edges whose line has the point strictly on its left or passes through it,
-and tests a candidate segment only against the edges whose line separates
-its ends or passes through one; its answers equal
-geometry.scan_available's, which stays the reference.
+Each geometry has one availability engine (``make_engine``): a
+laminar-region tracker in convex position (circles and polygons) and, in
+general position, a brute-force one that runs direct crossing tests on the
+instance's exact view (integer coordinates; hull ranks in convex position,
+where tests use it as the region engine's reference).  The brute engine
+keeps, per point, bit masks of the committed edges whose line has the
+point strictly on its left or passes through it, and tests a candidate
+segment only against the edges whose line separates its ends or passes
+through one; its answers equal geometry.scan_available's, which stays the
+reference.
 
 Two points in convex position can be joined without a crossing iff no
 committed chord separates them, so region identity is availability.  Each
@@ -51,7 +51,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching, Point
+from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching
 from .offline import MatchingReport
 
 
@@ -105,12 +105,6 @@ class _BruteEngine:
         self.cur = (i, av)
         return len(av)
 
-    def count(self) -> int:
-        return len(self.cur[1])
-
-    def indices(self) -> list[int]:
-        return list(self.cur[1])
-
     def min_arrival(self) -> int | None:
         return min(self.cur[1], default=None)
 
@@ -119,9 +113,6 @@ class _BruteEngine:
 
     def has(self, j: int) -> bool:
         return j in self.cur[1]
-
-    def point(self) -> Point:
-        return self.instance.points[self.cur[0] - 1]
 
     def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
         """Match the arrival to j, or skip it (j None); the counts left and
@@ -203,14 +194,8 @@ class _RegionEngine:
         self.cur = (i, r, g, av)
         return len(av)
 
-    def count(self) -> int:
-        return len(self.cur[3])
-
     def region(self) -> int:
         return self.cur[2]
-
-    def indices(self) -> list[int]:
-        return sorted(map(self.arrival_at_rank.__getitem__, self.cur[3]))
 
     def min_arrival(self) -> int | None:
         av = self.cur[3]
@@ -221,8 +206,11 @@ class _RegionEngine:
         return max(map(self.arrival_at_rank.__getitem__, av)) if av else None
 
     def kth_clockwise(self, k: int) -> int:
-        """BNM: the k-th available point clockwise from the arrival."""
-        _i, r, _g, av = self.cur
+        """BNM: the k-th available point clockwise from the arrival;
+        IllegalMatch if fewer than k are available."""
+        i, r, _g, av = self.cur
+        if k > len(av):
+            raise IllegalMatch(f"red {i} wants blue #{k} but only {len(av)} available")
         return self.arrival_at_rank[av[(bisect_left(av, r) - k) % len(av)]]
 
     def has(self, j: int) -> bool:
@@ -232,9 +220,6 @@ class _RegionEngine:
         rq = self.rank_of[j - 1]
         pos = bisect_left(av, rq)
         return pos < len(av) and av[pos] == rq
-
-    def point(self) -> Point:
-        return self.instance.points[self.cur[0] - 1]
 
     def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
         """Match the arrival to j, or skip it (j None); the counts left and
@@ -285,17 +270,10 @@ def _take(ranks: list[int], a: int, b: int, wrap: bool) -> list[int]:
     return out
 
 
-def make_engine(instance: Instance, mode: str = "auto"):
+def make_engine(instance: Instance):
+    """The region engine in convex position, the brute engine otherwise."""
     convex = instance.geometry in (CIRCLE, CONVEX)
-    if mode == "auto":
-        mode = "region" if convex else "brute"
-    if mode == "region":
-        if not convex:
-            raise InvalidInstance("region engine requires points in convex position")
-        return _RegionEngine(instance)
-    if mode == "brute":
-        return _BruteEngine(instance)
-    raise ValueError(f"unknown engine mode {mode!r}")
+    return (_RegionEngine if convex else _BruteEngine)(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +309,6 @@ class OnlineAlgorithm:
     make_player: Callable[[], Any]
     check: Callable[[Instance], None]
     needs_n: bool = False
-    needs_regions: bool = False  # the player reads region ids
 
 
 def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tuple]:
@@ -354,8 +331,9 @@ def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tupl
     return steps
 
 
-def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> SimulationResult:
-    """Run oracle then player over an instance and audit every decision.
+def simulate(alg: OnlineAlgorithm, instance: Instance) -> SimulationResult:
+    """Run oracle then player over an instance, on the one engine that
+    ``make_engine`` picks for its geometry, and audit every decision.
 
     The algorithm's precondition check runs once, before the oracle.
     Raises IllegalMatch the moment a player names an unavailable partner,
@@ -366,9 +344,7 @@ def simulate(alg: OnlineAlgorithm, instance: Instance, engine: str = "auto") -> 
     """
     alg.check(instance)
     tape = AdviceTape(list(alg.oracle(instance)) if alg.oracle is not None else [])
-    eng = make_engine(instance, engine)
-    if alg.needs_regions and not isinstance(eng, _RegionEngine):
-        raise InvalidInstance(f"{alg.name} reads region ids and needs the region engine")
+    eng = make_engine(instance)
     player = alg.make_player()
     knows_n = alg.needs_n or instance.kind == BNM
     player.begin(BeginContext(n=instance.n if knows_n else None), tape)
@@ -415,10 +391,7 @@ class _BTPlayer:
         node = self.last = self.slot.get(view.region())
         if node is None:
             raise IllegalMatch(f"red {i} arrives in an empty tree slot")
-        k = self.size[id(node.left)] + 1
-        if k > view.count():
-            raise IllegalMatch(f"red {i} wants blue #{k} but only {view.count()} available")
-        return view.kth_clockwise(k)
+        return view.kth_clockwise(self.size[id(node.left)] + 1)
 
 
 def _check_convex(kind: str) -> Callable[[Instance], None]:
@@ -448,19 +421,18 @@ def bt_matching() -> OnlineAlgorithm:
         oracle=_bt_oracle,
         make_player=_BTPlayer,
         check=_check_convex(BNM),
-        needs_regions=True,
     )
 
 
 class _SortedPlayer:
     """Decodes per-point codes 0 / 10 / 11: skip, match nearest unmatched x
-    on the left, or on the right."""
+    on the left, or on the right; x is the arrival's exact x-key."""
 
     def begin(self, ctx, tape) -> None:
-        self.unmatched: list[tuple] = []  # (x, arrival), sorted
+        self.unmatched: list[tuple] = []  # (x-key, arrival), sorted
 
     def decide(self, i, view, tape):
-        x = view.point().x
+        x = view.instance.x_keys[i - 1]
         if tape.read_bit() == 0:
             insort(self.unmatched, (x, i))
             return None
@@ -481,25 +453,25 @@ class _SortedPlayer:
 def _check_sorted(instance: Instance) -> None:
     if instance.kind != MNM:
         raise InvalidInstance("x-sorted matching runs on MNM instances")
-    xs = [p.x for p in instance.points]
-    if len(set(xs)) != len(xs):
+    keys = instance.x_keys
+    if len(set(keys)) != len(keys):
         raise DuplicateX("x-sorted matching needs globally distinct x-coordinates")
 
 
 def _sorted_oracle(instance: Instance) -> list[int]:
-    pts = instance.points
-    order = sorted(range(len(pts)), key=lambda t: pts[t].x)
+    keys = instance.x_keys
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     partner = {}
     for t in range(0, len(order), 2):
         a, b = order[t], order[t + 1]
         partner[a] = b
         partner[b] = a
     bits: list[int] = []
-    for t in range(len(pts)):
+    for t in range(len(keys)):
         j = partner[t]
         if j > t:
             bits.append(0)
-        elif pts[j].x < pts[t].x:
+        elif keys[j] < keys[t]:
             bits.extend((1, 0))
         else:
             bits.extend((1, 1))

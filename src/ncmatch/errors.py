@@ -1,6 +1,13 @@
 """Exception hierarchy shared by all ncmatch modules."""
 
 
+def quoted(value) -> str:
+    """``ascii(value)``, cut to its first 40 characters when longer, so a
+    message that echoes outside input stays short."""
+    text = ascii(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 class NcmatchError(Exception):
     """Base class for every error raised by this package."""
 

@@ -40,6 +40,7 @@ from .errors import (
     InvalidInstance,
     NotConvex,
     SharedEndpoint,
+    quoted,
 )
 
 BLUE = "blue"
@@ -129,7 +130,7 @@ def circle_point(angle: Fraction | int, arrival_index: int, color: str | None = 
     """Point on the unit circle at an exact turn fraction, reduced mod 1.
 
     Its rational x/y are derived from the float cosine/sine when first
-    read (see ``Point``); only renderers, the x-sorted player and length
+    read (see ``Point``); only renderers, the JSON writer and length
     surrogates read them.
     """
     if not isinstance(angle, Fraction):
@@ -157,15 +158,15 @@ def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
     return Point(Fraction(x), Fraction(y), arrival_index, color, None)
 
 
-def angle_sort_keys(pts: Sequence[Point]) -> list:
-    """Exact sort keys for circle points: plain ints when every angle
-    denominator is a power of two (true of every file the at-scale
-    generators write), else the Fractions themselves."""
+def angle_sort_keys(pts: Sequence[Point]) -> tuple[list, int]:
+    """Exact sort keys for circle points and the key of a full turn: plain
+    ints when every angle denominator is a power of two (true of every file
+    the at-scale generators write), else the Fractions themselves and 1."""
     ratios = [p.angle.as_integer_ratio() for p in pts]
     if all(d & (d - 1) == 0 for _, d in ratios):
         width = max(d for _, d in ratios).bit_length()
-        return [num << (width - d.bit_length()) for num, d in ratios]
-    return [p.angle for p in pts]
+        return [num << (width - d.bit_length()) for num, d in ratios], 1 << width - 1
+    return [p.angle for p in pts], 1
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +388,20 @@ class Instance:
         return integer_coords(self.points)
 
     @cached_property
+    def x_keys(self) -> list:
+        """An exact key per point, in arrival order, ordered as the points'
+        x: the x of ``int_xy``, or on circles -min(k, u - k) for each tick
+        or angle sort key k and full turn u, since x = cos 2 pi theta falls
+        as the folded turn min(theta, 1 - theta) rises."""
+        if self.geometry != CIRCLE:
+            return [x for x, _y in self.int_xy]
+        if self._grid is not None:
+            keys, unit = self._grid[0], 1 << self._grid[1]
+        else:
+            keys, unit = angle_sort_keys(self.points)
+        return [-min(k, unit - k) for k in keys]
+
+    @cached_property
     def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool], Callable]:
         """``(ends, crosses, turn)``: each point's exact stand-in, in arrival
         order; the test that decides whether two segments given as pairs of
@@ -421,9 +436,9 @@ def validate_instance(inst: Instance) -> Instance:
     if m == 0 or m % 2 != 0:
         raise InvalidInstance("instances need a positive even number of points")
     if inst.kind not in KINDS:
-        raise InvalidInstance(f"unknown kind {inst.kind!r}")
+        raise InvalidInstance(f"unknown kind {quoted(inst.kind)}")
     if inst.geometry not in GEOMETRIES:
-        raise InvalidInstance(f"unknown geometry {inst.geometry!r}")
+        raise InvalidInstance(f"unknown geometry {quoted(inst.geometry)}")
     grid = inst._grid
     pts = inst.points if grid is None else ()  # ticks imply the arrival order
     for i, p in enumerate(pts):
@@ -497,7 +512,7 @@ def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
     (``cyclic_turn``).
     """
     if all(p.angle is not None for p in pts):
-        return _key_ranks(angle_sort_keys(pts))
+        return _key_ranks(angle_sort_keys(pts)[0])
     order = _convex_hull_ccw(integer_coords(pts))
     if len(order) != len(pts):
         raise NotConvex("convex instances require every point on the hull")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .adversaries import AnnotatedInstance
-from .errors import InvalidInstance, RationalTooLarge
+from .errors import InvalidInstance, RationalTooLarge, quoted
 from .geometry import Instance, Point, _raw_fraction
 
 SCHEMA_VERSION = 1
@@ -52,10 +52,10 @@ def parse_rational(s: Any) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
         return _raw_fraction(s, 1)
     if not isinstance(s, str):
-        raise InvalidInstance(f"bad rational value {s!r}")
+        raise InvalidInstance(f"bad rational value {quoted(s)}")
     match = _RATIONAL.fullmatch(s)
     if match is None:
-        raise InvalidInstance(f"bad rational literal {s!r}")
+        raise InvalidInstance(f"bad rational literal {quoted(s)}")
     num, den = match[1], match[2] or "1"
     try:
         p, q = int(num), int(den)
@@ -66,7 +66,7 @@ def parse_rational(s: Any) -> Fraction:
             f"integer string limit of {sys.get_int_max_str_digits()} digits"
         ) from exc
     if q == 0:
-        raise InvalidInstance(f"bad rational literal {s!r}")
+        raise InvalidInstance(f"bad rational literal {quoted(s)}")
     if p == 0:
         return _raw_fraction(0, 1)
     # a literal already in lowest terms (all the writer emits) keeps the two
@@ -153,7 +153,7 @@ def _annotated(data: dict, kind: str, geometry_: str, points: list[Point]) -> An
     instance = Instance.build(points, kind, geometry_)
     # an exact int: JSON true and 1.0 both compare equal to 1
     if "n" in data and (type(data["n"]) is not int or data["n"] != instance.n):
-        raise InvalidInstance(f"declared n={data['n']!r} but instance has n={instance.n}")
+        raise InvalidInstance(f"declared n={quoted(data['n'])} but instance has n={instance.n}")
     ann = data.get("annotations") or {}
     try:
         return AnnotatedInstance(

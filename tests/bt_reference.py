@@ -1,18 +1,35 @@
-"""The tree-descent `bt` player that the region-slot player replaced, kept
-as a reference: each red descends the advice tree by half-plane tests
-against the labeled edges, then sorts its available blues clockwise."""
-from ncmatch import geometry
+"""References for the engine tests: ``brute_simulate`` runs a whole
+algorithm on the brute engine, which stays the reference for the region
+engine in convex position, and ``descent_bt`` is the tree-descent `bt`
+player that the region-slot player replaced: each red descends the advice
+tree by half-plane tests against the labeled edges, then sorts its
+available blues clockwise."""
+from unittest import mock
+
+from ncmatch import engine, geometry
 from ncmatch.codecs import _preorder, catalan, read_ranked, tree_unrank
 from ncmatch.engine import OnlineAlgorithm, _bt_oracle, bt_matching
 from ncmatch.errors import IllegalMatch, NotConvex
 from ncmatch.geometry import LEFT
 
 
+def available(view, i):
+    """The arrival indices j < i that the engine's ``has`` admits."""
+    return [j for j in range(1, i) if view.has(j)]
+
+
+def brute_simulate(alg, instance):
+    """``simulate(alg, instance)`` with the brute engine in place of the
+    one ``make_engine`` picks, the asap oracle's replay included."""
+    with mock.patch.object(engine, "make_engine", engine._BruteEngine):
+        return engine.simulate(alg, instance)
+
+
 def clockwise_from(anchor, others):
     """Points of a convex-position set in clockwise order starting just
     after the anchor."""
     if anchor.angle is not None and all(p.angle is not None for p in others):
-        keys = geometry.angle_sort_keys([*others, anchor])
+        keys, _unit = geometry.angle_sort_keys([*others, anchor])
         start = keys.pop()
         # clockwise is decreasing angle; rotate to just below the anchor
         order = sorted(range(len(others)), key=keys.__getitem__, reverse=True)
@@ -52,7 +69,7 @@ class DescentBTPlayer:
         self.root = _labeled_copy(tree_unrank(n, read_ranked(tape, catalan(n))))
 
     def decide(self, i, view, tape):
-        point = view.point()
+        point = view.instance.point(i)
         node = self.root
         while node is not None and node.label is not None:
             side = geometry.half_plane_side(node.label, point)
@@ -60,7 +77,7 @@ class DescentBTPlayer:
         if node is None:
             raise IllegalMatch(f"tree descent fell off at red {i}")
         k = (node.left.size if node.left else 0) + 1
-        avail = [view.instance.point(j) for j in view.indices()]
+        avail = [view.instance.point(j) for j in available(view, i)]
         ordered = clockwise_from(point, avail)
         if k > len(ordered):
             raise IllegalMatch(f"red {i} wants blue #{k} but only {len(ordered)} available")

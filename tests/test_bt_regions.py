@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from bt_reference import descent_bt
+from bt_reference import brute_simulate, descent_bt
 
 from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
@@ -19,7 +19,7 @@ from ncmatch.codecs import (
     tree_unrank,
 )
 from ncmatch.engine import bt_matching, make_engine, simulate
-from ncmatch.errors import NcmatchError, NotConvex
+from ncmatch.errors import NotConvex
 from ncmatch.geometry import BNM, CONVEX, MNM, Matching
 
 
@@ -40,7 +40,7 @@ def _nested(n, reverse):
 
 def _assert_same_as_descent(inst):
     new = simulate(bt_matching(), inst)
-    ref = simulate(descent_bt(), inst, engine="brute")
+    ref = brute_simulate(descent_bt(), inst)
     assert new.matching == ref.matching
     assert new.steps == ref.steps
     assert (new.bits_written, new.bits_read) == (ref.bits_written, ref.bits_read)
@@ -78,12 +78,6 @@ def test_bt_makes_no_half_plane_test(monkeypatch):
     for inst in _random_convex_instances(12, 1):
         assert simulate(bt_matching(), inst).violations.perfect
     assert calls == []
-
-
-def test_bt_on_the_brute_engine_raises_a_typed_error():
-    inst = generators.random_circle_instance(4, BNM, 0)
-    with pytest.raises(NcmatchError, match="region engine"):
-        simulate(bt_matching(), inst, engine="brute")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def _engine_phase_seconds(inst):
     partner = {}
     for a, b in m.edges:
         partner[a], partner[b] = b, a
-    eng = make_engine(inst, "region")
+    eng = make_engine(inst)
     started = time.perf_counter()
     for i in range(1, inst.size + 1):
         cnt = eng.on_arrival(i)

@@ -188,7 +188,7 @@ def test_instance_ranks_are_cached_cyclic_ranks():
         assert inst.ranks == cyclic_ranks(inst.points)
         assert inst.ranks is inst.ranks
     inst = generators.random_circle_instance(20, MNM, 9)
-    assert engine.make_engine(inst, "region").rank_of is inst.ranks
+    assert engine.make_engine(inst).rank_of is inst.ranks
 
 
 def test_a_circle_is_ranked_once_from_build_to_asap(monkeypatch):

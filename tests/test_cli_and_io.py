@@ -14,9 +14,15 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmatch import adversaries, campaigns, generators, serial
+from ncmatch import adversaries, campaigns, cli, generators, serial
 from ncmatch.cli import main
-from ncmatch.errors import BadSubset, InvalidInstance, NcmatchError, RationalTooLarge
+from ncmatch.errors import (
+    IllegalMatch,
+    InvalidInstance,
+    NcmatchError,
+    RationalTooLarge,
+    TapeExhausted,
+)
 from ncmatch.geometry import BNM, CIRCLE, CONVEX, GENERAL, MNM
 
 
@@ -300,9 +306,9 @@ def test_cli_verify_bnm_lb_results_at_n_3():
     ]
 
 
-def test_run_maps_every_ncmatch_error_to_a_json_error(tmp_path):
-    # x fields that disagree with the angles make sorted name a partner the
-    # engine refuses: an IllegalMatch, which exits 2 with a JSON error
+def test_run_maps_every_ncmatch_error_to_a_json_error(tmp_path, monkeypatch):
+    # x fields on a circle decide nothing: sorted reads the exact x-keys of
+    # the angles, so shuffled x fields still give a perfect matching
     path = tmp_path / "shuffled.json"
     serial.dump_instance(path, generators.random_circle_instance(3, MNM, 0))
     doc = json.loads(path.read_text())
@@ -312,10 +318,28 @@ def test_run_maps_every_ncmatch_error_to_a_json_error(tmp_path):
         p["x"] = x
     path.write_text(json.dumps(doc))
     res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 0 and json.loads(res.stdout)["perfect"]
+
+    # an NcmatchError from simulate that is no precondition exits 2
+    def refuse(alg, instance):
+        raise IllegalMatch("arrival 6 tried to match unavailable point 4")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {
         "error": "IllegalMatch: arrival 6 tried to match unavailable point 4"
     }
+
+
+def test_verify_maps_every_ncmatch_error_to_a_json_error(monkeypatch):
+    def broken():
+        raise TapeExhausted("read past the tape")
+
+    monkeypatch.setitem(campaigns.CHECKS, "bnm-lb", broken)
+    res = CliRunner().invoke(main, ["verify", "bnm-lb"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "TapeExhausted: read past the tape"}
 
 
 class _RecordingPool:

@@ -6,9 +6,10 @@ greedy run on it builds no point at all."""
 import json
 
 import pytest
+from bt_reference import available, brute_simulate
 
 from ncmatch import adversaries, campaigns, engine, generators, geometry, serial
-from ncmatch.engine import make_engine, simulate
+from ncmatch.engine import simulate
 from ncmatch.errors import IllegalMatch, InvalidInstance
 from ncmatch.geometry import BLUE, BNM, CIRCLE, MNM, RED, Instance
 
@@ -132,33 +133,28 @@ def test_a_bt_run_builds_no_points():
     assert "points" not in vars(inst)
 
 
-@pytest.mark.parametrize("mode", ["region", "brute"])
-def test_commit_rejects_an_unavailable_point_on_both_engines(mode):
+@pytest.mark.parametrize("make", [engine._RegionEngine, engine._BruteEngine], ids=["region", "brute"])
+def test_commit_rejects_an_unavailable_point_on_both_engines(make):
     inst = generators.random_circle_instance(3, MNM, 0)
-    eng = make_engine(inst, mode)
+    eng = make(inst)
     eng.on_arrival(1)
     eng.commit(None)
     eng.on_arrival(2)
     assert eng.commit(1) == (0, 0)  # 1 is matched from here on
-    eng.on_arrival(3)
+    assert eng.on_arrival(3) == 0
     for j in (1, 3, 4, 0, -1):
         with pytest.raises(IllegalMatch, match=f"^arrival 3 tried to match unavailable point {j}$"):
             eng.commit(j)
     # a refused commit leaves the arrival pending
-    assert eng.count() == 0 and eng.commit(None) == (None, None)
-    eng.on_arrival(4)
-    assert eng.indices() == [3] and eng.has(3) and not eng.has(1)
+    assert available(eng, 3) == [] and eng.commit(None) == (None, None)
+    assert eng.on_arrival(4) == 1 and available(eng, 4) == [3]
     assert sum(eng.commit(3)) == 0
 
 
-@pytest.mark.parametrize("mode", ["region", "brute"])
-def test_the_view_hands_the_arriving_point_on_both_engines(mode):
+@pytest.mark.parametrize("run", [simulate, brute_simulate], ids=["region", "brute"])
+def test_the_view_hands_the_arriving_point_on_both_engines(run):
+    # sorted reads each arrival's exact x-key, so a tick circle builds no points
     inst = generators.random_circle_instance(4, MNM, 1)
-    eng = make_engine(inst, mode)
+    res = run(engine.sorted_matching(), inst)
     assert "points" not in vars(inst)
-    for i in range(1, inst.size + 1):
-        eng.on_arrival(i)
-        assert eng.point() is inst.points[i - 1]
-        eng.commit(None)
-    by_engine = [simulate(engine.sorted_matching(), inst, m) for m in ("region", "brute")]
-    assert _fields(by_engine[0]) == _fields(by_engine[1])
+    assert _fields(res) == _fields(simulate(engine.sorted_matching(), inst))

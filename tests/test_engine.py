@@ -3,18 +3,23 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from bt_reference import descent_bt
+from bt_reference import available, brute_simulate, descent_bt
+from click.testing import CliRunner
 
-from ncmatch import generators, geometry, offline
+from ncmatch import generators, geometry, offline, serial
+from ncmatch.adversaries import markov_instance
+from ncmatch.cli import main
 from ncmatch.codecs import DyckWord, bits_for_universe, catalan, elias_delta_encode
 from ncmatch.engine import (
+    _BruteEngine,
+    _RegionEngine,
     asap_matching,
     bt_matching,
     greedy,
-    make_engine,
     simulate,
     sorted_matching,
 )
@@ -147,8 +152,8 @@ def test_engines_agree_step_by_step():
         # bt reads region ids, so the brute engine runs the descent player
         alg = bt_matching() if inst.kind == BNM else greedy()
         ref = descent_bt() if inst.kind == BNM else greedy()
-        s1 = simulate(alg, inst, engine="region")
-        s2 = simulate(ref, inst, engine="brute")
+        s1 = simulate(alg, inst)
+        s2 = brute_simulate(ref, inst)
         assert s1.matching == s2.matching
         assert s1.steps == s2.steps
 
@@ -164,17 +169,13 @@ def test_engines_agree_under_random_play():
     ]
     for trial, inst in runs:
         moves = random.Random(trial)
-        e1 = make_engine(inst, "region")
-        e2 = make_engine(inst, "brute")
+        e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
         for i in range(1, 17):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
-            assert c1 == c2
-            idx1, idx2 = sorted(e1.indices()), sorted(e2.indices())
-            assert idx1 == idx2
+            idx1, idx2 = available(e1, i), available(e2, i)
+            assert c1 == c2 == len(idx1) and idx1 == idx2
             assert e1.min_arrival() == e2.min_arrival()
             assert e1.max_arrival() == e2.max_arrival()
-            for probe in range(1, i):
-                assert e1.has(probe) == e2.has(probe)
             if idx1 and moves.random() < 0.6:
                 j = moves.choice(idx1)
                 assert e1.commit(j) == e2.commit(j)
@@ -194,18 +195,13 @@ def test_engines_agree_under_random_play_on_bnm():
     for trial, inst in runs:
         n = inst.n
         moves = random.Random(trial)
-        e1 = make_engine(inst, "region")
-        e2 = make_engine(inst, "brute")
+        e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
         for i in range(1, 2 * n + 1):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
-            assert c1 == c2 == e1.count() == e2.count()
-            idx1, idx2 = e1.indices(), e2.indices()
-            assert sorted(idx1) == sorted(idx2) and len(idx1) == c1
-            e1.indices().clear()  # a caller's copy: the engine keeps its own
+            idx1, idx2 = available(e1, i), available(e2, i)
+            assert c1 == c2 == len(idx1) and idx1 == idx2
             assert e1.min_arrival() == e2.min_arrival()
             assert e1.max_arrival() == e2.max_arrival()
-            for probe in range(1, i):
-                assert e1.has(probe) == e2.has(probe)
             if i > n and idx1 and moves.random() < 0.7:
                 j = moves.choice(idx1)
                 assert e1.commit(j) == e2.commit(j)
@@ -228,13 +224,11 @@ def test_engines_agree_under_random_play_at_up_to_forty_pairs():
         n = inst.n
         ranks = inst.ranks
         moves = random.Random(trial)
-        e1 = make_engine(inst, "region")
-        e2 = make_engine(inst, "brute")
+        e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
         for i in range(1, 2 * n + 1):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
-            assert c1 == c2 == e1.count() == e2.count()
-            idx1, idx2 = e1.indices(), sorted(e2.indices())
-            assert idx1 == idx2
+            idx1, idx2 = available(e1, i), available(e2, i)
+            assert c1 == c2 == len(idx1) and idx1 == idx2
             assert e1.min_arrival() == e2.min_arrival()
             assert e1.max_arrival() == e2.max_arrival()
             for probe in range(0, i + 2):
@@ -251,11 +245,9 @@ def test_engines_agree_under_random_play_at_up_to_forty_pairs():
 
 def test_view_count_agrees_with_indices_on_both_engines():
     inst = generators.random_circle_instance(4, MNM, 8)
-    for mode in ("region", "brute"):
-        eng = make_engine(inst, mode)
+    for eng in (_RegionEngine(inst), _BruteEngine(inst)):
         for i in range(1, 9):
-            eng.on_arrival(i)
-            assert eng.count() == len(eng.indices())
+            assert eng.on_arrival(i) == len(available(eng, i))
             eng.commit(None)
 
 
@@ -268,14 +260,14 @@ def test_brute_engine_integer_path_matches_available_set():
             inst = generators.random_general_instance(5, rng.randrange(10**6))
         else:
             inst = generators.random_convex_polygon_instance(5, MNM, rng.randrange(10**6))
-        eng = make_engine(inst, "brute")
+        eng = _BruteEngine(inst)
         assert eng.ends is (inst.int_xy if inst.geometry == GENERAL else inst.ranks)
         m = Matching()
         for i in range(1, 11):
             cnt = eng.on_arrival(i)
             expected = available_set(inst, m, i)
             assert cnt == len(expected)
-            assert sorted(eng.indices()) == sorted(expected)
+            assert available(eng, i) == sorted(expected)
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
                 eng.commit(j)
@@ -286,16 +278,15 @@ def test_brute_engine_integer_path_matches_available_set():
 
 def _brute_play_against_available_set(inst, rng) -> int:
     """Drive the brute engine with a random legal player (skip, or a random
-    available partner) and check every arrival's count, ``indices`` and
-    ``has`` against ``geometry.available_set``; return the matches made."""
-    eng = make_engine(inst, "brute")
+    available partner) and check every arrival's count and ``has`` against
+    ``geometry.available_set``; return the matches made."""
+    eng = _BruteEngine(inst)
     m = Matching()
     for i in range(1, inst.size + 1):
         cnt = eng.on_arrival(i)
         expected = sorted(available_set(inst, m, i))
-        assert cnt == eng.count() == len(expected)
-        assert eng.indices() == expected
-        assert [j for j in range(1, i) if eng.has(j)] == expected
+        assert cnt == len(expected)
+        assert available(eng, i) == expected
         if expected and rng.random() < 0.6:
             j = rng.choice(expected)
             eng.commit(j)
@@ -330,13 +321,12 @@ def test_brute_engine_tests_a_point_on_an_edge_line_beyond_the_segment():
     xy = [(0, 0), (2, 0), (4, 0), (3, 1), (-1, 0), (1, 5)]
     pts = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(xy)]
     inst = Instance.build(pts, MNM, GENERAL, validate=False)
-    eng = make_engine(inst, "brute")
+    eng = _BruteEngine(inst)
     m = Matching()
     for i, partner in enumerate([None, 1, None, None, 4, 3], start=1):
         cnt = eng.on_arrival(i)
         expected = sorted(available_set(inst, m, i))
-        assert cnt == len(expected) and eng.indices() == expected
-        assert [j for j in range(1, i) if eng.has(j)] == expected
+        assert cnt == len(expected) and available(eng, i) == expected
         if partner is None:
             eng.commit(None)
         else:
@@ -353,7 +343,7 @@ def test_brute_engine_tests_a_point_on_an_edge_line_beyond_the_segment():
 def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
     pts = [plane_point(x, 0, i + 1) for i, x in enumerate((0, 1, 2, 5))]
     inst = Instance.build(pts, MNM, GENERAL, validate=False)
-    eng = make_engine(inst, "brute")
+    eng = _BruteEngine(inst)
     for i in (1, 2):
         eng.on_arrival(i)
         eng.commit(None)
@@ -366,13 +356,13 @@ def test_region_engine_counts_match_available_set():
     rng = random.Random(29)
     for gen in [g for g in CONVEX_GENERATORS for _ in range(25)]:
         inst = gen(6, MNM, rng.randrange(10**6))
-        eng = make_engine(inst, "region")
+        eng = _RegionEngine(inst)
         m = Matching()
         for i in range(1, 13):
             cnt = eng.on_arrival(i)
             expected = available_set(inst, m, i)
             assert cnt == len(expected)
-            assert sorted(eng.indices()) == sorted(expected)
+            assert available(eng, i) == sorted(expected)
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
                 assert eng.has(j)
@@ -493,6 +483,75 @@ def test_sorted_rejects_duplicate_x():
     inst = Instance.build(pts, MNM, GENERAL)
     with pytest.raises(DuplicateX):
         simulate(sorted_matching(), inst)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_rejects_the_exact_x_tie_of_a_markov_instance(tmp_path, seed):
+    # points 1 and 2 sit at turns 1/4 and 3/4, where x = 0 for both; their
+    # float placeholders differ
+    ai = markov_instance(30, seed)
+    assert [p.angle for p in ai.instance.points[:2]] == [Fraction(1, 4), Fraction(3, 4)]
+    with pytest.raises(DuplicateX):
+        simulate(sorted_matching(), ai.instance)
+    path = tmp_path / "markov.json"
+    serial.dump_instance(path, ai)
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert res.exit_code == 3 and "DuplicateX" in res.stderr
+
+
+def test_sorted_rejects_mirror_ticks():
+    # ticks t and 2^20 - t have the same x, though not the same placeholder
+    inst = Instance.from_ticks([102, 7, (1 << 20) - 102, 5000], 20, MNM)
+    with pytest.raises(DuplicateX):
+        simulate(sorted_matching(), inst)
+
+
+def _order(keys):
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def test_x_keys_order_circles_as_the_placeholders_do():
+    compared = 0
+    for seed in range(100):
+        inst = generators.random_circle_instance(300, MNM, seed)
+        keys = inst.x_keys
+        if len(set(keys)) < len(keys):
+            continue  # an exact tie, which sorted rejects
+        compared += 1
+        assert _order(keys) == _order([p.x for p in inst.points])
+        # the angle path of a circle built from points orders them alike
+        assert _order(Instance.build(inst.points, MNM, CIRCLE).x_keys) == _order(keys)
+    assert compared == 81
+
+
+def test_x_keys_order_polygons_and_the_plane_by_exact_x():
+    for seed in range(40):
+        n = 1 + seed % 8
+        for inst in (
+            generators.random_convex_polygon_instance(n, MNM, seed),
+            generators.random_convex_polygon_instance(n, BNM, seed),
+            generators.random_general_instance(n, seed),
+        ):
+            assert _order(inst.x_keys) == _order([p.x for p in inst.points])
+
+
+def test_the_engines_offer_exactly_the_protocol():
+    def public(cls):
+        return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
+
+    assert public(_BruteEngine) == {"on_arrival", "commit", "has", "min_arrival", "max_arrival"}
+    assert public(_RegionEngine) == public(_BruteEngine) | {"region", "kth_clockwise"}
+
+
+def test_kth_clockwise_past_the_available_count_is_an_illegal_match():
+    eng = _RegionEngine(generators.random_circle_instance(2, BNM, 0))
+    for i in (1, 2):
+        eng.on_arrival(i)
+        eng.commit(None)
+    assert eng.on_arrival(3) == 2
+    with pytest.raises(IllegalMatch, match=r"^red 3 wants blue #3 but only 2 available$"):
+        eng.kth_clockwise(3)
+    assert {eng.kth_clockwise(1), eng.kth_clockwise(2)} == {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ the package, a polygon builds its hull once, the brute engine's planar
 left/right split equals the ``half_plane_side`` reference, and the coupling
 campaign gives the same results in one process or two."""
 import pytest
+from bt_reference import brute_simulate
 
 from ncmatch import generators, geometry
 from ncmatch.adversaries import (
@@ -53,9 +54,8 @@ def test_no_point_predicate_runs_in_the_package(monkeypatch):
         assert simulate(alg, inst).violations.perfect
     assert simulate(sorted_matching(), general).violations.perfect
     for inst in every:
-        for engine in ("auto", "brute"):
-            sim = simulate(greedy(), inst, engine=engine)
-            assert sim.violations.valid
+        for run in (simulate, brute_simulate):
+            assert run(greedy(), inst).violations.valid
         # every pair of consecutive arrivals: crossings on either view
         pairs = [(i, i + 1) for i in range(1, inst.size, 2)]
         assert validate_matching(inst, pairs).matched_count == inst.size

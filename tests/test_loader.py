@@ -89,6 +89,40 @@ def test_run_on_a_literal_past_the_digit_limit_exits_2_with_a_short_error(tmp_pa
 
 
 # ---------------------------------------------------------------------------
+# a bad value of any length is echoed in a short message
+
+_LONG_BAD = {
+    "literal": (("points", 0, "x"), "x" * 5000),
+    "zero-denominator": (("points", 1, "y"), "1/" + "0" * 4000),
+    "list-rational": (("points", 2, "y"), [0] * 10000),
+    "kind": (("kind",), [0] * 5000),
+    "geometry": (("geometry",), "g" * 5000),
+    "n": (("n",), [0] * 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_BAD))
+def test_a_long_bad_value_is_echoed_in_a_short_error(tmp_path, name):
+    path, value = _LONG_BAD[name]
+    if path[0] == "points":
+        with pytest.raises(errors.InvalidInstance) as info:
+            serial.parse_rational(value)
+        assert len(str(info.value)) < 100
+    doc = serial.instance_to_json(generators.random_general_instance(2, 0))
+    _parent(doc, path)[path[-1]] = value
+    with pytest.raises(errors.InvalidInstance) as info:
+        serial.instance_from_json(copy.deepcopy(doc))
+    assert len(str(info.value)) < 150
+    file = tmp_path / "long.json"
+    file.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "greedy", str(file)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert len(res.stderr) < 200 and res.stderr.count("\n") == 1
+    (error,) = json.loads(res.stderr).values()
+    assert error.startswith("InvalidInstance: ") and "characters)" in error
+
+
+# ---------------------------------------------------------------------------
 # loading a dyadic file builds no Fraction through its constructor
 
 
@@ -214,6 +248,7 @@ def test_run_on_mutated_family_files_exits_with_json_errors_only(tmp_path):
         assert res.exception is None or isinstance(res.exception, SystemExit), (trial, res.exception)
         assert res.exit_code in (0, 1, 2, 3) and "Traceback" not in res.output
         if res.exit_code:
+            assert len(res.stderr) < 200 and res.stderr.count("\n") == 1, (trial, res.stderr)
             (error,) = json.loads(res.stderr).values()
             assert issubclass(getattr(errors, error.split(":")[0]), errors.NcmatchError)
         codes.add(res.exit_code)

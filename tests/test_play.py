@@ -3,6 +3,7 @@ and the asap oracle replays its word through the player's loop.  The
 oracle's former loop over the availability engine is kept here as the
 reference for the word."""
 import pytest
+from bt_reference import available
 
 from ncmatch import engine, generators, geometry
 from ncmatch.adversaries import markov_instance
@@ -22,7 +23,7 @@ def reference_asap_word(instance, tie_break):
         cnt = eng.on_arrival(i)
         matched = False
         if cnt:
-            idxs = eng.indices()
+            idxs = available(eng, i)
             if any(chi[j - 1] != chi[i - 1] for j in idxs):
                 bits.append(1)
                 j = min(idxs) if tie_break == "min" else max(idxs)

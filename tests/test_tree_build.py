@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from bt_reference import available
 
 from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
@@ -329,12 +330,12 @@ def test_clockwise_from_matches_modular_sort():
     for trial in range(200):
         inst = generators.random_circle_instance(rng.randint(1, 30), BNM, trial)
         moves = random.Random(trial)
-        eng = make_engine(inst, "region")
+        eng = make_engine(inst)
         for i in range(1, 2 * inst.n + 1):
             cnt = eng.on_arrival(i)
             got = [eng.kth_clockwise(k) for k in range(1, cnt + 1)] if i > inst.n else []
             anchor = inst.point(i)
-            pts = [inst.point(j) for j in eng.indices()]
+            pts = [inst.point(j) for j in available(eng, i)]
             expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
             assert got == [p.arrival_index for p in expected]
             if got and moves.random() < 0.5:
