@@ -16,8 +16,11 @@ where tests use it as the region engine's reference).  The brute engine
 keeps, per point, bit masks of the committed edges whose line has the
 point strictly on its left or passes through it, and tests a candidate
 segment only against the edges whose line separates its ends or passes
-through one; its answers equal geometry.scan_available's, which stays the
-reference.
+through one.  When the line strictly separates the ends, the segments meet
+iff the edge's ends do not lie strictly on one side of the candidate's
+line: two turns; only an edge whose line passes through an end takes the
+full crossing test.  Its answers equal geometry.scan_available's, which
+stays the reference.
 
 Two points in convex position can be joined without a crossing iff no
 committed chord separates them, so region identity is availability.  Each
@@ -69,9 +72,15 @@ class _BruteEngine:
     strictly left of edge k by the view's turn, bit k of ``on[t]`` when t
     lies on its line; a match fills in its bit for every unmatched point.
     A segment whose ends lie strictly on one side of an edge's line cannot
-    touch that edge, so an arrival tests a candidate only against the edges
-    in ``(side[i] ^ side[j]) | on[i] | on[j]``, each with the view's one
-    crossing test.  The answers equal ``geometry.scan_available``'s.
+    touch that edge, so an arrival tests a candidate pq only against the
+    edges in ``(side[i] ^ side[j]) | on[i] | on[j]``.  For an edge ab in
+    ``side[i] ^ side[j]`` alone, p and q lie strictly on opposite sides of
+    line ab, which meets pq in one point strictly between them; the closed
+    segments meet iff that point lies on ab, that is iff
+    ``turn(p, q, a) * turn(p, q, b) <= 0`` (a on line pq is that point).
+    Edges in ``on[i] | on[j]``, which only degenerate unvalidated input
+    has, take the view's full crossing test.  The answers equal
+    ``geometry.scan_available``'s.
     """
 
     def __init__(self, instance: Instance):
@@ -85,7 +94,8 @@ class _BruteEngine:
         self.cur: tuple[int, list[int]] | None = None
 
     def on_arrival(self, i: int) -> int:
-        ends, crosses, edges, side, on = self.ends, self.crosses, self.edges, self.side, self.on
+        ends, crosses, turn = self.ends, self.crosses, self.turn
+        edges, side, on = self.edges, self.side, self.on
         colors = self.instance.colors
         color = colors[i - 1] if self.instance.kind == BNM else None
         p, si, oi = ends[i - 1], side[i], on[i]
@@ -93,11 +103,15 @@ class _BruteEngine:
         for j in self.free:
             if color is not None and colors[j - 1] == color:
                 continue
-            mask = (si ^ side[j]) | oi | on[j]
-            seg = (p, ends[j - 1])
+            q, touch = ends[j - 1], oi | on[j]
+            mask = (si ^ side[j]) | touch
             while mask:
                 low = mask & -mask
-                if crosses(seg, edges[low.bit_length() - 1]):
+                a, b = edge = edges[low.bit_length() - 1]
+                if low & touch:
+                    if crosses((p, q), edge):
+                        break
+                elif turn(p, q, a) * turn(p, q, b) <= 0:
                     break
                 mask ^= low
             else:
@@ -128,21 +142,22 @@ class _BruteEngine:
         p, q = ends[i - 1], ends[j - 1]
         rest = [t for t in self.free if t != j]
         rest += range(i + 1, len(ends) + 1)
-        sign = {t: turn(p, q, ends[t - 1]) for t in rest}
-        sides = [sign[t] for t in av if t != j]
-        if 0 in sides:
-            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
-        left = sum(side > 0 for side in sides)
         bit = 1 << len(self.edges)
-        for t, s in sign.items():
+        side, on = self.side[:], self.on[:]  # copies: Degenerate leaves the masks as they were
+        for t in rest:
+            s = turn(p, q, ends[t - 1])
             if s > 0:
-                self.side[t] |= bit
-            elif s == 0:
-                self.on[t] |= bit
+                side[t] |= bit
+            elif not s:
+                on[t] |= bit
+        if any(on[t] & bit for t in av):
+            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
+        left = sum(1 for t in av if side[t] & bit)
+        self.side, self.on = side, on
         self.free.remove(j)
         self.edges.append((p, q))
         self.cur = None
-        return left, len(sides) - left
+        return left, len(av) - 1 - left
 
 
 class _RegionEngine:

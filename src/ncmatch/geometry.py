@@ -239,23 +239,33 @@ def collinear_triple(xy: Sequence[tuple[int, int]]) -> tuple[int, int, int] | No
     """Positions of three collinear integer points, or None if there are none.
 
     Two coincident points count as collinear with any third.  For each
-    point, the directions to all later points are reduced by their gcd,
-    turned into one half-plane and hashed; a repeat is a collinear triple.
+    point, the direction to every later point is keyed by its slope
+    dy / dx scaled by s = D^2 + 1 and floored, (dy * s) // dx, where D is
+    the span of the x coordinates; vertical directions share the key None.
+    The key does not change when the direction is reversed, equal slopes
+    give equal keys, and two distinct slopes, whose denominators are at
+    most D, differ by at least 1 / D^2, so s times them differ by more
+    than 1 and their floors differ: a repeated key is a collinear triple.
     O(m^2) dictionary operations (the problem is 3SUM-hard).
     """
     m = len(xy)
+    if m < 3:
+        return None
+    xs = [x for x, _y in xy]
+    scale = (max(xs) - min(xs)) ** 2 + 1
     for i in range(m - 2):
         ax, ay = xy[i]
-        first: dict[tuple[int, int], int] = {}
+        first: dict[int | None, int] = {}
         for j in range(i + 1, m):
             x, y = xy[j]
-            dx, dy = x - ax, y - ay
-            g = math.gcd(dx, dy)
-            if not g:
+            dx = x - ax
+            if dx:
+                key = (y - ay) * scale // dx
+            elif y == ay:
                 return i, j, (j + 1 if j + 1 < m else i + 1)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            k = first.setdefault((dx // g, dy // g), j)
+            else:
+                key = None
+            k = first.setdefault(key, j)
             if k != j:
                 return i, k, j
     return None

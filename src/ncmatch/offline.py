@@ -332,11 +332,14 @@ def validate_matching(
     starts = [lo for lo, _hi, _x in spans]
     shared, crossed = [], []
     for s, (_lo, hi, u) in enumerate(spans):
+        (a, b), (p, q) = usable[u], segs[u]
         for *_, v in spans[s + 1 : bisect_right(starts, hi)]:
-            x, y = min(u, v), max(u, v)
-            if len({*usable[x], *usable[y]}) < 4:
+            c, d = usable[v]
+            if a == c or a == d or b == c or b == d:
                 continue  # endpoint reuse already reported
-            if {*segs[x]} & {*segs[y]}:
+            x, y = (u, v) if u < v else (v, u)
+            r, t = segs[v]
+            if p == r or p == t or q == r or q == t:
                 shared.append((x, y))
             elif crosses(segs[x], segs[y]):
                 crossed.append((x, y))

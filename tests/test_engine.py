@@ -32,16 +32,20 @@ from ncmatch.errors import (
     TapeExhausted,
 )
 from ncmatch.geometry import (
+    BLUE,
     BNM,
     CIRCLE,
     CONVEX,
     GENERAL,
     MNM,
+    RED,
     Instance,
     Matching,
     available_set,
     circle_point,
+    cross_int,
     plane_point,
+    scan_available,
 )
 
 
@@ -350,6 +354,51 @@ def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
     assert eng.on_arrival(3) == 2
     with pytest.raises(Degenerate):
         eng.commit(1)
+
+
+@pytest.mark.parametrize("kind", [MNM, BNM])
+def test_brute_engine_on_degenerate_grid_points_agrees_with_the_scan(kind):
+    # distinct points of a 4 x 4 grid, unvalidated: points sit on edge lines
+    # and collinear triples occur, so edges in the on masks go through the
+    # full crossing test and matches with an available point on their line
+    # raise Degenerate, after which the arrival is skipped instead
+    rng = random.Random(53)
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    on_line = degenerate = matches = 0
+    for trial in range(150):
+        m = 2 * rng.randrange(1, 9)
+        colors = [BLUE] * (m // 2) + [RED] * (m // 2) if kind == BNM else [None] * m
+        pts = [
+            plane_point(x, y, t + 1, c)
+            for t, ((x, y), c) in enumerate(zip(rng.sample(cells, m), colors))
+        ]
+        inst = Instance.build(pts, kind, GENERAL, validate=False)
+        ends = inst.int_xy
+        eng = _BruteEngine(inst)
+        matched, edges = set(), []
+        for i in range(1, m + 1):
+            expected = scan_available(inst, i, matched, edges)
+            assert eng.on_arrival(i) == len(expected)
+            assert available(eng, i) == expected
+            on_line += sum(eng.on[t] != 0 for t in range(i, m + 1))
+            if not expected or rng.random() < 0.3:
+                eng.commit(None)
+                continue
+            j = rng.choice(expected)
+            p, q = ends[i - 1], ends[j - 1]
+            signs = [cross_int(p, q, ends[t - 1]) for t in expected if t != j]
+            if 0 in signs:
+                degenerate += 1
+                with pytest.raises(Degenerate):
+                    eng.commit(j)
+                eng.commit(None)
+                continue
+            left = sum(s > 0 for s in signs)
+            assert eng.commit(j) == (left, len(signs) - left)
+            matched |= {i, j}
+            edges.append((p, q))
+            matches += 1
+    assert on_line > 100 and degenerate > 20 and matches > 200
 
 
 def test_region_engine_counts_match_available_set():

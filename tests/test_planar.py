@@ -22,6 +22,7 @@ from ncmatch.geometry import (
     MNM,
     Instance,
     collinear_triple,
+    cross_int,
     integer_coords,
     plane_point,
     seg_cross_int,
@@ -149,17 +150,58 @@ def test_collinear_triple_agrees_with_the_cubic_loop():
 
 
 def test_collinear_triple_on_integer_sets_and_edge_cases():
+    # the positions are pinned: the first repeat from the earliest point wins
     assert collinear_triple([]) is None
     assert collinear_triple([(0, 0), (0, 0)]) is None  # fewer than three points
-    assert collinear_triple([(0, 0), (1, 5), (0, 0)]) is not None
-    assert collinear_triple([(3, 3), (1, 1), (2, 2), (0, 0)]) is not None
-    assert collinear_triple([(0, -4), (0, 7), (0, 1)]) is not None  # vertical
-    assert collinear_triple([(-4, 2), (9, 2), (5, 1), (3, 2)]) is not None  # horizontal
+    assert collinear_triple([(0, 0), (1, 5), (0, 0)]) == (0, 2, 1)
+    assert collinear_triple([(3, 3), (1, 1), (2, 2), (0, 0)]) == (0, 1, 2)
+    assert collinear_triple([(0, -4), (0, 7), (0, 1)]) == (0, 1, 2)  # vertical
+    assert collinear_triple([(-4, 2), (9, 2), (5, 1), (3, 2)]) == (0, 1, 3)  # horizontal
     assert collinear_triple([(0, 0), (1, 0), (0, 1), (1, 1)]) is None
+    assert collinear_triple([(0, 0), (5, 5), (5, 5), (1, 2)]) == (0, 1, 2)
+    assert collinear_triple([(0, 0), (1, 2), (5, 5), (5, 5)]) == (0, 2, 3)
     rng = random.Random(7)
     for _ in range(300):
         pts = [(rng.randrange(-10**9, 10**9), rng.randrange(-10**9, 10**9)) for _ in range(12)]
         assert (collinear_triple(pts) is not None) == reference_has_collinear_triple(pts)
+
+
+@pytest.mark.parametrize("span", [10**6, 10**12])
+def test_collinear_triple_tells_the_tightest_slopes_apart(span):
+    # slopes 1/(D - 1) and 1/D from the origin differ by 1/(D(D - 1)), the
+    # least gap two distinct slopes can have at x-span D
+    assert collinear_triple([(0, 0), (span - 1, 1), (span, 1)]) is None
+    assert collinear_triple([(0, 0), (-span + 1, -1), (span, 1)]) is None
+    assert collinear_triple([(0, 0), (span - 1, 1), (2 * span - 2, 2)]) == (0, 1, 2)
+
+
+def test_collinear_triple_with_negative_coordinates_and_vertical_pairs():
+    big = 10**12
+    a, b, c = (-big, -big + 1), (big, big - 1), (0, 0)  # c is the midpoint
+    near = (1, 1)  # slope big / (big + 1) from a, next to a-b's
+    assert collinear_triple([a, near, b, c]) == (0, 2, 3)
+    assert collinear_triple([a, near, b, (3, 2)]) is None
+    assert collinear_triple([(big, -big), (7, 3), (-big, big - 1), (-5, -5)]) is None
+    assert collinear_triple([(-3, 7), (-3, -2), (4, 1), (-3, 0)]) == (0, 1, 3)
+    assert collinear_triple([(2, -1), (2, 5), (-6, -4), (10, 2)]) == (0, 2, 3)
+    assert collinear_triple([(5, -big), (5, big), (4, 0), (6, 1)]) is None
+    assert collinear_triple([(4, 0), (5, -big), (5, big), (5, 1)]) == (1, 2, 3)
+    rng = random.Random(19)
+    hits = 0
+    for _ in range(400):
+        pts = [(rng.randrange(-big, big), rng.randrange(-big, big)) for _ in range(8)]
+        if rng.random() < 0.5:  # three points on one line through a lattice step
+            (x, y), dx, dy = pts[0], rng.randrange(-9, 10), rng.randrange(1, 10)
+            for t in rng.sample(range(1, 8), 2):
+                k = rng.choice((-1, 1)) * rng.randrange(1, 10**9)
+                pts[t] = (x + k * dx, y + k * dy)
+        expected = reference_has_collinear_triple(pts)
+        triple = collinear_triple(pts)
+        assert (triple is not None) == expected, pts
+        if triple is not None:
+            hits += 1
+            assert reference_has_collinear_triple([pts[t] for t in triple])
+    assert hits > 150
 
 
 def test_validate_instance_rejects_exactly_the_collinear_sets():
@@ -413,20 +455,30 @@ def test_sorted_run_at_n_200_makes_few_crossing_tests(seed, monkeypatch):
     # the brute engine tests a candidate only against the edges whose line
     # separates it from the arrival (or passes through either), and the audit
     # only pairs whose spans overlap: 55-75 k tests here against 373-466 k when
-    # every arrival tested every candidate against every edge
-    calls = 0
+    # every arrival tested every candidate against every edge.  An edge whose
+    # line strictly separates the pair costs two turns instead of a crossing
+    # test, so the turns are bounded too: 39.8 k to fill in the masks on
+    # commit, plus two per such edge, 150-191 k in all on these seeds
+    calls = turns = 0
 
     def counting(e1, e2):
         nonlocal calls
         calls += 1
         return seg_cross_int(e1, e2)
 
+    def turning(a, b, c):
+        nonlocal turns
+        turns += 1
+        return cross_int(a, b, c)
+
     monkeypatch.setattr(geometry, "seg_cross_int", counting)
+    monkeypatch.setattr(geometry, "cross_int", turning)
     inst = generators.random_general_instance(200, seed)
-    assert inst.crossing_view[1] is counting
+    assert inst.crossing_view[1:] == (counting, turning)
     sim = simulate(sorted_matching(), inst)
     assert sim.violations.perfect
     assert calls <= 100_000, f"{calls} crossing tests"
+    assert turns <= 250_000, f"{turns} turns"
 
 
 def test_sorted_and_greedy_at_n_1000_in_process():
