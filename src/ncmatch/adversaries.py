@@ -186,7 +186,7 @@ def parity_fingerprint(ai: AnnotatedInstance) -> tuple[int, ...]:
     if ai.hidden_choice is None:
         raise ValueError("parity fingerprints are defined for the interval family")
     chi = geometry.parity(ai.instance)
-    prefix = 2 * len(ai.instance.points) // 3  # 4k of 6k points
+    prefix = 2 * ai.instance.size // 3  # 4k of 6k points
     return tuple(chi[:prefix])
 
 
@@ -213,7 +213,7 @@ def consistent(prior: Matching, ai: AnnotatedInstance, cap: int = 18) -> Consist
     necessary for consistency, and the search verifies them independently.
     """
     inst = ai.instance
-    m = len(inst.points)
+    m = inst.size
     if m > cap:
         raise CapExceeded(f"consistency search capped at {cap} points")
     k = m // 6
@@ -236,7 +236,7 @@ def consistent(prior: Matching, ai: AnnotatedInstance, cap: int = 18) -> Consist
 def noncrossing_priors(ai: AnnotatedInstance) -> Iterator[Matching]:
     """All non-crossing partial matchings on the 4k fixed prefix points."""
     inst = ai.instance
-    prefix = 2 * len(inst.points) // 3
+    prefix = 2 * inst.size // 3
     for edges in offline.noncrossing_pairings(inst, range(1, prefix + 1), perfect=False):
         yield Matching.from_pairs(edges)
 
@@ -261,8 +261,7 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
     coins_f = [0] + [rng.getrandbits(1) for _ in range(m)]
     coins_r = [0] + [rng.getrandbits(1) for _ in range(m)]
 
-    scale = m + 2  # enough halvings: angles are multiples of 2^-scale
-    one = 1 << scale
+    one = 1 << m + 2  # enough halvings: angles are multiples of 1 / one
     ticks = [one >> 2, 3 * (one >> 2)]  # by arrival: north, south
     placed = ticks[:]  # in angle order
     fake = [0, 0, 0]  # 1-based; p_1 is neither parent nor fake
@@ -285,7 +284,8 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
         if not new_fake:
             cur_parent = i
 
-    instance = Instance.from_ticks(ticks, scale, MNM, validate=False)
+    del placed  # its ints would outlive the shift pass of from_ticks
+    instance = Instance.from_ticks(ticks, one, MNM, validate=False)
     return AnnotatedInstance(
         instance=instance,
         parent=(0,) + tuple(1 - f for f in fake[2:]),

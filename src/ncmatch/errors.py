@@ -29,7 +29,8 @@ class Degenerate(NcmatchError):
 
 
 class RationalTooLarge(NcmatchError):
-    """A rational has more digits than the interpreter converts to a string."""
+    """A rational has more digits than the interpreter converts to a string,
+    or a circle's angles have too large a common denominator."""
 
 
 class RankOutOfRange(NcmatchError):

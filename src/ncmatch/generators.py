@@ -1,9 +1,8 @@
 """Seeded random instance builders used by tests, campaigns and the CLI.
 
 Everything is deterministic given (params, seed).  Circle instances draw
-integer ticks on a power-of-two grid and keep them as columns
-(``Instance.from_ticks``); their points, built through
-``geometry.grid_points`` when first read, need no gcd.
+integer ticks on a power-of-two grid (``Instance.from_ticks``), which is
+what every circle instance keeps.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
     if n < 1:
         raise ValueError("need n >= 1")
     ticks = random.Random(seed).sample(range(1 << _ANGLE_BITS), 2 * n)
-    return Instance.from_ticks(ticks, _ANGLE_BITS, kind, _arrival_colors(n, kind))
+    return Instance.from_ticks(ticks, 1 << _ANGLE_BITS, kind, _arrival_colors(n, kind))
 
 
 def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:

@@ -1,23 +1,21 @@
 """Exact planar geometry: points, instances, matchings, and the predicates
 everything else is built on.
 
-Coordinates are exact rationals.  A point on the unit circle additionally
-carries an exact turn-fraction angle in [0, 1), measured counterclockwise
-from the positive x axis.  The x/y of circle points are display
-placeholders (nearest representable position) that ``Point`` derives from
-the angle when they are first read; they never reach a predicate.
-Clockwise means decreasing angle.
-
-Circle instances built from integer ticks (``Instance.from_ticks``) keep
-them instead of points: size, colours and ranks come from columns, and
-``Instance.points`` is a view built on first read.
+Coordinates are exact rationals.  A point on the unit circle carries
+instead an exact turn-fraction angle in [0, 1), measured counterclockwise
+from the positive x axis; clockwise means decreasing angle.  A circle
+instance is one representation: integer ticks over a unit, the least
+common denominator of its angles, plus a colour column.  Size, colours,
+ranks and x-order come from those columns, and ``Instance.points`` is a
+view built from them, whose x/y are display placeholders (the exact value
+of the float cosine and sine) that never reach a predicate.
 
 Each instance has one exact view, picked by ``Instance.crossing_view``:
 ``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
 runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
 interleave (``chords_cross``), and three points turn left iff their ranks
-run counterclockwise (``cyclic_turn``).  Circles sort their ticks or angles
-into ranks; polygons rank by one convex hull on integer coordinates.  General
+run counterclockwise (``cyclic_turn``).  Circles sort their ticks into
+ranks; polygons rank by one convex hull on integer coordinates.  General
 position runs on integers: scaling all coordinates by their common
 denominator preserves orientations and intersections, so instances build
 that view once (``Instance.int_xy``) for the segment test
@@ -29,9 +27,10 @@ general-position check ``collinear_triple``.  ``orientation``,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,6 +38,7 @@ from .errors import (
     Degenerate,
     InvalidInstance,
     NotConvex,
+    RationalTooLarge,
     SharedEndpoint,
     quoted,
 )
@@ -60,16 +60,16 @@ GENERAL = "general"
 KINDS = (MNM, BNM)
 GEOMETRIES = (CIRCLE, CONVEX, GENERAL)
 
+_MAX_UNIT_BITS = 1 << 15  # the unit of angles whose denominators are not powers of two
 
-@dataclass(frozen=True, slots=True, init=False)
+
+@dataclass(frozen=True, slots=True)
 class Point:
     """A planar point with its arrival position in the online sequence.
 
-    ``angle`` is present exactly when the point is declared to lie on the
-    unit circle; in that case x/y are placeholders for rendering only.  A
-    point built with an angle and x = y = None (as ``circle_point`` does)
-    derives each of them when it is first read, as the exact rational value
-    of the float cosine/sine at that angle, and keeps it.
+    ``angle`` is present exactly when the point lies on the unit circle; in
+    that case x/y are placeholders for rendering only, and a circle
+    instance keeps neither: it keeps the angle's tick.
     """
 
     x: Fraction
@@ -78,40 +78,11 @@ class Point:
     color: str | None = None
     angle: Fraction | None = None
 
-    def __init__(
-        self,
-        x: Fraction | None,
-        y: Fraction | None,
-        arrival_index: int,
-        color: str | None = None,
-        angle: Fraction | None = None,
-    ):
-        set_ = object.__setattr__
-        if x is not None or y is not None or angle is None:
-            set_(self, "x", x)
-            set_(self, "y", y)
-        set_(self, "arrival_index", arrival_index)
-        set_(self, "color", color)
-        set_(self, "angle", angle)
-
-    def __getattr__(self, name):
-        # reached only for unset slots: the x/y that __init__ left to derive
-        trig = _PLACEHOLDER_TRIG.get(name)
-        if trig is None:
-            raise AttributeError(name)
-        turn = self.angle.numerator / self.angle.denominator
-        value = _raw_fraction(*trig(2.0 * math.pi * turn).as_integer_ratio())
-        object.__setattr__(self, name, value)
-        return value
-
     def position(self) -> tuple:
         """Hashable exact position: the angle on circles, else coordinates."""
         if self.angle is not None:
             return ("angle", self.angle)
         return ("xy", self.x, self.y)
-
-
-_PLACEHOLDER_TRIG = {"x": math.cos, "y": math.sin}
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -129,44 +100,64 @@ def _raw_fraction(num: int, den: int) -> Fraction:
 def circle_point(angle: Fraction | int, arrival_index: int, color: str | None = None) -> Point:
     """Point on the unit circle at an exact turn fraction, reduced mod 1.
 
-    Its rational x/y are derived from the float cosine/sine when first
-    read (see ``Point``); only renderers, the JSON writer and length
+    Its x/y placeholders are the exact rationals of the float cosine and
+    sine at that angle; only renderers, the JSON writer and length
     surrogates read them.
     """
-    if not isinstance(angle, Fraction):
+    if not isinstance(angle, Fraction) or not 0 <= angle.numerator < angle.denominator:
         angle = Fraction(angle) % 1
-    elif not 0 <= angle.numerator < angle.denominator:
-        angle = angle % 1
-    return Point(None, None, arrival_index, color, angle)
+    rad = 2.0 * math.pi * (angle.numerator / angle.denominator)
+    return Point(
+        _raw_fraction(*math.cos(rad).as_integer_ratio()),
+        _raw_fraction(*math.sin(rad).as_integer_ratio()),
+        arrival_index,
+        color,
+        angle,
+    )
 
 
 def grid_points(
-    ticks: Iterable[int], bits: int, colors: Iterable[str | None] | None = None
-) -> list[Point]:
-    """Circle points at turn fractions t / 2^bits for ticks t in [0, 2^bits),
-    arriving as 1, 2, ... and coloured by ``colors`` (none when omitted):
-    ``circle_point(Fraction(t, 2**bits), ...)``, but each angle is reduced
-    by shifting out the tick's trailing zero bits, so no gcd runs."""
-    points = []
+    ticks: Iterable[int], unit: int, colors: Iterable[str | None] | None = None
+) -> Iterator[Point]:
+    """Circle points at turn fractions t / unit for ticks t in [0, unit),
+    arriving as 1, 2, ... and coloured by ``colors`` (none when omitted),
+    built one at a time through ``circle_point``.  On a power-of-two unit
+    each angle is reduced by shifting out the tick's trailing zero bits, so
+    no gcd runs, and an odd tick and the unit are the angle's own terms."""
+    twos = unit.bit_length() - 1 if unit.bit_count() == 1 else 0
     for idx, (t, color) in enumerate(zip(ticks, colors or repeat(None)), start=1):
-        shift = (t & -t).bit_length() - 1 if t else bits  # tick 0 is 0/1
-        points.append(Point(None, None, idx, color, _raw_fraction(t >> shift, 1 << bits - shift)))
-    return points
+        if twos:
+            shift = (t & -t).bit_length() - 1 if t else twos  # tick 0 is 0/1
+            num, den = (t >> shift, unit >> shift) if shift else (t, unit)
+        else:
+            g = math.gcd(t, unit)
+            num, den = t // g, unit // g
+        yield circle_point(_raw_fraction(num, den), idx, color)
 
 
 def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
     return Point(Fraction(x), Fraction(y), arrival_index, color, None)
 
 
-def angle_sort_keys(pts: Sequence[Point]) -> tuple[list, int]:
-    """Exact sort keys for circle points and the key of a full turn: plain
-    ints when every angle denominator is a power of two (true of every file
-    the at-scale generators write), else the Fractions themselves and 1."""
+def _angle_ticks(pts: Sequence[Point]) -> tuple[list[int], int]:
+    """The points' angles as ticks over their least common denominator, and
+    that unit: power-of-two denominators (every file the at-scale
+    generators write) scale by shifts, any others by the lcm."""
+    if any(p.angle is None for p in pts):
+        raise InvalidInstance("circle instances need an angle on every point")
     ratios = [p.angle.as_integer_ratio() for p in pts]
-    if all(d & (d - 1) == 0 for _, d in ratios):
-        width = max(d for _, d in ratios).bit_length()
-        return [num << (width - d.bit_length()) for num, d in ratios], 1 << width - 1
-    return [p.angle for p in pts], 1
+    if all(d.bit_count() == 1 for _, d in ratios):
+        unit = max((d for _, d in ratios), default=1)
+        width = unit.bit_length()
+        # a shift by 0 would copy the numerator
+        ticks = [num << k if (k := width - d.bit_length()) else num for num, d in ratios]
+        return ticks, unit
+    unit = 1
+    for d in {d for _, d in ratios}:
+        unit = math.lcm(unit, d)
+        if unit.bit_length() > _MAX_UNIT_BITS:  # unrelated denominators of a crafted file
+            raise RationalTooLarge(f"the angles' common denominator exceeds {_MAX_UNIT_BITS} bits")
+    return [num * (unit // d) for num, d in ratios], unit
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +323,11 @@ class Instance:
     """An ordered point sequence for one online matching problem.
 
     For BNM the first n points are blue (offline batch) and the last n red.
-    Construct through :meth:`build`, or :meth:`from_ticks` for circle points
-    on an integer grid, so invariants are checked; internal generators that
-    guarantee them may pass ``validate=False``.  An instance from ticks
-    keeps them and its colours as columns, and builds ``points`` when it is
-    first read, through ``grid_points``, dropping the ticks then.
+    Construct through :meth:`build`, or :meth:`from_ticks` for circle
+    ticks, so invariants are checked; internal generators that guarantee
+    them may pass ``validate=False``.  A circle instance keeps only its
+    ticks, unit and colours, whichever way it was built, and builds
+    ``points`` from them through ``grid_points`` when first read.
     """
 
     points: tuple[Point, ...]
@@ -346,20 +337,27 @@ class Instance:
     def __init__(self, points, kind: str, geometry: str, grid=None, colors=None):
         set_ = object.__setattr__
         if points is not None:
-            set_(self, "points", tuple(points))
-            colors = [p.color for p in self.points]
+            points = tuple(points)
+            for i, p in enumerate(points):
+                if p.arrival_index != i + 1:
+                    raise InvalidInstance(
+                        f"point at position {i} has arrival_index {p.arrival_index}"
+                    )
+            colors = [p.color for p in points]
+            if geometry == CIRCLE:
+                grid = _angle_ticks(points)
+            else:
+                set_(self, "points", points)
         set_(self, "kind", kind)
         set_(self, "geometry", geometry)
         set_(self, "colors", tuple(colors))  # each point's colour, by arrival
-        set_(self, "_grid", grid)  # (ticks, bits) until the points are built
+        set_(self, "_grid", grid)  # (ticks, unit) on circles
 
     def __getattr__(self, name):
-        # reached only for unset attributes: the points of an instance from ticks
-        if name != "points" or not self._grid:
+        # reached only for unset attributes: the points view of a circle
+        if name != "points" or self._grid is None:
             raise AttributeError(name)
-        ticks, bits = self._grid
-        object.__setattr__(self, "_grid", None)
-        object.__setattr__(self, "points", tuple(grid_points(ticks, bits, self.colors)))
+        object.__setattr__(self, "points", tuple(self.iter_points()))
         return self.points
 
     @classmethod
@@ -370,14 +368,23 @@ class Instance:
         geometry: str,
         validate: bool = True,
     ) -> "Instance":
+        """The instance of ``points``; on circles, of their angles alone."""
         inst = cls(points, kind, geometry)
         return validate_instance(inst) if validate else inst
 
     @classmethod
-    def from_ticks(cls, ticks: Sequence[int], bits: int, kind: str, colors=None, validate=True):
-        """Circle points at turn fractions t / 2^bits for the ticks t, in
-        arrival order, coloured by ``colors`` (none when omitted)."""
-        inst = cls(None, kind, CIRCLE, (ticks, bits), colors or [None] * len(ticks))
+    def from_ticks(cls, ticks: list[int], unit: int, kind: str, colors=None, validate=True):
+        """Circle points at turn fractions t / unit for the ticks t, in
+        arrival order, coloured by ``colors`` (none when omitted).  The
+        instance takes the list over: a power of two that divides the unit
+        and every tick is shifted out of them in place."""
+        low = reduce(operator.or_, ticks, unit)
+        shift = (low & -low).bit_length() - 1
+        if shift > 0:
+            unit >>= shift
+            for i, t in enumerate(ticks):
+                ticks[i] = t >> shift
+        inst = cls(None, kind, CIRCLE, (ticks, unit), colors or [None] * len(ticks))
         return validate_instance(inst) if validate else inst
 
     @property
@@ -391,6 +398,13 @@ class Instance:
     def point(self, arrival_index: int) -> Point:
         return self.points[arrival_index - 1]
 
+    def iter_points(self) -> Iterator[Point]:
+        """The points in arrival order; on circles each is built from its
+        tick when reached and kept by no one, unlike ``points``."""
+        if self._grid is None:
+            return iter(self.points)
+        return grid_points(*self._grid, self.colors)
+
     @cached_property
     def int_xy(self) -> list[tuple[int, int]]:
         """The points' integer coordinates (``integer_coords``), in arrival
@@ -400,16 +414,13 @@ class Instance:
     @cached_property
     def x_keys(self) -> list:
         """An exact key per point, in arrival order, ordered as the points'
-        x: the x of ``int_xy``, or on circles -min(k, u - k) for each tick
-        or angle sort key k and full turn u, since x = cos 2 pi theta falls
-        as the folded turn min(theta, 1 - theta) rises."""
+        x: the x of ``int_xy``, or on circles -min(t, u - t) for each tick
+        t and unit u, since x = cos 2 pi theta falls as the folded turn
+        min(theta, 1 - theta) rises."""
         if self.geometry != CIRCLE:
             return [x for x, _y in self.int_xy]
-        if self._grid is not None:
-            keys, unit = self._grid[0], 1 << self._grid[1]
-        else:
-            keys, unit = angle_sort_keys(self.points)
-        return [-min(k, unit - k) for k in keys]
+        ticks, unit = self._grid
+        return [-min(t, unit - t) for t in ticks]
 
     @cached_property
     def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool], Callable]:
@@ -426,11 +437,11 @@ class Instance:
 
     @cached_property
     def ranks(self) -> list[int]:
-        """Counterclockwise hull position of each point (``cyclic_ranks``,
-        or the sorted ticks while the instance has them), in arrival order;
-        shared by validation, the crossing view, the region engine, the hull
-        audit and ``hull_order``, so callers must not modify it."""
-        if self._grid is not None:
+        """Counterclockwise hull position of each point, in arrival order:
+        the sorted ticks on circles, else ``cyclic_ranks``.  Shared by
+        validation, the crossing view, the region engine, the hull audit
+        and ``hull_order``, so callers must not modify it."""
+        if self.geometry == CIRCLE:
             return _key_ranks(self._grid[0])
         return cyclic_ranks(self.points)
 
@@ -449,13 +460,6 @@ def validate_instance(inst: Instance) -> Instance:
         raise InvalidInstance(f"unknown kind {quoted(inst.kind)}")
     if inst.geometry not in GEOMETRIES:
         raise InvalidInstance(f"unknown geometry {quoted(inst.geometry)}")
-    grid = inst._grid
-    pts = inst.points if grid is None else ()  # ticks imply the arrival order
-    for i, p in enumerate(pts):
-        if p.arrival_index != i + 1:
-            raise InvalidInstance(
-                f"point at position {i} has arrival_index {p.arrival_index}"
-            )
     n = m // 2
     colors = inst.colors
     if inst.kind == BNM:
@@ -466,20 +470,15 @@ def validate_instance(inst: Instance) -> Instance:
             raise InvalidInstance("MNM points must be uncolored")
 
     if inst.geometry == CIRCLE:
-        if grid and not all(0 <= t < 1 << grid[1] for t in grid[0]):
-            raise InvalidInstance(f"ticks must lie in [0, 2^{grid[1]})")
-        for p in pts:
-            if p.angle is None:
-                raise InvalidInstance("circle instances need an angle on every point")
-            num, den = p.angle.as_integer_ratio()
-            if not 0 <= num < den:
-                raise InvalidInstance("angles must be turn fractions in [0, 1)")
-        inst.ranks  # raises InvalidInstance on duplicate angles or ticks
+        ticks, unit = inst._grid
+        if not all(0 <= t < unit for t in ticks):
+            raise InvalidInstance("ticks must lie in [0, unit): turn fractions in [0, 1)")
+        inst.ranks  # raises InvalidInstance on duplicate ticks
         return inst
 
-    if any(p.angle is not None for p in pts):
+    if any(p.angle is not None for p in inst.points):
         raise InvalidInstance("only circle instances may carry angles")
-    if len({(p.x, p.y) for p in pts}) != m:
+    if len({(p.x, p.y) for p in inst.points}) != m:
         raise InvalidInstance("duplicate points")
     if inst.geometry == CONVEX:
         inst.ranks  # raises NotConvex unless every point is a hull vertex
@@ -513,16 +512,11 @@ def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
-    """Counterclockwise hull position of each point, in input order.
-
-    Points that all carry angles are ranked by the exact angle sort keys
-    (``_key_ranks``); anything else by the convex hull of their integer
-    coordinates, which must contain every point.  In convex position the
-    orientation of three points is the cyclic order of their ranks
-    (``cyclic_turn``).
+    """Counterclockwise hull position of each point, in input order, by the
+    convex hull of their integer coordinates, which must contain every
+    point.  In convex position the orientation of three points is the
+    cyclic order of their ranks (``cyclic_turn``).
     """
-    if all(p.angle is not None for p in pts):
-        return _key_ranks(angle_sort_keys(pts)[0])
     order = _convex_hull_ccw(integer_coords(pts))
     if len(order) != len(pts):
         raise NotConvex("convex instances require every point on the hull")

@@ -5,6 +5,11 @@ optional "angle" field is the turn fraction of circle points, and the
 optional "annotations" block carries generator-private data (coins,
 permutations, interval choices).
 
+On circles the angles are the points: the loader still parses x/y, so a
+malformed one is an error, but keeps only the angles' ticks, and the
+writer derives x/y from each angle again, one point at a time.  Files
+that ``generate`` wrote round-trip to identical bytes.
+
 The loader builds each rational from its two integers without
 ``Fraction``'s normalisation: every at-scale generator writes
 power-of-two denominators, which reduce by shifting out trailing zero
@@ -47,7 +52,7 @@ def parse_rational(s: Any) -> Fraction:
 
     The value equals ``Fraction(s)``, built without its normalisation: a
     power-of-two denominator is reduced by shifting out the numerator's
-    trailing zero bits (as ``geometry.grid_points`` does), so no gcd runs;
+    trailing zero bits, so no gcd runs;
     any other denominator is divided by the gcd."""
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
         return _raw_fraction(s, 1)
@@ -98,7 +103,7 @@ def instance_to_json(
         "kind": instance.kind,
         "geometry": instance.geometry,
         "n": instance.n,
-        "points": [point_to_json(p) for p in instance.points],
+        "points": [point_to_json(p) for p in instance.iter_points()],
         "annotations": annotations or {},
         "meta": meta or {},
     }

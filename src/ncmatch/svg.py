@@ -7,8 +7,6 @@ three decimals.
 """
 from __future__ import annotations
 
-import math
-
 from .geometry import CIRCLE, Instance, Matching, Point
 
 SIZE = 640
@@ -16,16 +14,12 @@ MARGIN = 40
 
 
 def _screen_coords(instance: Instance) -> dict[int, tuple[float, float]]:
-    pts = instance.points
+    # a circle point's x/y are the float cosine and sine of its angle
+    raw = {p.arrival_index: (float(p.x), float(p.y)) for p in instance.points}
     if instance.geometry == CIRCLE:
-        raw = {}
-        for p in pts:
-            rad = 2.0 * math.pi * float(p.angle)
-            raw[p.arrival_index] = (math.cos(rad), math.sin(rad))
         lo_x = lo_y = -1.0
         hi_x = hi_y = 1.0
     else:
-        raw = {p.arrival_index: (float(p.x), float(p.y)) for p in pts}
         lo_x = min(v[0] for v in raw.values())
         hi_x = max(v[0] for v in raw.values())
         lo_y = min(v[1] for v in raw.values())

@@ -29,12 +29,8 @@ def clockwise_from(anchor, others):
     """Points of a convex-position set in clockwise order starting just
     after the anchor."""
     if anchor.angle is not None and all(p.angle is not None for p in others):
-        keys, _unit = geometry.angle_sort_keys([*others, anchor])
-        start = keys.pop()
-        # clockwise is decreasing angle; rotate to just below the anchor
-        order = sorted(range(len(others)), key=keys.__getitem__, reverse=True)
-        k = next((t for t, i in enumerate(order) if keys[i] < start), len(order))
-        return [others[i] for i in order[k:] + order[:k]]
+        # clockwise is decreasing angle: the nearest turn below the anchor first
+        return sorted(others, key=lambda p: (anchor.angle - p.angle) % 1)
     pts = [anchor, *others]
     hull = geometry._convex_hull_ccw(geometry.integer_coords(pts))
     if len(hull) != len(pts):

@@ -1,19 +1,25 @@
-"""Circle points derive their x/y placeholders on first read, and circle
-instances rank their points once: every output stays bit-identical.
+"""Circle points carry x/y placeholders derived from their angles, circle
+instances keep only ticks over a unit and rank them once, and a circle
+file is its angles: every output stays bit-identical.
 
-The eager ``circle_point`` that computed the placeholders up front is kept
-here as the reference, and the digests below were taken with it.
+The first ``circle_point``, which computed the placeholders from the
+normalised ``Fraction``, is kept here as the reference, and the digests
+below were taken with it.
 """
 import dataclasses
 import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from ncmatch import adversaries, campaigns, engine, generators, geometry, offline, serial, svg
+from ncmatch.cli import main
+from ncmatch.errors import InvalidInstance, RationalTooLarge
 from ncmatch.geometry import BNM, CIRCLE, MNM, Instance, Point, circle_point, cyclic_ranks
 
 
@@ -77,7 +83,6 @@ def test_lazy_placeholders_equal_the_eager_reference():
         assert lazy.angle == eager.angle
         assert (lazy.x, lazy.y) == (eager.x, eager.y)
         assert type(lazy.x) is Fraction and type(lazy.y) is Fraction
-        # a second read returns the stored value
         assert lazy.x is lazy.x and lazy.y is lazy.y
 
 
@@ -85,7 +90,6 @@ def test_lazy_point_equality_hash_and_repr_match_explicit_coordinates():
     for angle in (0, Fraction(1, 4), Fraction(3, 8), Fraction(2, 7)):
         ref = eager_circle_point(angle, 3)
         explicit = Point(ref.x, ref.y, 3, "blue", ref.angle)
-        # each fresh lazy point derives its x/y inside hash, == and repr
         assert hash(circle_point(angle, 3, "blue")) == hash(explicit)
         assert circle_point(angle, 3, "blue") == explicit
         assert repr(circle_point(angle, 3, "blue")) == repr(explicit)
@@ -101,33 +105,46 @@ def test_points_stay_frozen():
     for name, value in (("x", Fraction(1)), ("y", Fraction(0)), ("angle", Fraction(0))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, value)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.x = Fraction(2)  # after the placeholder was derived too
     with pytest.raises(AttributeError):
-        p.z  # noqa: B018 - only x/y are derived
+        p.z  # noqa: B018 - a slots dataclass has its fields only
 
 
 def test_explicit_coordinates_are_kept():
-    # the loader, plane_point and direct construction never derive anything
+    # direct construction and plane_point keep what they are given
     assert Point(Fraction(1, 3), Fraction(2, 3), 1, None, Fraction(1, 8)).x == Fraction(1, 3)
     assert Point(None, None, 1).x is None
     q = geometry.plane_point(2, 5, 1)
     assert (q.x, q.y, q.angle) == (2, 5, None)
 
 
-def test_loaded_circle_file_keeps_its_coordinates(tmp_path):
+def _run(algorithm, path):
+    return CliRunner().invoke(main, ["run", algorithm, str(path)])
+
+
+def test_a_circle_file_is_its_angles(tmp_path):
+    # x/y of circle points are placeholders: a file whose x/y differ from
+    # its angles loads as the canonical instance and is written back as such
     inst = generators.random_circle_instance(3, MNM, 5)
-    doc = serial.instance_to_json(inst)
+    canonical, edited, back = tmp_path / "c.json", tmp_path / "e.json", tmp_path / "b.json"
+    serial.dump_instance(canonical, inst)
+    doc = json.loads(canonical.read_text())
     for k, p in enumerate(doc["points"]):
         p["x"], p["y"] = f"{k}/7", f"-{k + 1}/9"
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
-    loaded = serial.load_instance(path).instance
-    for k, p in enumerate(loaded.points):
-        assert (p.x, p.y) == (Fraction(k, 7), Fraction(-(k + 1), 9))
-        assert p.angle == inst.points[k].angle
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            p.y = Fraction(0)
+    edited.write_text(json.dumps(doc))
+    loaded = serial.load_instance(edited).instance
+    assert loaded == inst and loaded._grid == inst._grid
+    serial.dump_instance(back, loaded)
+    assert back.read_bytes() == canonical.read_bytes()
+    for algorithm in ("asap", "greedy"):
+        want = _run(algorithm, canonical)
+        assert want.exit_code == 0
+        assert _run(algorithm, edited).stdout == want.stdout
+    # the placeholders are still parsed: a malformed one is a typed error
+    for bad in ("1/0", "abc"):
+        doc["points"][1]["x"] = bad
+        edited.write_text(json.dumps(doc))
+        res = _run("greedy", edited)
+        assert res.exit_code == 2 and "InvalidInstance" in res.stderr
 
 
 @pytest.mark.parametrize("bits", [1, 20, 402, 10002])
@@ -137,12 +154,15 @@ def test_grid_points_equal_circle_points_of_the_same_fractions(bits):
     ticks = [0, 1, top] + [rng.randrange(top + 1) for _ in range(40)]
     ticks += [rng.randrange(1, top + 1) << rng.randrange(bits) & top for _ in range(20)]
     colors = [rng.choice(("blue", "red", None)) for _ in ticks]
-    grid = geometry.grid_points(ticks, bits, colors)
+    grid = list(geometry.grid_points(ticks, 1 << bits, colors))
+    assert len(grid) == len(ticks)
     for idx, (t, color, p) in enumerate(zip(ticks, colors, grid), start=1):
         ref = circle_point(Fraction(t, 1 << bits), idx, color)
         assert p.angle.as_integer_ratio() == ref.angle.as_integer_ratio()
         assert p == ref and repr(p) == repr(ref) and hash(p) == hash(ref)
-    assert [p.color for p in geometry.grid_points(ticks[:3], bits)] == [None] * 3
+        if t & 1:  # an odd tick is the angle's numerator, not a copy of it
+            assert p.angle.numerator is t
+    assert [p.color for p in geometry.grid_points(ticks[:3], 1 << bits)] == [None] * 3
 
 
 def test_markov_and_random_circles_build_through_grid_points(monkeypatch):
@@ -150,9 +170,9 @@ def test_markov_and_random_circles_build_through_grid_points(monkeypatch):
     # it is first read, and not before
     calls, grid_points = [], geometry.grid_points
 
-    def recording(ticks, bits, colors=None):
-        calls.append(bits)
-        return grid_points(ticks, bits, colors)
+    def recording(ticks, unit, colors=None):
+        calls.append(unit)
+        return grid_points(ticks, unit, colors)
 
     monkeypatch.setattr(geometry, "grid_points", recording)
     instances = [
@@ -163,7 +183,8 @@ def test_markov_and_random_circles_build_through_grid_points(monkeypatch):
     assert calls == []
     for inst in instances:
         assert len(inst.points) == 10
-    assert calls == [20, 20, 12]
+    # each unit is the least: the Markov walk's 2^12 halves down to 2^7
+    assert calls == [1 << 20, 1 << 20, 1 << 7]
 
 
 def test_markov_points_are_circle_points():
@@ -178,6 +199,12 @@ def test_markov_points_are_circle_points():
     geometry.validate_instance(ai.instance)
 
 
+def _angle_ranks(points):
+    """Counterclockwise position of each point, by a sort of its angle."""
+    order = sorted(range(len(points)), key=lambda i: points[i].angle)
+    return sorted(range(len(order)), key=order.__getitem__)
+
+
 def test_instance_ranks_are_cached_cyclic_ranks():
     for inst in (
         adversaries.markov_instance(40, 2).instance,
@@ -185,7 +212,9 @@ def test_instance_ranks_are_cached_cyclic_ranks():
         generators.random_convex_polygon_instance(12, MNM, 1),
         adversaries.bnm_red_instance((2, 1, 3)).instance,
     ):
-        assert inst.ranks == cyclic_ranks(inst.points)
+        # circles rank their ticks; cyclic_ranks is the hull of the rest
+        ref = _angle_ranks if inst.geometry == CIRCLE else cyclic_ranks
+        assert inst.ranks == ref(inst.points)
         assert inst.ranks is inst.ranks
     inst = generators.random_circle_instance(20, MNM, 9)
     assert engine.make_engine(inst).rank_of is inst.ranks
@@ -205,6 +234,109 @@ def test_a_circle_is_ranked_once_from_build_to_asap(monkeypatch):
     assert inst.ranks is inst.ranks
     assert engine.simulate(engine.asap_matching(), inst).violations.perfect
     assert calls == [100]
+
+
+# ---------------------------------------------------------------------------
+# one representation: ticks over the least unit
+
+
+_QUARTERS = [circle_point(Fraction(k, 4), k + 1) for k in range(4)]
+_MALFORMED = {
+    "empty": ([], "instances need a positive even number of points"),
+    "odd": (_QUARTERS[:3], "instances need a positive even number of points"),
+    "no-angle": (
+        [*_QUARTERS[:3], Point(Fraction(1), Fraction(0), 4)],
+        "circle instances need an angle on every point",
+    ),
+    "arrival-index": (
+        [*_QUARTERS[:3], circle_point(Fraction(7, 8), 5)],
+        "point at position 3 has arrival_index 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_circle_points_raise_typed_errors(case):
+    points, message = _MALFORMED[case]
+    with pytest.raises(InvalidInstance, match=f"^{message}$"):
+        Instance.build(points, MNM, CIRCLE)
+
+
+@pytest.mark.parametrize("case", ["empty", "odd", "no-angle"])  # files number their points
+def test_run_on_malformed_circle_files_exits_2(tmp_path, case):
+    points, message = _MALFORMED[case]
+    path = tmp_path / "bad.json"
+    doc = {"kind": MNM, "geometry": CIRCLE, "points": [serial.point_to_json(p) for p in points]}
+    path.write_text(json.dumps(doc))
+    res = _run("greedy", path)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": f"InvalidInstance: {message}"}
+
+
+def test_a_unit_past_the_cap_raises_rational_too_large(tmp_path):
+    # lcm(2, ..., 24001) has about 34 600 bits: the unit would hold every tick
+    points = [circle_point(Fraction(1, d), i) for i, d in enumerate(range(2, 24002), start=1)]
+    with pytest.raises(RationalTooLarge, match="^the angles' common denominator exceeds"):
+        Instance.build(points, MNM, CIRCLE)
+    path = tmp_path / "wide.json"
+    doc = {"kind": MNM, "geometry": CIRCLE, "points": [serial.point_to_json(p) for p in points]}
+    path.write_text(json.dumps(doc))
+    res = _run("greedy", path)
+    assert res.exit_code == 2 and "RationalTooLarge" in res.stderr and len(res.stderr) < 200
+
+
+def _angle_family_members():
+    yield from (ai for n in range(1, 7) for ai in adversaries.bnm_family(n))
+    yield from (ai for k in (1, 2) for ai in adversaries.mnm_family(k))
+
+
+def test_family_circles_are_ticks_over_the_lcm_of_their_denominators(monkeypatch):
+    made = []  # the circle points the member under construction is built from
+
+    def recording(*args):
+        made.append(circle_point(*args))
+        return made[-1]
+
+    monkeypatch.setattr(adversaries, "circle_point", recording)
+    units = set()
+    for ai in _angle_family_members():
+        points, inst = made[:], ai.instance
+        made.clear()
+        ticks, unit = inst._grid
+        assert unit == math.lcm(*(p.angle.denominator for p in points))
+        assert [t * p.angle.denominator for t, p in zip(ticks, points)] == [
+            p.angle.numerator * unit for p in points
+        ]
+        assert inst.points == tuple(points)  # angles and placeholders alike
+        assert inst.ranks == _angle_ranks(points)
+        units.add(unit)
+    assert len(units) > 1 and any(u & (u - 1) for u in units)  # not only powers of two
+
+
+def test_generated_circles_load_back_to_the_same_ticks(tmp_path):
+    path = tmp_path / "c.json"
+    for n in (1, 2, 3, 50, 200):
+        for seed in range(4):
+            for built in (
+                adversaries.markov_instance(n, seed).instance,
+                generators.random_circle_instance(n, MNM, seed),
+                generators.random_circle_instance(n, BNM, seed),
+            ):
+                serial.dump_instance(path, built)
+                back = serial.load_instance(path).instance
+                assert back._grid == built._grid and back.colors == built.colors
+
+
+def test_writing_a_markov_file_at_n_5000_peaks_under_37_mib(tmp_path):
+    # the walk's ticks shrink to the least unit in place, and the writer
+    # builds each point from its tick and keeps none
+    tracemalloc.start()
+    try:
+        serial.dump_instance(tmp_path / "m.json", adversaries.markov_instance(5000, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 37 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Circle instances built from integer ticks keep them as columns: size,
-colours and ranks come from the columns, and ``points`` is a view built on
-first read that drops the ticks.  Such an instance agrees with the one
-``Instance.build`` makes from its points on everything it outputs, and a
-greedy run on it builds no point at all."""
+"""Every circle instance is integer ticks over a unit plus a colour
+column: size, colours and ranks come from the columns, and ``points`` is a
+view built from them on first read.  An instance built from ticks is the
+one ``Instance.build`` makes from its points, and agrees with it on
+everything it outputs; a greedy run on it builds no point at all."""
 import json
 
 import pytest
@@ -47,7 +47,8 @@ def test_column_instances_match_point_instances(name, n):
     for seed in SEEDS:
         col = build(n, seed)
         ref = Instance.build(build(n, seed).points, col.kind, CIRCLE)
-        assert "points" not in vars(col) and "points" in vars(ref)
+        assert "points" not in vars(col) and "points" not in vars(ref)
+        assert col._grid == ref._grid
         assert (col.size, col.n, col.colors) == (ref.size, ref.n, ref.colors)
         assert col.ranks == ref.ranks
         assert col.crossing_view[0] == ref.crossing_view[0]
@@ -61,12 +62,12 @@ def test_column_instances_match_point_instances(name, n):
 
 def test_equal_ticks_raise_invalid_instance():
     with pytest.raises(InvalidInstance, match="duplicate circle points"):
-        Instance.from_ticks([3, 5, 3, 7], 4, MNM)
+        Instance.from_ticks([3, 5, 3, 7], 16, MNM)
     # the same check without validation, when the ranks are first read
-    inst = Instance.from_ticks([3, 5, 3, 7], 4, MNM, validate=False)
+    inst = Instance.from_ticks([3, 5, 3, 7], 16, MNM, validate=False)
     with pytest.raises(InvalidInstance, match="duplicate circle points"):
         inst.ranks
-    # the angle path raises the same on the same points
+    # building from the points view raises the same
     with pytest.raises(InvalidInstance, match="duplicate circle points"):
         Instance.build(inst.points, MNM, CIRCLE)
 
@@ -74,8 +75,8 @@ def test_equal_ticks_raise_invalid_instance():
 @pytest.mark.parametrize(
     "ticks, bits, kind, colors, message",
     [
-        ([0, 16], 4, MNM, None, r"ticks must lie in \[0, 2\^4\)"),
-        ([-1, 3], 4, MNM, None, r"ticks must lie in \[0, 2\^4\)"),
+        ([0, 16], 4, MNM, None, r"ticks must lie in \[0, unit\)"),
+        ([-1, 3], 4, MNM, None, r"ticks must lie in \[0, unit\)"),
         ([1, 2, 3], 4, MNM, None, "positive even number"),
         ([], 4, MNM, None, "positive even number"),
         ([1, 2], 4, BNM, None, "n blue points then n red"),
@@ -86,21 +87,23 @@ def test_equal_ticks_raise_invalid_instance():
 )
 def test_tick_instances_are_validated_on_their_columns(ticks, bits, kind, colors, message):
     with pytest.raises(InvalidInstance, match=message):
-        Instance.from_ticks(ticks, bits, kind, colors)
+        Instance.from_ticks(ticks, 1 << bits, kind, colors)
 
 
-def test_reading_the_points_drops_the_ticks():
+def test_reading_the_points_keeps_the_ticks():
     inst = generators.random_circle_instance(20, BNM, 3)
-    ranks = inst.ranks
-    assert inst._grid is not None and "points" not in vars(inst)
+    ranks, grid = inst.ranks, inst._grid
+    assert "points" not in vars(inst)
     pts = inst.points
-    assert inst._grid is None and inst.points is pts
+    assert inst._grid is grid and inst.points is pts
     assert [p.arrival_index for p in pts] == list(range(1, 41))
     assert [p.color for p in pts] == [BLUE] * 20 + [RED] * 20
-    # ranks read after the drop come from the angles, and agree
+    # the view is built from the ticks; the writer's pass builds its own
+    assert list(inst.iter_points()) == list(pts)
+    assert all(a is not b for a, b in zip(inst.iter_points(), pts))
     fresh = generators.random_circle_instance(20, BNM, 3)
     fresh.points
-    assert fresh._grid is None and fresh.ranks == ranks
+    assert fresh.ranks == ranks
 
 
 def test_a_greedy_coupling_trial_builds_no_points(monkeypatch):

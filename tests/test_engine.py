@@ -550,7 +550,7 @@ def test_sorted_rejects_the_exact_x_tie_of_a_markov_instance(tmp_path, seed):
 
 def test_sorted_rejects_mirror_ticks():
     # ticks t and 2^20 - t have the same x, though not the same placeholder
-    inst = Instance.from_ticks([102, 7, (1 << 20) - 102, 5000], 20, MNM)
+    inst = Instance.from_ticks([102, 7, (1 << 20) - 102, 5000], 1 << 20, MNM)
     with pytest.raises(DuplicateX):
         simulate(sorted_matching(), inst)
 

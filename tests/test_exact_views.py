@@ -1,12 +1,15 @@
 """Each geometry runs on its one exact view: convex position on hull ranks,
-general position on integer coordinates.  No ``Point`` predicate runs in
-the package, a polygon builds its hull once, the brute engine's planar
-left/right split equals the ``half_plane_side`` reference, and the coupling
-campaign gives the same results in one process or two."""
+general position on integer coordinates.  No ``Point`` predicate and no
+``Fraction`` comparison or arithmetic runs in a simulation, a polygon
+builds its hull once, the brute engine's planar left/right split equals
+the ``half_plane_side`` reference, and the coupling campaign gives the same
+results in one process or two."""
+from fractions import Fraction
+
 import pytest
 from bt_reference import brute_simulate
 
-from ncmatch import generators, geometry
+from ncmatch import adversaries, generators, geometry
 from ncmatch.adversaries import (
     bnm_family,
     consistent,
@@ -15,7 +18,15 @@ from ncmatch.adversaries import (
     noncrossing_priors,
 )
 from ncmatch.campaigns import check_coupling
-from ncmatch.engine import asap_matching, bt_matching, greedy, simulate, sorted_matching
+from ncmatch.engine import (
+    ALGORITHMS,
+    asap_matching,
+    bt_matching,
+    greedy,
+    simulate,
+    sorted_matching,
+)
+from ncmatch.errors import DuplicateX, InvalidInstance, NotConvex
 from ncmatch.geometry import BNM, CONVEX, GENERAL, LEFT, MNM, RIGHT, Instance, Matching
 from ncmatch.offline import min_length_pm, validate_matching
 
@@ -67,6 +78,53 @@ def test_no_point_predicate_runs_in_the_package(monkeypatch):
         for prior in noncrossing_priors(ai):
             consistent(prior, ai)
     assert min_strategy_cover(list(bnm_family(3))) == 5
+
+
+# comparison, hash and arithmetic: everything a Fraction decision would call
+FRACTION_DUNDERS = (
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__pos__", "__neg__", "__abs__",
+)
+
+# every generator family; min_length_pm, which sums placeholder lengths,
+# is no algorithm of the registry and stays outside this gate
+EXACT_FAMILIES = {
+    "markov": lambda: adversaries.markov_instance(30, 1).instance,
+    "circle-MNM": lambda: generators.random_circle_instance(20, MNM, 1),
+    "circle-BNM": lambda: generators.random_circle_instance(20, BNM, 1),
+    "polygon-MNM": lambda: generators.random_convex_polygon_instance(10, MNM, 1),
+    "polygon-BNM": lambda: generators.random_convex_polygon_instance(10, BNM, 1),
+    "general": lambda: generators.random_general_instance(10, 1),
+    "bnm-perm": lambda: adversaries.bnm_red_instance((3, 1, 2, 5, 4)).instance,
+    "mnm-family": lambda: adversaries.mnm_family_instance(2, 2, (1, 5)).instance,
+}
+
+
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_no_fraction_comparison_or_arithmetic_runs_in_a_simulation(monkeypatch, family):
+    inst = EXACT_FAMILIES[family]()  # built before the patch
+    calls = []
+    for name in FRACTION_DUNDERS:
+        original = getattr(Fraction, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    ran = []
+    for name, make in ALGORITHMS.items():
+        try:
+            simulate(make(), inst)
+            ran.append(name)
+        except (NotConvex, DuplicateX, InvalidInstance):
+            pass  # the precondition refused the instance, and made no call either
+        assert calls == [], (name, calls[:5])
+    assert "greedy" in ran and len(ran) >= 2
+    assert Fraction(1, 3) < Fraction(1, 2) and calls == ["__lt__"]  # the patch is live
 
 
 def test_a_polygon_builds_its_hull_once(monkeypatch):
