@@ -1,12 +1,14 @@
 """Seeded random instance builders used by tests, campaigns and the CLI.
 
-Everything is deterministic given (params, seed).  Circle instances draw
-integer ticks on a power-of-two grid (``Instance.from_ticks``), which is
-what every circle instance keeps.
+Everything is deterministic given (params, seed).  Every draw hands its
+integers straight to the instance: circles draw ticks on a power-of-two
+grid (``Instance.from_ticks``), polygons and general position draw
+integer (x, y) pairs, the grid of an instance with unit 1.
 """
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 from .errors import InvalidInstance, NotConvex
@@ -19,16 +21,16 @@ from .geometry import (
     RED,
     Instance,
     collinear_triple,
-    plane_point,
+    validate_instance,
 )
 
 _ANGLE_BITS = 20
 _GENERAL_SPAN = 10**6  # coordinates of random_general_instance lie below it
 
 
-def _arrival_colors(n: int, kind: str) -> list[str | None]:
+def _arrival_colors(n: int, kind: str) -> tuple[str | None, ...]:
     """Colours of 2n points by arrival: n blue then n red on BNM, none on MNM."""
-    return [BLUE] * n + [RED] * n if kind == BNM else [None] * (2 * n)
+    return (BLUE,) * n + (RED,) * n if kind == BNM else (None,) * (2 * n)
 
 
 def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
@@ -43,10 +45,11 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
     """2n integer points in strictly convex position, random arrival order.
 
     Edge vectors come from two shuffled coordinate chains (Valtr's
-    construction) and are sorted exactly by direction; draws with parallel
-    vectors would create collinear hull edges and are retried.  The first 64
-    draws use coordinates below 6m + 12, where large m nearly always meets
-    parallel vectors; later draws widen that to m^3, where they are rare.
+    construction) and are sorted exactly by direction; draws with two
+    vectors of one direction would create collinear hull edges and are
+    retried.  The first 64 draws use coordinates below 6m + 12, where large
+    m nearly always meets two such vectors; later draws widen that to m^3,
+    where they are rare.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -56,8 +59,7 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
     if m == 2:
         x1, y1 = rng.randrange(100), rng.randrange(100)
         x2, y2 = x1 + 1 + rng.randrange(100), y1 + rng.randrange(100)
-        pts = [plane_point(x1, y1, 1, colors[0]), plane_point(x2, y2, 2, colors[1])]
-        return Instance.build(pts, kind, CONVEX)
+        return validate_instance(Instance(kind, CONVEX, colors, ([(x1, y1), (x2, y2)], 1)))
     for span in [6 * m + 12] * 64 + [m**3] * 64:
         vecs = _polygon_vectors(rng, m, span)
         if vecs is None:
@@ -70,14 +72,9 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
             y += dy
         order = list(range(m))
         rng.shuffle(order)
-        points = [
-            plane_point(*verts[t], arrival, color)
-            for arrival, (t, color) in enumerate(zip(order, colors), start=1)
-        ]
-        try:
-            return Instance.build(points, kind, CONVEX)
-        except (NotConvex, InvalidInstance):
-            continue
+        # distinct directions sorted by angle and summing to zero: a strict
+        # convex polygon, which validation ranks by its hull
+        return validate_instance(Instance(kind, CONVEX, colors, ([verts[t] for t in order], 1)))
     raise NotConvex(f"could not build a strict convex polygon for n={n}, seed={seed}")
 
 
@@ -85,7 +82,12 @@ def _polygon_vectors(
     rng: random.Random, m: int, span: int
 ) -> list[tuple[int, int]] | None:
     """m nonzero integer vectors summing to zero with coordinates drawn
-    below span, sorted by direction."""
+    below span, sorted by direction, or None when two share a direction.
+
+    Only vectors of one direction can make a collinear hull edge: for
+    m >= 3, two anti-parallel vectors adjacent in the sorted order would
+    leave every other vector strictly on one side of their line, so the
+    sum could not be zero."""
 
     def deltas() -> list[int]:
         vals = sorted(rng.sample(range(span), m))
@@ -101,6 +103,9 @@ def _polygon_vectors(
     dys = deltas()
     rng.shuffle(dys)
     vecs = list(zip(dxs, dys))
+    # two vectors of one primitive direction would make collinear edges
+    if len({(dx // (g := math.gcd(dx, dy)), dy // g) for dx, dy in vecs}) < m:
+        return None
 
     def half(v) -> int:
         dx, dy = v
@@ -116,9 +121,6 @@ def _polygon_vectors(
         return -1 if c > 0 else (1 if c < 0 else 0)
 
     vecs.sort(key=functools.cmp_to_key(cmp))
-    for a, b in zip(vecs, vecs[1:]):
-        if cross(a, b) == 0:
-            return None  # parallel edges would be collinear
     return vecs
 
 
@@ -143,9 +145,7 @@ def random_general_instance(n: int, seed: int) -> Instance:
     for _ in range(64):
         xs = rng.sample(range(_GENERAL_SPAN), m)
         ys = [rng.randrange(_GENERAL_SPAN) for _ in range(m)]
-        pts = list(zip(xs, ys))
-        if collinear_triple(pts) is not None:
-            continue
-        points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
-        return Instance.build(points, MNM, GENERAL, validate=False)
+        xy = list(zip(xs, ys))
+        if collinear_triple(xy) is None:
+            return Instance(MNM, GENERAL, _arrival_colors(n, MNM), (xy, 1))
     raise InvalidInstance(f"no draw in general position in 64 tries for n={n}, seed={seed}")

@@ -3,22 +3,23 @@ everything else is built on.
 
 Coordinates are exact rationals.  A point on the unit circle carries
 instead an exact turn-fraction angle in [0, 1), measured counterclockwise
-from the positive x axis; clockwise means decreasing angle.  A circle
-instance is one representation: integer ticks over a unit, the least
-common denominator of its angles, plus a colour column.  Size, colours,
-ranks and x-order come from those columns, and ``Instance.points`` is a
-view built from them, whose x/y are display placeholders (the exact value
-of the float cosine and sine) that never reach a predicate.
+from the positive x axis; clockwise means decreasing angle.  Every
+instance is one representation: a colour column plus one integer grid
+over a unit, the least common denominator of its angles (circle ticks)
+or of its coordinates (integer (x, y) pairs; scaling every coordinate by
+it preserves orientations and intersections).  Size, colours, ranks,
+x-order, equality and hashing come from those columns, and
+``Instance.points`` is a view built from them; on circles its x/y are
+display placeholders (the exact value of the float cosine and sine) that
+never reach a predicate.
 
 Each instance has one exact view, picked by ``Instance.crossing_view``:
 ``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
 runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
 interleave (``chords_cross``), and three points turn left iff their ranks
 run counterclockwise (``cyclic_turn``).  Circles sort their ticks into
-ranks; polygons rank by one convex hull on integer coordinates.  General
-position runs on integers: scaling all coordinates by their common
-denominator preserves orientations and intersections, so instances build
-that view once (``Instance.int_xy``) for the segment test
+ranks; polygons rank by one convex hull of their integer pairs.  General
+position runs on the pairs (``Instance.int_xy``): the segment test
 ``seg_cross_int``, the cross product ``cross_int`` and the
 general-position check ``collinear_triple``.  ``orientation``,
 ``segments_cross`` and ``half_plane_side`` decide the same questions on
@@ -68,8 +69,8 @@ class Point:
     """A planar point with its arrival position in the online sequence.
 
     ``angle`` is present exactly when the point lies on the unit circle; in
-    that case x/y are placeholders for rendering only, and a circle
-    instance keeps neither: it keeps the angle's tick.
+    that case x/y are placeholders for rendering only.  An instance keeps
+    no point: it keeps the angle's tick, or the x/y's integer pair.
     """
 
     x: Fraction
@@ -164,15 +165,15 @@ def _angle_ticks(pts: Sequence[Point]) -> tuple[list[int], int]:
 # predicates
 
 
-def integer_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
-    """The points' x/y times the least common denominator of them all."""
+def integer_grid(pts: Sequence[Point]) -> tuple[list[tuple[int, int]], int]:
+    """The points' x/y times their least common denominator, and that unit."""
     den = 1
     for p in pts:
         den = math.lcm(den, p.x.denominator, p.y.denominator)
     return [
         (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
         for p in pts
-    ]
+    ], den
 
 
 def seg_cross_int(e1: tuple, e2: tuple) -> bool:
@@ -274,7 +275,7 @@ def orientation(a: Point, b: Point, c: Point) -> str:
         if not sign:
             raise Degenerate("coincident circle points in orientation test")
     else:
-        sign = cross_int(*integer_coords((a, b, c)))
+        sign = cross_int(*integer_grid((a, b, c))[0])
     return LEFT if sign > 0 else RIGHT if sign < 0 else COLLINEAR
 
 
@@ -294,7 +295,7 @@ def segments_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     p1, p2, q1, q2 = pts = (*e1, *e2)
     if all(p.angle is not None for p in pts):
         return chords_cross((p1.angle, p2.angle), (q1.angle, q2.angle))
-    a, b, c, d = integer_coords(pts)
+    a, b, c, d = integer_grid(pts)[0]
     return seg_cross_int((a, b), (c, d))
 
 
@@ -318,47 +319,30 @@ def half_plane_side(edge: tuple[Point, Point], p: Point) -> str:
 # instances
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Instance:
-    """An ordered point sequence for one online matching problem.
-
-    For BNM the first n points are blue (offline batch) and the last n red.
-    Construct through :meth:`build`, or :meth:`from_ticks` for circle
-    ticks, so invariants are checked; internal generators that guarantee
-    them may pass ``validate=False``.  A circle instance keeps only its
-    ticks, unit and colours, whichever way it was built, and builds
-    ``points`` from them through ``grid_points`` when first read.
+    """An ordered point sequence for one online matching problem, as
+    columns: each point's colour by arrival, and one integer grid over the
+    least common denominator of the angles or coordinates, ``(ticks,
+    unit)`` on circles and ``(xy, unit)`` with integer (x, y) pairs
+    elsewhere.  For BNM the first n points are blue (offline batch) and the
+    last n red.  Construct through :meth:`build`, or :meth:`from_ticks` for
+    circle ticks, so invariants are checked; internal generators that
+    guarantee them may skip validation.  Equality, hashing and ``repr``
+    read the columns; ``points`` is a view built on first read.
     """
 
-    points: tuple[Point, ...]
     kind: str
     geometry: str
+    colors: tuple
+    grid: tuple
 
-    def __init__(self, points, kind: str, geometry: str, grid=None, colors=None):
-        set_ = object.__setattr__
-        if points is not None:
-            points = tuple(points)
-            for i, p in enumerate(points):
-                if p.arrival_index != i + 1:
-                    raise InvalidInstance(
-                        f"point at position {i} has arrival_index {p.arrival_index}"
-                    )
-            colors = [p.color for p in points]
-            if geometry == CIRCLE:
-                grid = _angle_ticks(points)
-            else:
-                set_(self, "points", points)
-        set_(self, "kind", kind)
-        set_(self, "geometry", geometry)
-        set_(self, "colors", tuple(colors))  # each point's colour, by arrival
-        set_(self, "_grid", grid)  # (ticks, unit) on circles
+    def __hash__(self) -> int:
+        values, unit = self.grid
+        return hash((self.kind, self.geometry, self.colors, unit, *values))
 
-    def __getattr__(self, name):
-        # reached only for unset attributes: the points view of a circle
-        if name != "points" or self._grid is None:
-            raise AttributeError(name)
-        object.__setattr__(self, "points", tuple(self.iter_points()))
-        return self.points
+    def __repr__(self) -> str:
+        return f"Instance(kind={self.kind!r}, geometry={self.geometry!r}, size={self.size})"
 
     @classmethod
     def build(
@@ -368,8 +352,19 @@ class Instance:
         geometry: str,
         validate: bool = True,
     ) -> "Instance":
-        """The instance of ``points``; on circles, of their angles alone."""
-        inst = cls(points, kind, geometry)
+        """The instance of ``points``: on circles, of their angles alone;
+        elsewhere, of their coordinates over the least common denominator."""
+        points = tuple(points)
+        for i, p in enumerate(points):
+            if p.arrival_index != i + 1:
+                raise InvalidInstance(f"point at position {i} has arrival_index {p.arrival_index}")
+        if geometry == CIRCLE:
+            grid = _angle_ticks(points)
+        elif any(p.angle is not None for p in points):
+            raise InvalidInstance("only circle instances may carry angles")
+        else:
+            grid = integer_grid(points)
+        inst = cls(kind, geometry, tuple(p.color for p in points), grid)
         return validate_instance(inst) if validate else inst
 
     @classmethod
@@ -384,7 +379,7 @@ class Instance:
             unit >>= shift
             for i, t in enumerate(ticks):
                 ticks[i] = t >> shift
-        inst = cls(None, kind, CIRCLE, (ticks, unit), colors or [None] * len(ticks))
+        inst = cls(kind, CIRCLE, tuple(colors or [None] * len(ticks)), (ticks, unit))
         return validate_instance(inst) if validate else inst
 
     @property
@@ -398,18 +393,28 @@ class Instance:
     def point(self, arrival_index: int) -> Point:
         return self.points[arrival_index - 1]
 
-    def iter_points(self) -> Iterator[Point]:
-        """The points in arrival order; on circles each is built from its
-        tick when reached and kept by no one, unlike ``points``."""
-        if self._grid is None:
-            return iter(self.points)
-        return grid_points(*self._grid, self.colors)
-
     @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self.iter_points())
+
+    def iter_points(self) -> Iterator[Point]:
+        """The points in arrival order, each built from the grid when
+        reached and kept by no one, unlike ``points``."""
+        values, unit = self.grid
+        if self.geometry == CIRCLE:
+            return grid_points(values, unit, self.colors)
+        return (
+            Point(Fraction(x, unit), Fraction(y, unit), i, color)
+            for i, ((x, y), color) in enumerate(zip(values, self.colors), start=1)
+        )
+
+    @property
     def int_xy(self) -> list[tuple[int, int]]:
-        """The points' integer coordinates (``integer_coords``), in arrival
-        order; every generator's planar points are integers already."""
-        return integer_coords(self.points)
+        """The points' integer coordinates, in arrival order: the grid off
+        the circle.  Circles have none, since their x/y are placeholders."""
+        if self.geometry == CIRCLE:
+            raise InvalidInstance("circle instances have ticks, not integer coordinates")
+        return self.grid[0]
 
     @cached_property
     def x_keys(self) -> list:
@@ -417,10 +422,10 @@ class Instance:
         x: the x of ``int_xy``, or on circles -min(t, u - t) for each tick
         t and unit u, since x = cos 2 pi theta falls as the folded turn
         min(theta, 1 - theta) rises."""
+        values, unit = self.grid
         if self.geometry != CIRCLE:
-            return [x for x, _y in self.int_xy]
-        ticks, unit = self._grid
-        return [-min(t, unit - t) for t in ticks]
+            return [x for x, _y in values]
+        return [-min(t, unit - t) for t in values]
 
     @cached_property
     def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool], Callable]:
@@ -441,9 +446,7 @@ class Instance:
         the sorted ticks on circles, else ``cyclic_ranks``.  Shared by
         validation, the crossing view, the region engine, the hull audit
         and ``hull_order``, so callers must not modify it."""
-        if self.geometry == CIRCLE:
-            return _key_ranks(self._grid[0])
-        return cyclic_ranks(self.points)
+        return (_key_ranks if self.geometry == CIRCLE else cyclic_ranks)(self.grid[0])
 
     def blues(self) -> tuple[Point, ...]:
         return self.points[: self.n]
@@ -469,24 +472,18 @@ def validate_instance(inst: Instance) -> Instance:
         if any(c is not None for c in colors):
             raise InvalidInstance("MNM points must be uncolored")
 
+    values, unit = inst.grid
     if inst.geometry == CIRCLE:
-        ticks, unit = inst._grid
-        if not all(0 <= t < unit for t in ticks):
+        if not all(0 <= t < unit for t in values):
             raise InvalidInstance("ticks must lie in [0, unit): turn fractions in [0, 1)")
         inst.ranks  # raises InvalidInstance on duplicate ticks
-        return inst
-
-    if any(p.angle is not None for p in inst.points):
-        raise InvalidInstance("only circle instances may carry angles")
-    if len({(p.x, p.y) for p in inst.points}) != m:
+    elif len(set(values)) != m:
         raise InvalidInstance("duplicate points")
-    if inst.geometry == CONVEX:
+    elif inst.geometry == CONVEX:
         inst.ranks  # raises NotConvex unless every point is a hull vertex
-    else:
-        triple = collinear_triple(inst.int_xy)
-        if triple is not None:
-            a, b, c = sorted(triple)
-            raise InvalidInstance(f"collinear triple {a + 1}, {b + 1}, {c + 1}")
+    elif (triple := collinear_triple(values)) is not None:
+        a, b, c = sorted(triple)
+        raise InvalidInstance(f"collinear triple {a + 1}, {b + 1}, {c + 1}")
     return inst
 
 
@@ -511,14 +508,14 @@ def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def cyclic_ranks(pts: Sequence[Point]) -> list[int]:
-    """Counterclockwise hull position of each point, in input order, by the
-    convex hull of their integer coordinates, which must contain every
-    point.  In convex position the orientation of three points is the
-    cyclic order of their ranks (``cyclic_turn``).
+def cyclic_ranks(xy: Sequence[tuple[int, int]]) -> list[int]:
+    """Counterclockwise hull position of each integer point, in input order,
+    by their convex hull, which must contain every point.  In convex
+    position the orientation of three points is the cyclic order of their
+    ranks (``cyclic_turn``).
     """
-    order = _convex_hull_ccw(integer_coords(pts))
-    if len(order) != len(pts):
+    order = _convex_hull_ccw(xy)
+    if len(order) != len(xy):
         raise NotConvex("convex instances require every point on the hull")
     return sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
 

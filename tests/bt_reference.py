@@ -32,7 +32,7 @@ def clockwise_from(anchor, others):
         # clockwise is decreasing angle: the nearest turn below the anchor first
         return sorted(others, key=lambda p: (anchor.angle - p.angle) % 1)
     pts = [anchor, *others]
-    hull = geometry._convex_hull_ccw(geometry.integer_coords(pts))
+    hull = geometry._convex_hull_ccw(geometry.integer_grid(pts)[0])
     if len(hull) != len(pts):
         raise NotConvex("clockwise ordering needs convex position")
     hull.reverse()

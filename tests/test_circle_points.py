@@ -132,7 +132,7 @@ def test_a_circle_file_is_its_angles(tmp_path):
         p["x"], p["y"] = f"{k}/7", f"-{k + 1}/9"
     edited.write_text(json.dumps(doc))
     loaded = serial.load_instance(edited).instance
-    assert loaded == inst and loaded._grid == inst._grid
+    assert loaded == inst and loaded.grid == inst.grid
     serial.dump_instance(back, loaded)
     assert back.read_bytes() == canonical.read_bytes()
     for algorithm in ("asap", "greedy"):
@@ -212,9 +212,12 @@ def test_instance_ranks_are_cached_cyclic_ranks():
         generators.random_convex_polygon_instance(12, MNM, 1),
         adversaries.bnm_red_instance((2, 1, 3)).instance,
     ):
-        # circles rank their ticks; cyclic_ranks is the hull of the rest
-        ref = _angle_ranks if inst.geometry == CIRCLE else cyclic_ranks
-        assert inst.ranks == ref(inst.points)
+        # circles rank their ticks; cyclic_ranks is the hull of the rest,
+        # on the integer pairs of the points' coordinates
+        if inst.geometry == CIRCLE:
+            assert inst.ranks == _angle_ranks(inst.points)
+        else:
+            assert inst.ranks == cyclic_ranks(geometry.integer_grid(inst.points)[0])
         assert inst.ranks is inst.ranks
     inst = generators.random_circle_instance(20, MNM, 9)
     assert engine.make_engine(inst).rank_of is inst.ranks
@@ -302,7 +305,7 @@ def test_family_circles_are_ticks_over_the_lcm_of_their_denominators(monkeypatch
     for ai in _angle_family_members():
         points, inst = made[:], ai.instance
         made.clear()
-        ticks, unit = inst._grid
+        ticks, unit = inst.grid
         assert unit == math.lcm(*(p.angle.denominator for p in points))
         assert [t * p.angle.denominator for t, p in zip(ticks, points)] == [
             p.angle.numerator * unit for p in points
@@ -324,7 +327,7 @@ def test_generated_circles_load_back_to_the_same_ticks(tmp_path):
             ):
                 serial.dump_instance(path, built)
                 back = serial.load_instance(path).instance
-                assert back._grid == built._grid and back.colors == built.colors
+                assert back.grid == built.grid and back.colors == built.colors
 
 
 def test_writing_a_markov_file_at_n_5000_peaks_under_37_mib(tmp_path):

@@ -1,9 +1,11 @@
-"""Every circle instance is integer ticks over a unit plus a colour
-column: size, colours and ranks come from the columns, and ``points`` is a
-view built from them on first read.  An instance built from ticks is the
-one ``Instance.build`` makes from its points, and agrees with it on
-everything it outputs; a greedy run on it builds no point at all."""
+"""Every instance is one integer grid plus a colour column: ticks over a
+unit on circles, integer (x, y) pairs over a unit elsewhere.  Size,
+colours, ranks, equality, hashing and ``repr`` come from the columns, and
+``points`` is a view built from them on first read.  An instance built from
+ticks is the one ``Instance.build`` makes from its points, and agrees with
+it on everything it outputs; a greedy run on it builds no point at all."""
 import json
+import time
 
 import pytest
 from bt_reference import available, brute_simulate
@@ -11,7 +13,7 @@ from bt_reference import available, brute_simulate
 from ncmatch import adversaries, campaigns, engine, generators, geometry, serial
 from ncmatch.engine import simulate
 from ncmatch.errors import IllegalMatch, InvalidInstance
-from ncmatch.geometry import BLUE, BNM, CIRCLE, MNM, RED, Instance
+from ncmatch.geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance
 
 SIZES = (1, 2, 3, 50, 200)
 SEEDS = range(6)
@@ -48,7 +50,7 @@ def test_column_instances_match_point_instances(name, n):
         col = build(n, seed)
         ref = Instance.build(build(n, seed).points, col.kind, CIRCLE)
         assert "points" not in vars(col) and "points" not in vars(ref)
-        assert col._grid == ref._grid
+        assert col.grid == ref.grid
         assert (col.size, col.n, col.colors) == (ref.size, ref.n, ref.colors)
         assert col.ranks == ref.ranks
         assert col.crossing_view[0] == ref.crossing_view[0]
@@ -92,10 +94,10 @@ def test_tick_instances_are_validated_on_their_columns(ticks, bits, kind, colors
 
 def test_reading_the_points_keeps_the_ticks():
     inst = generators.random_circle_instance(20, BNM, 3)
-    ranks, grid = inst.ranks, inst._grid
+    ranks, grid = inst.ranks, inst.grid
     assert "points" not in vars(inst)
     pts = inst.points
-    assert inst._grid is grid and inst.points is pts
+    assert inst.grid is grid and inst.points is pts
     assert [p.arrival_index for p in pts] == list(range(1, 41))
     assert [p.color for p in pts] == [BLUE] * 20 + [RED] * 20
     # the view is built from the ticks; the writer's pass builds its own
@@ -125,7 +127,7 @@ def test_a_greedy_coupling_trial_builds_no_points(monkeypatch):
     assert sim.violations.valid
     for instance in [ai.instance for ai in made] + [inst]:
         assert "points" not in vars(instance)
-        assert instance._grid is not None
+        assert instance.grid is not None
 
 
 def test_a_bt_run_builds_no_points():
@@ -161,3 +163,58 @@ def test_the_view_hands_the_arriving_point_on_both_engines(run):
     res = run(engine.sorted_matching(), inst)
     assert "points" not in vars(inst)
     assert _fields(res) == _fields(simulate(engine.sorted_matching(), inst))
+
+
+def test_equal_instances_compare_and_hash_without_building_points():
+    # equality, hashing and repr read the columns: no view of 10^4 points
+    a, b = (adversaries.markov_instance(5000, 1).instance for _ in range(2))
+    start = time.perf_counter()
+    assert a == b
+    elapsed = time.perf_counter() - start
+    assert hash(a) == hash(b)
+    assert repr(a) == "Instance(kind='MNM', geometry='circle', size=10000)"
+    assert a != adversaries.markov_instance(5000, 2).instance
+    assert "points" not in vars(a) and "points" not in vars(b)
+    assert elapsed < 0.05, f"{elapsed:.3f} s"
+
+
+FAMILIES = {
+    "markov": lambda s: adversaries.markov_instance(20, s).instance,
+    "circle-MNM": lambda s: generators.random_circle_instance(10, MNM, s),
+    "circle-BNM": lambda s: generators.random_circle_instance(10, BNM, s),
+    "polygon-MNM": lambda s: generators.random_convex_polygon_instance(10, MNM, s),
+    "polygon-BNM": lambda s: generators.random_convex_polygon_instance(10, BNM, s),
+    "general": lambda s: generators.random_general_instance(10, s),
+    "bnm-perm": lambda s: list(adversaries.bnm_family(3))[s].instance,
+    "mnm-family": lambda s: list(adversaries.mnm_family(1))[s].instance,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_is_rebuilt_from_its_points_view(family):
+    for seed in range(3):
+        inst = FAMILIES[family](seed)
+        assert "points" not in vars(inst)  # built from integers, not from points
+        back = Instance.build(inst.points, inst.kind, inst.geometry)
+        assert back == inst and hash(back) == hash(inst) and back.grid == inst.grid
+
+
+def test_planar_generators_hand_integer_pairs_to_the_instance():
+    for inst in (
+        generators.random_convex_polygon_instance(8, BNM, 3),
+        generators.random_general_instance(8, 3),
+    ):
+        xy, unit = inst.grid
+        assert unit == 1 and all(type(v) is int for pair in xy for v in pair)
+        assert inst.int_xy is xy and inst.x_keys == [x for x, _y in xy]
+        assert "points" not in vars(inst)
+        assert [(p.x, p.y) for p in inst.points] == xy
+        assert [p.color for p in inst.points] == list(inst.colors)
+
+
+def test_int_xy_exists_only_off_the_circle():
+    circle = generators.random_circle_instance(3, MNM, 0)
+    with pytest.raises(InvalidInstance, match="circle instances have ticks"):
+        circle.int_xy  # noqa: B018
+    polygon = generators.random_convex_polygon_instance(3, MNM, 0)
+    assert polygon.geometry == CONVEX and polygon.int_xy == polygon.grid[0]

@@ -2,6 +2,7 @@
 check, the integer segment predicate and the planar audit, checked against
 the cubic loop and the Fraction predicates they replaced; the convex
 polygon generator's wide-span fallback; planar runs at n = 1000."""
+import functools
 import hashlib
 import json
 import random
@@ -17,13 +18,14 @@ from ncmatch.cli import main
 from ncmatch.engine import greedy, simulate, sorted_matching
 from ncmatch.errors import InvalidInstance, NcmatchError, SharedEndpoint
 from ncmatch.geometry import (
+    BNM,
     CONVEX,
     GENERAL,
     MNM,
     Instance,
     collinear_triple,
     cross_int,
-    integer_coords,
+    integer_grid,
     plane_point,
     seg_cross_int,
     segments_cross,
@@ -139,7 +141,7 @@ def test_collinear_triple_agrees_with_the_cubic_loop():
         pts = random_point_set(rng, m, rational)
         points = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(pts)]
         expected = reference_has_collinear_triple(pts)
-        triple = collinear_triple(integer_coords(points))
+        triple = collinear_triple(integer_grid(points)[0])
         assert (triple is not None) == expected, pts
         if triple is not None:
             hits += 1
@@ -240,6 +242,18 @@ def test_integer_view_clears_one_common_denominator():
     assert gen.int_xy == [(int(p.x), int(p.y)) for p in gen.points]
 
 
+def test_rational_coordinates_are_one_grid_over_their_least_denominator(tmp_path):
+    points = [plane_point(Fraction(1, 2), Fraction(-2, 3), 1), plane_point(3, Fraction(1, 4), 2)]
+    inst = Instance.build(points, MNM, GENERAL)
+    assert inst.grid == ([(6, -8), (36, 3)], 12)
+    assert inst.points == tuple(points)
+    path = tmp_path / "r.json"
+    serial.dump_instance(path, inst)
+    back = serial.load_instance(path).instance
+    assert back.grid == ([(6, -8), (36, 3)], 12)
+    assert back == inst and back.points == tuple(points)
+
+
 def _random_segment_pair(rng, rational: bool):
     """Four distinct points, often collinear, touching or overlapping."""
     while True:
@@ -264,7 +278,7 @@ def test_integer_segment_predicate_agrees_with_the_fraction_reference():
         p1, p2, q1, q2 = _random_segment_pair(rng, rational=trial % 2 == 1)
         expected = reference_segments_cross((p1, p2), (q1, q2))
         assert segments_cross((p1, p2), (q1, q2)) == expected
-        a, b, c, d = integer_coords((p1, p2, q1, q2))
+        a, b, c, d = integer_grid((p1, p2, q1, q2))[0]
         assert seg_cross_int((a, b), (c, d)) == expected
         crossing += expected
     assert 1500 < crossing < 4500
@@ -421,6 +435,31 @@ def test_small_polygons_are_unchanged():
                     continue
                 h.update(repr([(p.x, p.y, p.color) for p in inst.points]).encode())
     assert h.hexdigest() == "7c26c500c960cc47e78322188703938c23c09f8eaa1d3fa168db551422f3612e"
+
+
+def test_polygon_files_are_unchanged_up_to_n_1000():
+    # draws sharing a direction are rejected before the direction sort, on
+    # the same random calls as the adjacency scan that followed the sort
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 5, 10, 50, 200, 1000):
+        for seed in range(6):
+            for kind in (MNM, BNM):
+                inst = generators.random_convex_polygon_instance(n, kind, seed)
+                h.update(json.dumps(serial.instance_to_json(inst)).encode())
+    assert h.hexdigest() == "94663a341019e6b8e6d30622c799bd7f682cc9884bcfee67962dc74ef285fbd9"
+
+
+def test_a_polygon_at_n_5000_sorts_only_the_draw_it_keeps(monkeypatch):
+    # the 64 narrow draws before it all share a direction; about 2.5 s on a
+    # 2-core box (about 6 s when every draw was sorted, then scanned)
+    budget = 5.0
+    sorts, cmp_to_key = [], functools.cmp_to_key
+    monkeypatch.setattr(functools, "cmp_to_key", lambda cmp: sorts.append(cmp) or cmp_to_key(cmp))
+    started = time.perf_counter()
+    inst = generators.random_convex_polygon_instance(5000, MNM, 1)
+    elapsed = time.perf_counter() - started
+    assert inst.n == 5000 and len(sorts) == 1
+    assert elapsed < budget, f"{elapsed:.2f} s, budget {budget} s"
 
 
 def test_generate_random_convex_polygon_cli(tmp_path):
