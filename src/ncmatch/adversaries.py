@@ -106,10 +106,10 @@ def bnm_red_instance(
         reds.append((lo + hi) / 2)
         placed.insert(j, s)
         angles.insert(j, reds[-1])
-    points = bnm_blue_positions(n) + [
-        circle_point(a, n + i, RED) for i, a in enumerate(reds, start=1)
-    ]
-    instance = Instance.build(points, BNM, CIRCLE)
+    # the blue angles of bnm_blue_positions, exactly, without their placeholders
+    rows = [(None, None, (n + 1 - i, 2 * (n + 1)), BLUE) for i in range(1, n + 1)]
+    rows += [(None, None, a.as_integer_ratio(), RED) for a in reds]
+    instance = Instance.from_rows(rows, BNM, CIRCLE)
     return AnnotatedInstance(
         instance=instance,
         hidden_perm=values,
@@ -159,8 +159,8 @@ def mnm_family_instance(k: int, j: int, intervals: Iterable[int]) -> AnnotatedIn
     for t in range(1, tail + 1):
         angles.append((start - gap * Fraction(t, tail + 1)) % 1)
 
-    points = [circle_point(a, idx) for idx, a in enumerate(angles, start=1)]
-    instance = Instance.build(points, MNM, CIRCLE)
+    rows = [(None, None, a.as_integer_ratio(), None) for a in angles]
+    instance = Instance.from_rows(rows, MNM, CIRCLE)
     return AnnotatedInstance(
         instance=instance,
         hidden_choice=(j, chosen),

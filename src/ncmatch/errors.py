@@ -30,7 +30,8 @@ class Degenerate(NcmatchError):
 
 class RationalTooLarge(NcmatchError):
     """A rational has more digits than the interpreter converts to a string,
-    or a circle's angles have too large a common denominator."""
+    or the common denominator of an instance's angles or coordinates is
+    past the cap."""
 
 
 class RankOutOfRange(NcmatchError):

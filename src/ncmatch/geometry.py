@@ -7,11 +7,12 @@ from the positive x axis; clockwise means decreasing angle.  Every
 instance is one representation: a colour column plus one integer grid
 over a unit, the least common denominator of its angles (circle ticks)
 or of its coordinates (integer (x, y) pairs; scaling every coordinate by
-it preserves orientations and intersections).  Size, colours, ranks,
-x-order, equality and hashing come from those columns, and
+it preserves orientations and intersections).  One rule makes the grid,
+``rational_grid`` with its least-terms step ``reduce_grid``, which files,
+families and points reach through ``Instance.from_rows``.  Size,
+colours, ranks, x-order, equality and hashing come from the columns, and
 ``Instance.points`` is a view built from them; on circles its x/y are
-display placeholders (the exact value of the float cosine and sine) that
-never reach a predicate.
+placeholders (the float cosine and sine) that never reach a predicate.
 
 Each instance has one exact view, picked by ``Instance.crossing_view``:
 ``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
@@ -61,7 +62,7 @@ GENERAL = "general"
 KINDS = (MNM, BNM)
 GEOMETRIES = (CIRCLE, CONVEX, GENERAL)
 
-_MAX_UNIT_BITS = 1 << 15  # the unit of angles whose denominators are not powers of two
+_MAX_UNIT_BITS = 1 << 15  # the unit of a grid whose denominators are not all powers of two
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,25 +141,39 @@ def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
     return Point(Fraction(x), Fraction(y), arrival_index, color, None)
 
 
-def _angle_ticks(pts: Sequence[Point]) -> tuple[list[int], int]:
-    """The points' angles as ticks over their least common denominator, and
-    that unit: power-of-two denominators (every file the at-scale
-    generators write) scale by shifts, any others by the lcm."""
-    if any(p.angle is None for p in pts):
-        raise InvalidInstance("circle instances need an angle on every point")
-    ratios = [p.angle.as_integer_ratio() for p in pts]
-    if all(d.bit_count() == 1 for _, d in ratios):
-        unit = max((d for _, d in ratios), default=1)
-        width = unit.bit_length()
+def rational_grid(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The rationals num / den of integer ``pairs`` (den > 0, in any terms) over
+    their least common denominator, and that unit: the one rule for every grid.
+    Power-of-two denominators scale by shifts, others by their lcm, which is capped."""
+    dens = {d for _, d in pairs}
+    if all(d.bit_count() == 1 for d in dens):
+        width = max(dens, default=1).bit_length()
         # a shift by 0 would copy the numerator
-        ticks = [num << k if (k := width - d.bit_length()) else num for num, d in ratios]
-        return ticks, unit
+        values = [num << k if (k := width - d.bit_length()) else num for num, d in pairs]
+        return reduce_grid(values, 1 << width - 1)
     unit = 1
-    for d in {d for _, d in ratios}:
+    for d in dens:
         unit = math.lcm(unit, d)
         if unit.bit_length() > _MAX_UNIT_BITS:  # unrelated denominators of a crafted file
-            raise RationalTooLarge(f"the angles' common denominator exceeds {_MAX_UNIT_BITS} bits")
-    return [num * (unit // d) for num, d in ratios], unit
+            raise RationalTooLarge(
+                f"the common denominator of the angles or coordinates exceeds {_MAX_UNIT_BITS} bits"
+            )
+    return reduce_grid([num * (unit // d) for num, d in pairs], unit)
+
+
+def reduce_grid(values: list[int], unit: int) -> tuple[list[int], int]:
+    """``values`` over ``unit`` in least terms, divided in place by what the unit
+    shares with every value: by a shift on a power-of-two unit (no gcd), else the gcd."""
+    if unit.bit_count() == 1:
+        low = reduce(operator.or_, values, unit)
+        if shift := (low & -low).bit_length() - 1:
+            unit >>= shift
+            for i, v in enumerate(values):
+                values[i] = v >> shift
+    elif (g := math.gcd(unit, *values)) > 1:
+        unit //= g
+        values[:] = [v // g for v in values]
+    return values, unit
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +181,10 @@ def _angle_ticks(pts: Sequence[Point]) -> tuple[list[int], int]:
 
 
 def integer_grid(pts: Sequence[Point]) -> tuple[list[tuple[int, int]], int]:
-    """The points' x/y times their least common denominator, and that unit."""
-    den = 1
-    for p in pts:
-        den = math.lcm(den, p.x.denominator, p.y.denominator)
-    return [
-        (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
-        for p in pts
-    ], den
+    """The points' x/y as integer pairs over their least common denominator,
+    and that unit: the grid of a general-position instance of them."""
+    rows = [(p.x.as_integer_ratio(), p.y.as_integer_ratio(), None, None) for p in pts]
+    return Instance.from_rows(rows, MNM, GENERAL, validate=False).grid
 
 
 def seg_cross_int(e1: tuple, e2: tuple) -> bool:
@@ -326,10 +337,11 @@ class Instance:
     least common denominator of the angles or coordinates, ``(ticks,
     unit)`` on circles and ``(xy, unit)`` with integer (x, y) pairs
     elsewhere.  For BNM the first n points are blue (offline batch) and the
-    last n red.  Construct through :meth:`build`, or :meth:`from_ticks` for
-    circle ticks, so invariants are checked; internal generators that
-    guarantee them may skip validation.  Equality, hashing and ``repr``
-    read the columns; ``points`` is a view built on first read.
+    last n red.  Construct through :meth:`from_rows` (or its adapter
+    :meth:`build` from points), or :meth:`from_ticks` for circle ticks, so
+    invariants are checked; internal generators that guarantee them may
+    skip validation.  Equality, hashing and ``repr`` read the columns;
+    ``points`` is a view built on first read.
     """
 
     kind: str
@@ -345,41 +357,39 @@ class Instance:
         return f"Instance(kind={self.kind!r}, geometry={self.geometry!r}, size={self.size})"
 
     @classmethod
-    def build(
-        cls,
-        points: Sequence[Point],
-        kind: str,
-        geometry: str,
-        validate: bool = True,
-    ) -> "Instance":
-        """The instance of ``points``: on circles, of their angles alone;
-        elsewhere, of their coordinates over the least common denominator."""
-        points = tuple(points)
+    def build(cls, points: Sequence[Point], kind: str, geometry: str, validate: bool = True):
+        """The instance of ``points``, arriving as 1, 2, ..., through :meth:`from_rows`."""
+        rows = []
         for i, p in enumerate(points):
             if p.arrival_index != i + 1:
                 raise InvalidInstance(f"point at position {i} has arrival_index {p.arrival_index}")
+            x, y, angle = (None if q is None else q.as_integer_ratio() for q in (p.x, p.y, p.angle))
+            rows.append((x, y, angle, p.color))
+        return cls.from_rows(rows, kind, geometry, validate)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple], kind: str, geometry: str, validate: bool = True):
+        """The instance of ``rows`` ``(x, y, angle, colour)`` in arrival
+        order, each rational an integer pair (num, den) in any terms, on
+        one ``rational_grid``: on circles, of the angles alone (x/y are
+        placeholders, unread); elsewhere, of x/y, and no row has an angle."""
         if geometry == CIRCLE:
-            grid = _angle_ticks(points)
-        elif any(p.angle is not None for p in points):
+            if any(r[2] is None for r in rows):
+                raise InvalidInstance("circle instances need an angle on every point")
+            grid = rational_grid([r[2] for r in rows])
+        elif any(r[2] is not None for r in rows):
             raise InvalidInstance("only circle instances may carry angles")
         else:
-            grid = integer_grid(points)
-        inst = cls(kind, geometry, tuple(p.color for p in points), grid)
+            values, unit = rational_grid([v for r in rows for v in r[:2]])
+            grid = list(zip(values[::2], values[1::2])), unit
+        inst = cls(kind, geometry, tuple(r[3] for r in rows), grid)
         return validate_instance(inst) if validate else inst
 
     @classmethod
     def from_ticks(cls, ticks: list[int], unit: int, kind: str, colors=None, validate=True):
-        """Circle points at turn fractions t / unit for the ticks t, in
-        arrival order, coloured by ``colors`` (none when omitted).  The
-        instance takes the list over: a power of two that divides the unit
-        and every tick is shifted out of them in place."""
-        low = reduce(operator.or_, ticks, unit)
-        shift = (low & -low).bit_length() - 1
-        if shift > 0:
-            unit >>= shift
-            for i, t in enumerate(ticks):
-                ticks[i] = t >> shift
-        inst = cls(kind, CIRCLE, tuple(colors or [None] * len(ticks)), (ticks, unit))
+        """Circle points at turn fractions t / unit for the ticks t, in arrival order,
+        coloured by ``colors`` (none when omitted).  Takes the list over, reduced in place."""
+        inst = cls(kind, CIRCLE, tuple(colors or [None] * len(ticks)), reduce_grid(ticks, unit))
         return validate_instance(inst) if validate else inst
 
     @property

@@ -10,16 +10,15 @@ malformed one is an error, but keeps only the angles' ticks, and the
 writer derives x/y from each angle again, one point at a time.  Files
 that ``generate`` wrote round-trip to identical bytes.
 
-The loader builds each rational from its two integers without
-``Fraction``'s normalisation: every at-scale generator writes
-power-of-two denominators, which reduce by shifting out trailing zero
-bits, so loading such a file runs no gcd.  What remains of a large load
-is the decimal-to-int conversion of the literals.
+The loader parses each literal to its two integers, in the terms written,
+and hands the rows of pairs to ``Instance.from_rows``, so it builds no
+``Point`` and no ``Fraction`` and ``geometry`` alone decides how they
+become the grid.  What remains of a large load is the decimal-to-int
+conversion of the literals.
 """
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import Any
 
 from .adversaries import AnnotatedInstance
 from .errors import InvalidInstance, RationalTooLarge, quoted
-from .geometry import Instance, Point, _raw_fraction
+from .geometry import CIRCLE, Instance, Point
 
 SCHEMA_VERSION = 1
 
@@ -48,14 +47,15 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_rational(s: Any) -> Fraction:
     """An int, or a string as ``format_rational`` writes it: a signed ASCII
-    integer, optionally ``/`` and digits; no exponent, point or space.
+    integer, optionally ``/`` and digits; no exponent, point or space.  The
+    value equals ``Fraction(s)``."""
+    return Fraction(*_parse_pair(s))
 
-    The value equals ``Fraction(s)``, built without its normalisation: a
-    power-of-two denominator is reduced by shifting out the numerator's
-    trailing zero bits, so no gcd runs;
-    any other denominator is divided by the gcd."""
+
+def _parse_pair(s: Any) -> tuple[int, int]:
+    """The numerator and denominator of a ``parse_rational`` literal, as written."""
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is not 1
-        return _raw_fraction(s, 1)
+        return s, 1
     if not isinstance(s, str):
         raise InvalidInstance(f"bad rational value {quoted(s)}")
     match = _RATIONAL.fullmatch(s)
@@ -72,20 +72,7 @@ def parse_rational(s: Any) -> Fraction:
         ) from exc
     if q == 0:
         raise InvalidInstance(f"bad rational literal {quoted(s)}")
-    if p == 0:
-        return _raw_fraction(0, 1)
-    # a literal already in lowest terms (all the writer emits) keeps the two
-    # ints int() made: a shift by 0 or a division by 1 would copy them, and
-    # those copies fragment the heap (+4 % peak RSS loading Markov files)
-    if q.bit_count() == 1:  # a power of two: shift out the common factors of 2
-        shift = 0 if p & 1 else min((p & -p).bit_length(), q.bit_length()) - 1
-        if shift:
-            p, q = p >> shift, q >> shift
-    else:
-        g = math.gcd(p, q)
-        if g != 1:
-            p, q = p // g, q // g
-    return _raw_fraction(p, q)
+    return p, q
 
 
 def point_to_json(p: Point) -> dict:
@@ -124,38 +111,40 @@ def annotated_to_json(ai: AnnotatedInstance) -> dict:
     return instance_to_json(ai.instance, annotations=ann, meta=ai.meta)
 
 
-def _point_from_json(rp: Any, idx: int) -> Point:
+def _row_from_json(rp: Any, idx: int, circle: bool) -> tuple:
+    """The ``Instance.from_rows`` row of a point entry; circles' x/y are parsed, not kept."""
     if not isinstance(rp, dict):
         raise InvalidInstance(f"point {idx} is not an object")
     try:
         x, y = rp["x"], rp["y"]
     except KeyError as exc:
         raise InvalidInstance(f"point {idx} has no {exc} field") from exc
-    return Point(
-        x=parse_rational(x),
-        y=parse_rational(y),
-        arrival_index=idx,
-        color=rp.get("color"),
-        angle=parse_rational(rp["angle"]) if "angle" in rp else None,
-    )
+    x, y = _parse_pair(x), _parse_pair(y)
+    angle = _parse_pair(rp["angle"]) if "angle" in rp else None
+    return (None, None, angle, rp.get("color")) if circle else (x, y, angle, rp.get("color"))
 
 
 def instance_from_json(data: dict) -> AnnotatedInstance:
-    return _annotated(data, *_parsed_fields(data))
+    kind, geometry_, raw_points = _fields(data)
+    return _annotated(data, kind, geometry_, list(raw_points))  # parsing empties its list
 
 
-def _parsed_fields(data: Any) -> tuple[str, str, list[Point]]:
+def _fields(data: Any) -> tuple[str, str, list]:
     try:
         kind, geometry_, raw_points = data["kind"], data["geometry"], data["points"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
     if not isinstance(raw_points, list):
         raise InvalidInstance("points must be a list")
-    return kind, geometry_, [_point_from_json(rp, i) for i, rp in enumerate(raw_points, 1)]
+    return kind, geometry_, raw_points
 
 
-def _annotated(data: dict, kind: str, geometry_: str, points: list[Point]) -> AnnotatedInstance:
-    instance = Instance.build(points, kind, geometry_)
+def _annotated(data: dict, kind: str, geometry_: str, raw_points: list) -> AnnotatedInstance:
+    circle, rows = geometry_ == CIRCLE, []
+    for i, rp in enumerate(raw_points):
+        rows.append(_row_from_json(rp, i + 1, circle))
+        raw_points[i] = None  # its literals are freed while the rest are parsed
+    instance = Instance.from_rows(rows, kind, geometry_)
     # an exact int: JSON true and 1.0 both compare equal to 1
     if "n" in data and (type(data["n"]) is not int or data["n"] != instance.n):
         raise InvalidInstance(f"declared n={quoted(data['n'])} but instance has n={instance.n}")
@@ -193,6 +182,6 @@ def load_instance(path) -> AnnotatedInstance:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
             raise InvalidInstance(f"not valid JSON: {exc}") from exc
-    fields = _parsed_fields(data)
-    del data["points"]  # free the raw strings before validation ranks the points
+    fields = _fields(data)
+    del data["points"]  # the list is the loader's own: parsing frees it entry by entry
     return _annotated(data, *fields)

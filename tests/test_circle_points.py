@@ -279,7 +279,8 @@ def test_run_on_malformed_circle_files_exits_2(tmp_path, case):
 def test_a_unit_past_the_cap_raises_rational_too_large(tmp_path):
     # lcm(2, ..., 24001) has about 34 600 bits: the unit would hold every tick
     points = [circle_point(Fraction(1, d), i) for i, d in enumerate(range(2, 24002), start=1)]
-    with pytest.raises(RationalTooLarge, match="^the angles' common denominator exceeds"):
+    cap = "^the common denominator of the angles or coordinates exceeds"
+    with pytest.raises(RationalTooLarge, match=cap):
         Instance.build(points, MNM, CIRCLE)
     path = tmp_path / "wide.json"
     doc = {"kind": MNM, "geometry": CIRCLE, "points": [serial.point_to_json(p) for p in points]}
@@ -294,17 +295,19 @@ def _angle_family_members():
 
 
 def test_family_circles_are_ticks_over_the_lcm_of_their_denominators(monkeypatch):
-    made = []  # the circle points the member under construction is built from
+    made = []  # the angles the member under construction hands to the grid
+    rational_grid = geometry.rational_grid
 
-    def recording(*args):
-        made.append(circle_point(*args))
-        return made[-1]
+    def recording(pairs):
+        made.append([Fraction(*pair) for pair in pairs])
+        return rational_grid(pairs)
 
-    monkeypatch.setattr(adversaries, "circle_point", recording)
+    monkeypatch.setattr(geometry, "rational_grid", recording)
     units = set()
     for ai in _angle_family_members():
-        points, inst = made[:], ai.instance
+        (angles,), inst = made, ai.instance
         made.clear()
+        points = [circle_point(a, i, c) for i, (a, c) in enumerate(zip(angles, inst.colors), 1)]
         ticks, unit = inst.grid
         assert unit == math.lcm(*(p.angle.denominator for p in points))
         assert [t * p.angle.denominator for t, p in zip(ticks, points)] == [

@@ -1,20 +1,22 @@
 """The instance loader: ``serial.parse_rational`` against ``Fraction``, the
-digit limit, the Fraction-free load of dyadic files, round trips of every
-``ncmatch generate`` family, and a mutation fuzz of ``ncmatch run``."""
+digit limit, the unit cap, literals out of lowest terms, loads that build
+no ``Point`` and no ``Fraction``, round trips of every ``ncmatch generate``
+family, and a mutation fuzz of ``ncmatch run``."""
 import copy
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from ncmatch import adversaries, errors, generators, serial
+from ncmatch import adversaries, errors, generators, geometry, serial
 from ncmatch.cli import FAMILIES, main
 from ncmatch.engine import ALGORITHMS
 from ncmatch.errors import RationalTooLarge
-from ncmatch.geometry import BNM, CIRCLE, GENERAL, MNM
+from ncmatch.geometry import BNM, CIRCLE, GENERAL, MNM, Instance, Point, plane_point
 
 # ---------------------------------------------------------------------------
 # parse_rational is Fraction(s) on every literal the gate admits
@@ -123,6 +125,72 @@ def test_a_long_bad_value_is_echoed_in_a_short_error(tmp_path, name):
 
 
 # ---------------------------------------------------------------------------
+# one cap on the common denominator, on every geometry
+
+
+def test_unrelated_wide_coordinate_denominators_raise_rational_too_large(tmp_path):
+    # the lcm of 20 unrelated 3000-bit odd denominators would have about
+    # 60 000 bits: every coordinate would be scaled to it
+    rng = random.Random(5)
+    dens = [rng.getrandbits(3000) | 1 << 2999 | 1 for _ in range(20)]
+    points = [plane_point(Fraction(i, d), i * i, i) for i, d in enumerate(dens, start=1)]
+    cap = "^the common denominator of the angles or coordinates exceeds 32768 bits$"
+    with pytest.raises(RationalTooLarge, match=cap):
+        Instance.build(points, MNM, GENERAL)
+    path = tmp_path / "wide.json"
+    doc = {"kind": MNM, "geometry": GENERAL, "points": [serial.point_to_json(p) for p in points]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RationalTooLarge, match=cap):
+        serial.load_instance(path)
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["run", "sorted", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "RationalTooLarge: " + cap[1:-1]}
+
+
+# ---------------------------------------------------------------------------
+# literals out of lowest terms load to the instance of the reduced file
+
+
+def _circle_doc(angles):
+    points = [{"x": "0", "y": "0", "angle": a} for a in angles]
+    return {"kind": MNM, "geometry": CIRCLE, "points": points}
+
+
+_UNREDUCED = {
+    # dyadic: shifts reduce the grid
+    "dyadic-circle": (
+        _circle_doc(["2/4", "0/8", "6/16", "12/16"]), _circle_doc(["1/2", "0", "3/8", "3/4"]),
+    ),
+    # lcm(8, 12, 6, 12) = 24 over ticks 0, 8, 12, 20: only the gcd 4 reduces it to 6
+    "non-dyadic-circle": (
+        _circle_doc(["0/8", "4/12", "3/6", "10/12"]), _circle_doc(["0", "1/3", "1/2", "5/6"]),
+    ),
+    "general": tuple(
+        {"kind": MNM, "geometry": GENERAL, "points": [{"x": x, "y": y} for x, y in pts]}
+        for pts in (
+            [("-6/8", "3/6"), ("2/4", "0/8"), ("4/12", "10/2"), ("4", "-14/6")],
+            [("-3/4", "1/2"), ("1/2", "0"), ("1/3", "5"), ("4", "-7/3")],
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREDUCED))
+def test_unreduced_literals_load_to_the_instance_of_the_reduced_file(tmp_path, name):
+    loaded = []
+    for i, doc in enumerate(_UNREDUCED[name]):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        loaded.append(serial.load_instance(path).instance)
+    unreduced, reduced = loaded
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
+    assert unreduced.grid == reduced.grid
+    assert unreduced.grid[1] == {"dyadic-circle": 8, "non-dyadic-circle": 6, "general": 12}[name]
+
+
+# ---------------------------------------------------------------------------
 # loading a dyadic file builds no Fraction through its constructor
 
 
@@ -164,6 +232,29 @@ _SMALL = {
     "random-convex": lambda seed: generators.random_convex_instance(5, BNM if seed else MNM, seed),
     "random-general": lambda seed: generators.random_general_instance(4, seed),
 }
+
+
+def test_loading_any_family_file_builds_no_point_and_no_fraction(tmp_path, monkeypatch):
+    paths = []
+    for family, build in sorted(_SMALL.items()):
+        paths.append(tmp_path / f"{family}.json")
+        serial.dump_instance(paths[-1], build(1))
+    paths.append(tmp_path / "polygon.json")
+    serial.dump_instance(paths[-1], generators.random_convex_polygon_instance(6, BNM, 1))
+    calls = []
+    point_init, fraction_new, raw_fraction = Point.__init__, Fraction.__new__, geometry._raw_fraction
+
+    def counting(original):
+        return lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+
+    monkeypatch.setattr(Point, "__init__", counting(point_init))
+    monkeypatch.setattr(Fraction, "__new__", counting(fraction_new))
+    monkeypatch.setattr(geometry, "_raw_fraction", counting(raw_fraction))
+    for path in paths:
+        serial.load_instance(path)
+        assert calls == [], path.name
+    Fraction(1, 2), Point(0, 0, 1), geometry._raw_fraction(1, 2)  # the counters are live
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("family", sorted(_SMALL))
