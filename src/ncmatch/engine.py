@@ -10,17 +10,17 @@ unless ``has(j)`` admits j, so no simulation can commit a crossing edge.
 
 Each geometry has one availability engine (``make_engine``): a
 laminar-region tracker in convex position (circles and polygons) and, in
-general position, a brute-force one that runs direct crossing tests on the
-instance's exact view (integer coordinates; hull ranks in convex position,
-where tests use it as the region engine's reference).  The brute engine
-keeps, per point, bit masks of the committed edges whose line has the
-point strictly on its left or passes through it, and tests a candidate
-segment only against the edges whose line separates its ends or passes
-through one.  When the line strictly separates the ends, the segments meet
-iff the edge's ends do not lie strictly on one side of the candidate's
-line: two turns; only an edge whose line passes through an end takes the
-full crossing test.  Its answers equal geometry.scan_available's, which
-stays the reference.
+general position, a brute-force one that runs direct crossing tests on
+integer pairs (hull ranks r lifted to (r, r^2) in convex position, where
+tests use it as the region engine's reference).  The brute engine keeps,
+per point, bit masks of the committed edges whose line has the point
+strictly on its left or passes through it, and tests a candidate segment
+only against the edges whose line separates its ends or passes through
+one, the candidate's last blocker first.  When the line strictly separates
+the ends, the segments meet iff the edge's ends do not lie strictly on one
+side of the candidate's line: two inline turns; only an edge whose line
+passes through an end takes the full crossing test.  Its answers equal
+geometry.scan_available's, which stays the reference.
 
 Two points in convex position can be joined without a crossing iff no
 committed chord separates them, so region identity is availability.  Each
@@ -54,7 +54,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching
+from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching, seg_cross_int
 from .offline import MatchingReport
 
 
@@ -65,57 +65,71 @@ from .offline import MatchingReport
 class _BruteEngine:
     """Availability by direct crossing tests; the reference engine.
 
-    Committed edges are kept as pairs of the instance's ``crossing_view``
-    ends (hull ranks in convex position, integer coordinates otherwise),
-    numbered 0, 1, 2, ... in commit order.  Each unmatched point t keeps two
-    bit masks over the edges: bit k of ``side[t]`` is set when t lies
-    strictly left of edge k by the view's turn, bit k of ``on[t]`` when t
-    lies on its line; a match fills in its bit for every unmatched point.
-    A segment whose ends lie strictly on one side of an edge's line cannot
-    touch that edge, so an arrival tests a candidate pq only against the
-    edges in ``(side[i] ^ side[j]) | on[i] | on[j]``.  For an edge ab in
+    Points are integer pairs: ``int_xy``, or in convex position each hull
+    rank r lifted to (r, r * r), whose cross products (b - a)(c - a)(c - b)
+    have ``cyclic_turn``'s sign and never vanish.  Committed edges are kept
+    flat as (ax, ay, bx, by), numbered 0, 1, 2, ... in commit order.  Each
+    unmatched point t keeps two bit masks over the edges: bit k of
+    ``side[t]`` is set when t lies strictly left of edge k, bit k of
+    ``on[t]`` when t lies on its line; a match fills in its bit for every
+    unmatched point.  A segment whose ends lie strictly on one side of an
+    edge's line cannot touch that edge, so an arrival tests a candidate pq
+    only against the edges in ``(side[i] ^ side[j]) | on[i] | on[j]``,
+    ``last[j]`` (the edge that last blocked j) first.  For an edge ab in
     ``side[i] ^ side[j]`` alone, p and q lie strictly on opposite sides of
     line ab, which meets pq in one point strictly between them; the closed
-    segments meet iff that point lies on ab, that is iff
-    ``turn(p, q, a) * turn(p, q, b) <= 0`` (a on line pq is that point).
-    Edges in ``on[i] | on[j]``, which only degenerate unvalidated input
-    has, take the view's full crossing test.  The answers equal
-    ``geometry.scan_available``'s.
+    segments meet iff that point lies on ab, that is iff the turns of a and
+    b about pq, computed inline, have a product <= 0.  Edges in
+    ``on[i] | on[j]``, which only degenerate unvalidated input has, take
+    ``seg_cross_int``.  The answers equal ``geometry.scan_available``'s;
+    ``tests``, ``arrival_turns`` and ``commit_turns`` count the work.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.ends, self.crosses, self.turn = instance.crossing_view
-        self.edges: list[tuple] = []  # committed edges as pairs of ends
+        convex = instance.geometry in (CIRCLE, CONVEX)
+        self.ends = [(r, r * r) for r in instance.ranks] if convex else instance.int_xy
+        self.edges: list[tuple[int, int, int, int]] = []
         m = len(self.ends)
         self.side = [0] * (m + 1)  # by arrival index; slot 0 unused
         self.on = [0] * (m + 1)
+        self.last = [0] * (m + 1)
         self.free: list[int] = []  # unmatched arrivals, ascending
         self.cur: tuple[int, list[int]] | None = None
+        self.tests = self.arrival_turns = self.commit_turns = 0
 
     def on_arrival(self, i: int) -> int:
-        ends, crosses, turn = self.ends, self.crosses, self.turn
-        edges, side, on = self.edges, self.side, self.on
+        ends, edges, side, on, last = self.ends, self.edges, self.side, self.on, self.last
         colors = self.instance.colors
         color = colors[i - 1] if self.instance.kind == BNM else None
-        p, si, oi = ends[i - 1], side[i], on[i]
+        (px, py), si, oi = ends[i - 1], side[i], on[i]
         av = []
+        turns = 0
         for j in self.free:
             if color is not None and colors[j - 1] == color:
                 continue
-            q, touch = ends[j - 1], oi | on[j]
+            touch = oi | on[j]
             mask = (si ^ side[j]) | touch
+            qx, qy = ends[j - 1]
+            dx, dy = qx - px, qy - py
+            low = last[j] & mask or mask & -mask
             while mask:
-                low = mask & -mask
-                a, b = edge = edges[low.bit_length() - 1]
+                ax, ay, bx, by = edges[low.bit_length() - 1]
                 if low & touch:
-                    if crosses((p, q), edge):
+                    self.tests += 1
+                    if seg_cross_int(((px, py), (qx, qy)), ((ax, ay), (bx, by))):
                         break
-                elif turn(p, q, a) * turn(p, q, b) <= 0:
-                    break
+                else:
+                    turns += 2
+                    if (dx * (ay - py) - dy * (ax - px)) * (dx * (by - py) - dy * (bx - px)) <= 0:
+                        break
                 mask ^= low
+                low = mask & -mask
             else:
                 av.append(j)
+                continue
+            last[j] = low
+        self.arrival_turns += turns
         self.cur = (i, av)
         return len(av)
 
@@ -130,7 +144,8 @@ class _BruteEngine:
 
     def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
         """Match the arrival to j, or skip it (j None); the counts left and
-        right of the chord, or (None, None).  IllegalMatch unless has(j)."""
+        right of the chord, or (None, None).  IllegalMatch unless has(j), and
+        Degenerate, changing nothing, if an available point is on its line."""
         if j is None:
             self.free.append(self.cur[0])
             self.cur = None
@@ -138,26 +153,28 @@ class _BruteEngine:
         i, av = self.cur
         if not self.has(j):
             raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
-        ends, turn = self.ends, self.turn
-        p, q = ends[i - 1], ends[j - 1]
+        ends, side, on = self.ends, self.side, self.on
+        (px, py), (qx, qy) = ends[i - 1], ends[j - 1]
+        dx, dy = qx - px, qy - py
+        signs = [dx * (y - py) - dy * (x - px) for x, y in (ends[t - 1] for t in av if t != j)]
+        if 0 in signs:
+            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
+        left = sum(s > 0 for s in signs)
         rest = [t for t in self.free if t != j]
         rest += range(i + 1, len(ends) + 1)
         bit = 1 << len(self.edges)
-        side, on = self.side[:], self.on[:]  # copies: Degenerate leaves the masks as they were
         for t in rest:
-            s = turn(p, q, ends[t - 1])
+            x, y = ends[t - 1]
+            s = dx * (y - py) - dy * (x - px)
             if s > 0:
                 side[t] |= bit
             elif not s:
                 on[t] |= bit
-        if any(on[t] & bit for t in av):
-            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
-        left = sum(1 for t in av if side[t] & bit)
-        self.side, self.on = side, on
+        self.commit_turns += len(signs) + len(rest)
         self.free.remove(j)
-        self.edges.append((p, q))
+        self.edges.append((px, py, qx, qy))
         self.cur = None
-        return left, len(av) - 1 - left
+        return left, len(signs) - left
 
 
 class _RegionEngine:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -44,6 +45,7 @@ from ncmatch.geometry import (
     available_set,
     circle_point,
     cross_int,
+    cyclic_turn,
     plane_point,
     scan_available,
 )
@@ -265,7 +267,10 @@ def test_brute_engine_integer_path_matches_available_set():
         else:
             inst = generators.random_convex_polygon_instance(5, MNM, rng.randrange(10**6))
         eng = _BruteEngine(inst)
-        assert eng.ends is (inst.int_xy if inst.geometry == GENERAL else inst.ranks)
+        if inst.geometry == GENERAL:
+            assert eng.ends is inst.int_xy
+        else:
+            assert eng.ends == [(r, r * r) for r in inst.ranks]
         m = Matching()
         for i in range(1, 11):
             cnt = eng.on_arrival(i)
@@ -278,6 +283,69 @@ def test_brute_engine_integer_path_matches_available_set():
                 m = m.with_edge(i, j)
             else:
                 eng.commit(None)
+
+
+def test_lifted_ranks_turn_like_cyclic_turn():
+    # rank r lifted to (r, r^2): the cross product of ranks a, b, c is
+    # (b - a)(c - a)(c - b), never zero, with the sign of cyclic_turn
+    lift = {r: (r, r * r) for r in range(10)}
+    for a, b, c in itertools.permutations(range(10), 3):
+        turn = cross_int(lift[a], lift[b], lift[c])
+        assert turn == (b - a) * (c - a) * (c - b)
+        assert (turn > 0) - (turn < 0) == cyclic_turn(a, b, c) != 0
+
+
+def _grid_instance(rng, kind, side):
+    """Distinct points of a side x side grid, unvalidated: collinear
+    triples occur and points sit on edge lines."""
+    m = 2 * rng.randrange(1, 9)
+    colors = [BLUE] * (m // 2) + [RED] * (m // 2) if kind == BNM else [None] * m
+    cells = rng.sample([(x, y) for x in range(side) for y in range(side)], m)
+    pts = [plane_point(x, y, t + 1, c) for t, ((x, y), c) in enumerate(zip(cells, colors))]
+    return Instance.build(pts, kind, GENERAL, validate=False)
+
+
+@pytest.mark.parametrize("source", ["grid", "general"])
+def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(source):
+    # every count and every has answer equals scan_available's, also where a
+    # candidate's cached blocker is no longer in its mask (the new arrival
+    # lies on the same side of that edge) or is an edge whose line passes
+    # through an end, which takes the full crossing test
+    rng = random.Random(59)
+    left_mask = touch = cached = matches = 0
+    for trial in range(120):
+        kind = rng.choice([MNM, BNM])
+        if source == "grid":
+            inst = _grid_instance(rng, kind, 5)
+        else:
+            inst = generators.random_general_instance(1 + trial % 12, rng.randrange(10**6))
+        eng = _BruteEngine(inst)
+        matched, edges = set(), []
+        for i in range(1, inst.size + 1):
+            si, oi = eng.side[i], eng.on[i]
+            for j in eng.free:
+                if eng.last[j]:
+                    mask = (si ^ eng.side[j]) | oi | eng.on[j]
+                    cached += 1
+                    left_mask += not eng.last[j] & mask
+                    touch += bool(eng.last[j] & (oi | eng.on[j]))
+            expected = scan_available(inst, i, matched, edges)
+            assert eng.on_arrival(i) == len(expected)
+            assert [j for j in range(i + 2) if eng.has(j)] == expected
+            if not expected or rng.random() < 0.4:
+                eng.commit(None)
+                continue
+            j = rng.choice(expected)
+            try:
+                eng.commit(j)
+            except Degenerate:
+                eng.commit(None)
+                continue
+            matched |= {i, j}
+            edges.append((inst.int_xy[i - 1], inst.int_xy[j - 1]))
+            matches += 1
+    assert matches > 250 and cached > 600 and left_mask > 200
+    assert (touch > 50) == (source == "grid")
 
 
 def _brute_play_against_available_set(inst, rng) -> int:
@@ -363,17 +431,10 @@ def test_brute_engine_on_degenerate_grid_points_agrees_with_the_scan(kind):
     # full crossing test and matches with an available point on their line
     # raise Degenerate, after which the arrival is skipped instead
     rng = random.Random(53)
-    cells = [(x, y) for x in range(4) for y in range(4)]
     on_line = degenerate = matches = 0
     for trial in range(150):
-        m = 2 * rng.randrange(1, 9)
-        colors = [BLUE] * (m // 2) + [RED] * (m // 2) if kind == BNM else [None] * m
-        pts = [
-            plane_point(x, y, t + 1, c)
-            for t, ((x, y), c) in enumerate(zip(rng.sample(cells, m), colors))
-        ]
-        inst = Instance.build(pts, kind, GENERAL, validate=False)
-        ends = inst.int_xy
+        inst = _grid_instance(rng, kind, 4)
+        m, ends = inst.size, inst.int_xy
         eng = _BruteEngine(inst)
         matched, edges = set(), []
         for i in range(1, m + 1):
