@@ -10,17 +10,16 @@ unless ``has(j)`` admits j, so no simulation can commit a crossing edge.
 
 Each geometry has one availability engine (``make_engine``): a
 laminar-region tracker in convex position (circles and polygons) and, in
-general position, a brute-force one that runs direct crossing tests on
-integer pairs (hull ranks r lifted to (r, r^2) in convex position, where
-tests use it as the region engine's reference).  The brute engine keeps,
-per point, bit masks of the committed edges whose line has the point
-strictly on its left or passes through it, and tests a candidate segment
-only against the edges whose line separates its ends or passes through
-one, the candidate's last blocker first.  When the line strictly separates
-the ends, the segments meet iff the edge's ends do not lie strictly on one
-side of the candidate's line: two inline turns; only an edge whose line
-passes through an end takes the full crossing test.  Its answers equal
-geometry.scan_available's, which stays the reference.
+general position, a brute-force one that decides by turns on integer pairs
+(hull ranks r lifted to (r, r^2) in convex position, where tests use it as
+the region engine's reference).  No point still live lies on a committed
+edge's line: validation rules it out, and a match that would break it
+raises Degenerate.  So the brute engine keeps one bit mask per point, of
+the committed edges that have the point strictly on their left, and tests
+a candidate segment only against the edges whose line separates its ends,
+the candidate's last blocker first: the segments meet iff the edge's ends
+do not lie strictly on one side of the candidate's line, two inline turns.
+Its answers equal geometry.scan_available's, which stays the reference.
 
 Two points in convex position can be joined without a crossing iff no
 committed chord separates them, so region identity is availability.  Each
@@ -54,7 +53,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
-from .geometry import BLUE, BNM, CIRCLE, CONVEX, MNM, RED, Instance, Matching, seg_cross_int
+from .geometry import BLUE, BNM, MNM, RED, Instance, Matching
 from .offline import MatchingReport
 
 
@@ -63,66 +62,58 @@ from .offline import MatchingReport
 
 
 class _BruteEngine:
-    """Availability by direct crossing tests; the reference engine.
+    """Availability by turns on integer pairs; the reference engine.
 
     Points are integer pairs: ``int_xy``, or in convex position each hull
     rank r lifted to (r, r * r), whose cross products (b - a)(c - a)(c - b)
     have ``cyclic_turn``'s sign and never vanish.  Committed edges are kept
-    flat as (ax, ay, bx, by), numbered 0, 1, 2, ... in commit order.  Each
-    unmatched point t keeps two bit masks over the edges: bit k of
-    ``side[t]`` is set when t lies strictly left of edge k, bit k of
-    ``on[t]`` when t lies on its line; a match fills in its bit for every
-    unmatched point.  A segment whose ends lie strictly on one side of an
-    edge's line cannot touch that edge, so an arrival tests a candidate pq
-    only against the edges in ``(side[i] ^ side[j]) | on[i] | on[j]``,
-    ``last[j]`` (the edge that last blocked j) first.  For an edge ab in
-    ``side[i] ^ side[j]`` alone, p and q lie strictly on opposite sides of
-    line ab, which meets pq in one point strictly between them; the closed
-    segments meet iff that point lies on ab, that is iff the turns of a and
-    b about pq, computed inline, have a product <= 0.  Edges in
-    ``on[i] | on[j]``, which only degenerate unvalidated input has, take
-    ``seg_cross_int``.  The answers equal ``geometry.scan_available``'s;
-    ``tests``, ``arrival_turns`` and ``commit_turns`` count the work.
+    flat as (ax, ay, bx, by), numbered 0, 1, 2, ... in commit order.  No
+    live point (unmatched, or yet to arrive) lies on a committed edge's
+    line: validated input has no collinear triple, and ``commit`` raises
+    Degenerate before it would put one there.  So one bit mask per point
+    places it: bit k of ``side[t]`` is set when t lies strictly left of
+    edge k, clear when strictly right; a match fills in its bit for every
+    live point.  A segment whose ends lie strictly on one side of an edge's
+    line cannot touch that edge, so an arrival tests a candidate pq only
+    against the edges in ``side[i] ^ side[j]``, ``last[j]`` (the edge that
+    last blocked j) first.  For such an edge ab, p and q lie strictly on
+    opposite sides of line ab, which meets pq in one point strictly between
+    them; the closed segments meet iff that point lies on ab, that is iff
+    the turns of a and b about pq, computed inline, have a product <= 0.
+    The answers equal ``geometry.scan_available``'s; ``arrival_turns`` and
+    ``commit_turns`` count the work.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        convex = instance.geometry in (CIRCLE, CONVEX)
-        self.ends = [(r, r * r) for r in instance.ranks] if convex else instance.int_xy
+        self.ends = [(r, r * r) for r in instance.ranks] if instance.convex else instance.int_xy
         self.edges: list[tuple[int, int, int, int]] = []
         m = len(self.ends)
         self.side = [0] * (m + 1)  # by arrival index; slot 0 unused
-        self.on = [0] * (m + 1)
         self.last = [0] * (m + 1)
         self.free: list[int] = []  # unmatched arrivals, ascending
         self.cur: tuple[int, list[int]] | None = None
-        self.tests = self.arrival_turns = self.commit_turns = 0
+        self.arrival_turns = self.commit_turns = 0
 
     def on_arrival(self, i: int) -> int:
-        ends, edges, side, on, last = self.ends, self.edges, self.side, self.on, self.last
+        ends, edges, side, last = self.ends, self.edges, self.side, self.last
         colors = self.instance.colors
         color = colors[i - 1] if self.instance.kind == BNM else None
-        (px, py), si, oi = ends[i - 1], side[i], on[i]
+        (px, py), si = ends[i - 1], side[i]
         av = []
         turns = 0
         for j in self.free:
             if color is not None and colors[j - 1] == color:
                 continue
-            touch = oi | on[j]
-            mask = (si ^ side[j]) | touch
+            mask = si ^ side[j]
             qx, qy = ends[j - 1]
             dx, dy = qx - px, qy - py
             low = last[j] & mask or mask & -mask
             while mask:
                 ax, ay, bx, by = edges[low.bit_length() - 1]
-                if low & touch:
-                    self.tests += 1
-                    if seg_cross_int(((px, py), (qx, qy)), ((ax, ay), (bx, by))):
-                        break
-                else:
-                    turns += 2
-                    if (dx * (ay - py) - dy * (ax - px)) * (dx * (by - py) - dy * (bx - px)) <= 0:
-                        break
+                turns += 2
+                if (dx * (ay - py) - dy * (ax - px)) * (dx * (by - py) - dy * (bx - px)) <= 0:
+                    break
                 mask ^= low
                 low = mask & -mask
             else:
@@ -145,7 +136,7 @@ class _BruteEngine:
     def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
         """Match the arrival to j, or skip it (j None); the counts left and
         right of the chord, or (None, None).  IllegalMatch unless has(j), and
-        Degenerate, changing nothing, if an available point is on its line."""
+        Degenerate, changing nothing, if a live point is on its line."""
         if j is None:
             self.free.append(self.cur[0])
             self.cur = None
@@ -153,13 +144,9 @@ class _BruteEngine:
         i, av = self.cur
         if not self.has(j):
             raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
-        ends, side, on = self.ends, self.side, self.on
+        ends, side = self.ends, self.side
         (px, py), (qx, qy) = ends[i - 1], ends[j - 1]
         dx, dy = qx - px, qy - py
-        signs = [dx * (y - py) - dy * (x - px) for x, y in (ends[t - 1] for t in av if t != j)]
-        if 0 in signs:
-            raise Degenerate(f"an available point is collinear with edge ({i}, {j})")
-        left = sum(s > 0 for s in signs)
         rest = [t for t in self.free if t != j]
         rest += range(i + 1, len(ends) + 1)
         bit = 1 << len(self.edges)
@@ -169,12 +156,15 @@ class _BruteEngine:
             if s > 0:
                 side[t] |= bit
             elif not s:
-                on[t] |= bit
-        self.commit_turns += len(signs) + len(rest)
+                for u in rest:
+                    side[u] &= ~bit
+                raise Degenerate(f"a live point is collinear with edge ({i}, {j})")
+        self.commit_turns += len(rest)
+        left = sum(side[t] & bit != 0 for t in av)
         self.free.remove(j)
         self.edges.append((px, py, qx, qy))
         self.cur = None
-        return left, len(signs) - left
+        return left, len(av) - 1 - left
 
 
 class _RegionEngine:
@@ -304,8 +294,7 @@ def _take(ranks: list[int], a: int, b: int, wrap: bool) -> list[int]:
 
 def make_engine(instance: Instance):
     """The region engine in convex position, the brute engine otherwise."""
-    convex = instance.geometry in (CIRCLE, CONVEX)
-    return (_RegionEngine if convex else _BruteEngine)(instance)
+    return (_RegionEngine if instance.convex else _BruteEngine)(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +421,7 @@ def _check_convex(kind: str) -> Callable[[Instance], None]:
     def check(instance: Instance) -> None:
         if instance.kind != kind:
             raise InvalidInstance(f"this algorithm runs on {kind} instances")
-        if instance.geometry not in (CIRCLE, CONVEX):
+        if not instance.convex:
             raise NotConvex("this algorithm needs points in convex position")
 
     return check

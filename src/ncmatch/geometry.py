@@ -15,7 +15,7 @@ colours, ranks, x-order, equality and hashing come from the columns, and
 placeholders (the float cosine and sine) that never reach a predicate.
 
 Each instance has one exact view, picked by ``Instance.crossing_view``:
-``(ends, crosses, turn)``.  Convex position (circles and convex polygons)
+``(ends, crosses)``.  Convex position (circles and convex polygons)
 runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
 interleave (``chords_cross``), and three points turn left iff their ranks
 run counterclockwise (``cyclic_turn``).  Circles sort their ticks into
@@ -437,18 +437,19 @@ class Instance:
             return [x for x, _y in values]
         return [-min(t, unit - t) for t in values]
 
+    @property
+    def convex(self) -> bool:
+        """Whether the points are in convex position: circles and polygons."""
+        return self.geometry != GENERAL
+
     @cached_property
-    def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool], Callable]:
-        """``(ends, crosses, turn)``: each point's exact stand-in, in arrival
-        order; the test that decides whether two segments given as pairs of
-        stand-ins intersect; and the turn of three stand-ins, positive iff
-        the third lies left of the directed line through the first two,
-        zero iff collinear.  Convex position (circles and polygons) uses its
-        hull ranks, ``chords_cross`` and ``cyclic_turn``; general position
-        uses ``int_xy``, ``seg_cross_int`` and ``cross_int``."""
-        if self.geometry in (CIRCLE, CONVEX):
-            return self.ranks, chords_cross, cyclic_turn
-        return self.int_xy, seg_cross_int, cross_int
+    def crossing_view(self) -> tuple[list, Callable[[tuple, tuple], bool]]:
+        """``(ends, crosses)``: each point's exact stand-in, in arrival
+        order, and the test that decides whether two segments given as
+        pairs of stand-ins intersect.  Convex position uses its hull ranks
+        and ``chords_cross``; general position ``int_xy`` and
+        ``seg_cross_int``."""
+        return (self.ranks, chords_cross) if self.convex else (self.int_xy, seg_cross_int)
 
     @cached_property
     def ranks(self) -> list[int]:
@@ -546,7 +547,7 @@ def hull_order(instance: Instance) -> list[int]:
 
     Returns arrival indices.
     """
-    if instance.geometry not in (CIRCLE, CONVEX):
+    if not instance.convex:
         raise NotConvex("hull order needs circle or convex geometry")
     ranks = instance.ranks
     m = len(ranks)
@@ -560,7 +561,7 @@ def hull_order(instance: Instance) -> list[int]:
 def parity(instance: Instance) -> list[int]:
     """Parity of each point's clockwise hull distance from p_1, in arrival
     order; with an even point count, that of its rank minus p_1's."""
-    if instance.geometry not in (CIRCLE, CONVEX):
+    if not instance.convex:
         raise NotConvex("hull parity needs circle or convex geometry")
     ranks = instance.ranks
     r0 = ranks[0]
@@ -642,7 +643,7 @@ def scan_available(
     the other color on BNM, and the segment p_i p_j crosses none of the
     committed ``edges``, which are given as pairs of the instance's
     ``crossing_view`` ends."""
-    ends, crosses, _turn = instance.crossing_view
+    ends, crosses = instance.crossing_view
     colors = instance.colors
     color = colors[i - 1] if instance.kind == BNM else None
     p = ends[i - 1]

@@ -20,7 +20,7 @@ from .errors import (
     NotPerfect,
     SharedEndpoint,
 )
-from .geometry import BNM, CIRCLE, CONVEX, Instance, Matching, Point
+from .geometry import BNM, Instance, Matching, Point
 
 BRUTE_FORCE_CAP = 12
 
@@ -92,7 +92,7 @@ def noncrossing_pairings(
     (i, j) edges in the order chosen; (2n-1)!! leaves at worst, far fewer
     after pruning.
     """
-    ends, crosses, _turn = instance.crossing_view
+    ends, crosses = instance.crossing_view
     segs = [(ends[a - 1], ends[b - 1]) for a, b in prior]
     chosen: list[tuple[int, int]] = []
 
@@ -172,7 +172,7 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
     balanced partner.  Deterministic, so golden tests can pin its output.
     O(n) after the hull order.
     """
-    if instance.geometry not in (CIRCLE, CONVEX):
+    if not instance.convex:
         raise NotConvex("convex matching construction needs convex position")
     colors = instance.colors
     is_bnm = instance.kind == BNM
@@ -315,14 +315,10 @@ def validate_matching(
             report.color_violations.append(e)
     report.matched_count = len(seen)
 
-    if (
-        instance.geometry in (CIRCLE, CONVEX)
-        and not report.duplicate_endpoints
-        and _hull_noncrossing_ok(instance, usable)
-    ):
+    if instance.convex and not report.duplicate_endpoints and _hull_noncrossing_ok(instance, usable):
         segs = []  # fast path: provably no crossing pair
     else:
-        ends, crosses, _turn = instance.crossing_view
+        ends, crosses = instance.crossing_view
         segs = [(ends[a - 1], ends[b - 1]) for a, b in usable]
     # Every point of a segment lies between its ends in the view's order
     # (hull ranks, or (x, y) pairs compared lexicographically), so segments

@@ -33,7 +33,6 @@ from ncmatch.geometry import (
     available_set,
     chords_cross,
     circle_point,
-    cyclic_turn,
     segments_cross,
 )
 from ncmatch.offline import compare_length_sums, squared_length
@@ -229,8 +228,8 @@ def test_chord_test_on_ranks_agrees_with_segments_cross():
         inst = (non_dyadic_circle_instance if trial % 2 else generators.random_circle_instance)(
             2, MNM, rng.randrange(10**6)
         )
-        ends, crosses, turn = inst.crossing_view
-        assert ends is inst.ranks and crosses is chords_cross and turn is cyclic_turn
+        ends, crosses = inst.crossing_view
+        assert ends is inst.ranks and crosses is chords_cross
         a, b, c, d = rng.sample(range(4), 4)
         pts = inst.points
         expected = segments_cross((pts[a], pts[b]), (pts[c], pts[d]))
@@ -240,9 +239,9 @@ def test_chord_test_on_ranks_agrees_with_segments_cross():
 def test_planar_view_is_the_integer_view():
     instances = random_instances(3)
     for inst in instances[-6:-3]:  # polygons
-        assert inst.crossing_view == (inst.ranks, chords_cross, cyclic_turn)
+        assert inst.crossing_view == (inst.ranks, chords_cross)
     for inst in instances[-3:]:  # general position
-        assert inst.crossing_view == (inst.int_xy, geometry.seg_cross_int, geometry.cross_int)
+        assert inst.crossing_view == (inst.int_xy, geometry.seg_cross_int)
 
 
 def test_available_set_matches_reference():

@@ -305,15 +305,32 @@ def _grid_instance(rng, kind, side):
     return Instance.build(pts, kind, GENERAL, validate=False)
 
 
+def _refused(eng, inst, matched, i, j) -> bool:
+    """Whether a live point (unmatched, or yet to arrive) lies on the line
+    of i and j; if so, committing j must raise Degenerate and leave the
+    engine's masks, free points and edges as they were, and the arrival is
+    skipped instead."""
+    ends = inst.int_xy
+    live = [t for t in range(1, inst.size + 1) if t not in matched and t not in (i, j)]
+    if all(cross_int(ends[i - 1], ends[j - 1], ends[t - 1]) for t in live):
+        return False
+    before = (list(eng.side), list(eng.last), list(eng.free), list(eng.edges))
+    with pytest.raises(Degenerate):
+        eng.commit(j)
+    assert (eng.side, eng.last, eng.free, eng.edges) == before
+    eng.commit(None)
+    return True
+
+
 @pytest.mark.parametrize("source", ["grid", "general"])
 def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(source):
     # every count and every has answer equals scan_available's, also where a
     # candidate's cached blocker is no longer in its mask (the new arrival
-    # lies on the same side of that edge) or is an edge whose line passes
-    # through an end, which takes the full crossing test
+    # lies on the same side of that edge); on grids, matches whose line
+    # passes through a live point are refused with Degenerate
     rng = random.Random(59)
-    left_mask = touch = cached = matches = 0
-    for trial in range(120):
+    left_mask = refused = cached = matches = 0
+    for trial in range(150):
         kind = rng.choice([MNM, BNM])
         if source == "grid":
             inst = _grid_instance(rng, kind, 5)
@@ -322,13 +339,11 @@ def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(
         eng = _BruteEngine(inst)
         matched, edges = set(), []
         for i in range(1, inst.size + 1):
-            si, oi = eng.side[i], eng.on[i]
+            si = eng.side[i]
             for j in eng.free:
                 if eng.last[j]:
-                    mask = (si ^ eng.side[j]) | oi | eng.on[j]
                     cached += 1
-                    left_mask += not eng.last[j] & mask
-                    touch += bool(eng.last[j] & (oi | eng.on[j]))
+                    left_mask += not eng.last[j] & (si ^ eng.side[j])
             expected = scan_available(inst, i, matched, edges)
             assert eng.on_arrival(i) == len(expected)
             assert [j for j in range(i + 2) if eng.has(j)] == expected
@@ -336,16 +351,15 @@ def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(
                 eng.commit(None)
                 continue
             j = rng.choice(expected)
-            try:
-                eng.commit(j)
-            except Degenerate:
-                eng.commit(None)
+            if _refused(eng, inst, matched, i, j):
+                refused += 1
                 continue
+            eng.commit(j)
             matched |= {i, j}
             edges.append((inst.int_xy[i - 1], inst.int_xy[j - 1]))
             matches += 1
     assert matches > 250 and cached > 600 and left_mask > 200
-    assert (touch > 50) == (source == "grid")
+    assert (refused > 100) == (source == "grid")
 
 
 def _brute_play_against_available_set(inst, rng) -> int:
@@ -387,29 +401,28 @@ def test_brute_engine_masks_agree_with_available_set_in_convex_position(gen, kin
         _brute_play_against_available_set(inst, rng)
 
 
-def test_brute_engine_tests_a_point_on_an_edge_line_beyond_the_segment():
-    # 3 and 5 lie on the line of edge (1, 2) but off the segment: a segment
-    # from either is tested against that edge; 3-4 misses it, 3-5 covers it
+def test_brute_engine_refuses_a_match_with_a_later_point_on_its_line():
+    # 3 and 5 lie on the line of (2, 1), off the segment, and arrive later:
+    # no available point is on that line, but the match would leave live
+    # points on it, so it raises Degenerate and changes nothing
     xy = [(0, 0), (2, 0), (4, 0), (3, 1), (-1, 0), (1, 5)]
     pts = [plane_point(x, y, i + 1) for i, (x, y) in enumerate(xy)]
     inst = Instance.build(pts, MNM, GENERAL, validate=False)
     eng = _BruteEngine(inst)
-    m = Matching()
-    for i, partner in enumerate([None, 1, None, None, 4, 3], start=1):
-        cnt = eng.on_arrival(i)
-        expected = sorted(available_set(inst, m, i))
-        assert cnt == len(expected) and available(eng, i) == expected
-        if partner is None:
-            eng.commit(None)
-        else:
-            eng.commit(partner)
-            m = m.with_edge(i, partner)
-        if i == 4:
-            assert expected == [3]
-        if i == 5:
-            assert expected == [4]  # 3-5 runs along the edge
-    assert eng.on[3] == eng.on[5] == 1  # only edge 0's line
-    assert len(m) == 3
+    eng.on_arrival(1)
+    eng.commit(None)
+    assert eng.on_arrival(2) == 1 and eng.has(1)
+    with pytest.raises(Degenerate, match=r"edge \(2, 1\)"):
+        eng.commit(1)
+    assert eng.side == [0] * 7 and eng.free == [1] and eng.edges == []
+    eng.commit(None)
+    for i in range(3, 6):
+        assert eng.on_arrival(i) == i - 1
+        eng.commit(None)
+    # no live point is on the line of (6, 4): 3 lies left, 1, 2 and 5 right
+    assert eng.on_arrival(6) == 5
+    assert eng.commit(4) == (1, 3)
+    assert eng.free == [1, 2, 3, 5]
 
 
 def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
@@ -426,12 +439,11 @@ def test_brute_engine_rejects_a_match_with_an_available_point_on_its_line():
 
 @pytest.mark.parametrize("kind", [MNM, BNM])
 def test_brute_engine_on_degenerate_grid_points_agrees_with_the_scan(kind):
-    # distinct points of a 4 x 4 grid, unvalidated: points sit on edge lines
-    # and collinear triples occur, so edges in the on masks go through the
-    # full crossing test and matches with an available point on their line
-    # raise Degenerate, after which the arrival is skipped instead
+    # distinct points of a 4 x 4 grid, unvalidated: points sit on chord lines
+    # and collinear triples occur, so matches with a live point on their
+    # line raise Degenerate, after which the arrival is skipped instead
     rng = random.Random(53)
-    on_line = degenerate = matches = 0
+    degenerate = matches = 0
     for trial in range(150):
         inst = _grid_instance(rng, kind, 4)
         m, ends = inst.size, inst.int_xy
@@ -441,25 +453,21 @@ def test_brute_engine_on_degenerate_grid_points_agrees_with_the_scan(kind):
             expected = scan_available(inst, i, matched, edges)
             assert eng.on_arrival(i) == len(expected)
             assert available(eng, i) == expected
-            on_line += sum(eng.on[t] != 0 for t in range(i, m + 1))
             if not expected or rng.random() < 0.3:
                 eng.commit(None)
                 continue
             j = rng.choice(expected)
+            if _refused(eng, inst, matched, i, j):
+                degenerate += 1
+                continue
             p, q = ends[i - 1], ends[j - 1]
             signs = [cross_int(p, q, ends[t - 1]) for t in expected if t != j]
-            if 0 in signs:
-                degenerate += 1
-                with pytest.raises(Degenerate):
-                    eng.commit(j)
-                eng.commit(None)
-                continue
             left = sum(s > 0 for s in signs)
             assert eng.commit(j) == (left, len(signs) - left)
             matched |= {i, j}
             edges.append((p, q))
             matches += 1
-    assert on_line > 100 and degenerate > 20 and matches > 200
+    assert degenerate > 150 and matches > 200
 
 
 def test_region_engine_counts_match_available_set():
