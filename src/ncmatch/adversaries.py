@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -263,7 +263,8 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
 
     one = 1 << m + 2  # enough halvings: angles are multiples of 1 / one
     ticks = [one >> 2, 3 * (one >> 2)]  # by arrival: north, south
-    placed = ticks[:]  # in angle order
+    # circular neighbours by 0-based arrival index: ccw (nxt) and cw (prv)
+    nxt, prv = [1, 0], [1, 0]
     fake = [0, 0, 0]  # 1-based; p_1 is neither parent nor fake
 
     cur_parent = 2  # arrival index of the active parent
@@ -272,19 +273,18 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
         # parent's other arc and is never a fake itself
         go_ccw = coins_r[cur_parent] != fake[i - 1]
         new_fake = 0 if fake[i - 1] else coins_f[i]
-        center = ticks[cur_parent - 1]
-        pos = bisect_left(placed, center)
-        if go_ccw:
-            end = placed[pos + 1] if pos + 1 < len(placed) else placed[0] + one
-        else:
-            end = placed[pos - 1] if pos else placed[-1] - one
-        ticks.append((center + end) // 2 % one)
-        insort(placed, ticks[-1])
+        p = cur_parent - 1
+        # the new point halves the arc from a ccw to b, which may wrap past 0
+        a, b = (p, nxt[p]) if go_ccw else (prv[p], p)
+        lo, hi = ticks[a], ticks[b]
+        ticks.append((lo + hi + (one if hi < lo else 0)) // 2 % one)
+        nxt[a] = prv[b] = i - 1
+        nxt.append(b)
+        prv.append(a)
         fake.append(new_fake)
         if not new_fake:
             cur_parent = i
 
-    del placed  # its ints would outlive the shift pass of from_ticks
     instance = Instance.from_ticks(ticks, one, MNM, validate=False)
     return AnnotatedInstance(
         instance=instance,
@@ -498,21 +498,28 @@ def _maximal(sets: Iterable[frozenset]) -> frozenset:
 
 
 def _exact_cover_size(universe: frozenset, sets: list[frozenset]) -> int:
+    """Fewest of ``sets`` covering ``universe`` (len(universe) + 1 if none
+    do), by branch and bound on an explicit stack: each step takes at once
+    every set that alone holds an uncovered element, so disjoint sets give
+    their count in one step, and otherwise branches on the rarest element."""
     best = len(universe) + 1
-
-    def rec(uncovered: frozenset, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if not uncovered:
-            best = used
-            return
-        pivot = min(
-            uncovered, key=lambda e: sum(1 for s in sets if e in s)
-        )
-        for s in sets:
-            if pivot in s:
-                rec(uncovered - s, used + 1)
-
-    rec(universe, 0)
+    stack = [(universe, 0)]
+    while stack:
+        uncovered, used = stack.pop()
+        if used >= best or not uncovered:
+            best = min(best, used)
+            continue
+        live = {s & uncovered for s in sets} - {frozenset()}
+        owners: dict = {}
+        for s in live:
+            for e in s:
+                owners.setdefault(e, []).append(s)
+        if len(owners) < len(uncovered):
+            continue  # some element lies in no set
+        forced = {o[0] for o in owners.values() if len(o) == 1}
+        if forced:
+            stack.append((uncovered.difference(*forced), used + len(forced)))
+            continue
+        pivot = min(owners, key=lambda e: len(owners[e]))
+        stack += [(uncovered - s, used + 1) for s in owners[pivot]]
     return best

@@ -22,11 +22,11 @@ do not lie strictly on one side of the candidate's line, two inline turns.
 Its answers equal geometry.scan_available's, which stays the reference.
 
 Two points in convex position can be joined without a crossing iff no
-committed chord separates them, so region identity is availability.  Each
-region keeps its boundary arcs and its free points as two rank-sorted
-lists: an arrival costs bisects plus one list insert, a match costs
-bisects plus the slices it moves, and arc relabels total O(m log m)
-because the side with fewer arcs takes the new id.  The region engine also
+committed chord separates them, so region identity is availability.  Every
+hull rank keeps the id of its region and each region its ranks and free
+points as two rank-sorted lists: an arrival reads one id, a match costs
+bisects plus the slices it moves, and relabels total O(m log m) because
+the side with fewer ranks takes the new id.  The region engine also
 names each arrival's region, which is the tree slot that the bt oracle
 fills when it builds the tree and that the bt player replays, and the k-th
 available blue clockwise from a red.
@@ -171,20 +171,20 @@ class _RegionEngine:
     """Laminar-region availability tracker for convex-position instances.
 
     It reads only the instance's hull ranks.  Committed chords partition
-    the polygon into regions (integer ids, 0 is the whole polygon).  Each
-    region keeps two rank-sorted lists: ``arcs``, the ccw start rank of each
-    boundary arc between circular neighbours (``arc_reg`` maps a start rank
-    back to its region), and ``free``, the points a later arrival may join:
-    every unmatched point on MNM, every unmatched blue on BNM.
+    the polygon into regions (integer ids, 0 is the whole polygon).  Every
+    hull rank, arrived or not, has a region id in ``reg``; it is read once,
+    on arrival, when the rank lies on one region's boundary only.  Each
+    region keeps two rank-sorted lists: ``members``, its ranks, and
+    ``free``, the points a later arrival may join: every unmatched point on
+    MNM, every unmatched blue on BNM.
 
-    An arrival takes the region of the arc it lands on, found by one
-    bisect, and splits that arc: bisects plus one list insert.  Counts are
-    list lengths, ``has`` and ``kth_clockwise`` are one bisect each.  A
-    match cuts both lists of its region at the two chord ranks, which costs
-    bisects plus the slices it moves; the side with fewer arcs takes the new
-    id, so arc relabels total O(m log m).  After a match, ``split`` holds
-    the ids of the regions left and right of the directed chord (arrival to
-    partner).
+    An arrival reads its region from ``reg``.  Counts are list lengths,
+    ``has`` and ``kth_clockwise`` are one bisect each.  A match cuts both
+    lists of its region at the two chord ranks, which costs bisects plus
+    the slices it moves; the side with fewer ranks takes the new id and is
+    relabelled in ``reg``, so ``relabels`` totals at most m * ceil(log2 m).
+    After a match, ``split`` holds the ids of the regions left and right of
+    the directed chord (arrival to partner).
     """
 
     def __init__(self, instance: Instance):
@@ -194,23 +194,17 @@ class _RegionEngine:
         self.arrival_at_rank = [0] * len(self.rank_of)
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
-        self.ranks_sorted: list[int] = []
-        self.arc_reg = [0] * len(self.rank_of)
-        self.arcs: dict[int, list[int]] = {0: []}
+        self.reg = [0] * len(self.rank_of)
+        self.members: dict[int, list[int]] = {0: list(range(len(self.rank_of)))}
         self.free: dict[int, list[int]] = {0: []}
         self.split: tuple[int, int] | None = None
+        self.relabels = 0
         # (arrival, rank, region, the free ranks it may join)
         self.cur: tuple[int, int, int, Sequence[int]] | None = None
 
     def on_arrival(self, i: int) -> int:
         r = self.rank_of[i - 1]
-        rs = self.ranks_sorted
-        pos = bisect_left(rs, r)
-        # the predecessor's arc holds r; rs[-1] wraps round past rank 0
-        g = self.arc_reg[rs[pos - 1]] if rs else 0
-        rs.insert(pos, r)
-        self.arc_reg[r] = g
-        insort(self.arcs[g], r)
+        g = self.reg[r]
         # a blue is never available to a blue
         av = self.free[g] if self.colors[i - 1] != BLUE else ()
         self.cur = (i, r, g, av)
@@ -246,35 +240,36 @@ class _RegionEngine:
     def commit(self, j: int | None) -> tuple[int, int] | tuple[None, None]:
         """Match the arrival to j, or skip it (j None); the counts left and
         right of the chord, or (None, None).  IllegalMatch unless has(j)."""
-        i, r, g, _av = self.cur
+        i, r, g, av = self.cur
         if j is None:
             # reds arrive last on BNM, so no later arrival may join a red
             if self.colors[i - 1] != RED:
                 insort(self.free[g], r)
             self.cur = None
             return None, None
-        if not self.has(j):
+        rq = self.rank_of[j - 1] if 1 <= j < i else -1
+        fq = bisect_left(av, rq)
+        if fq == len(av) or av[fq] != rq:
             raise IllegalMatch(f"arrival {i} tried to match unavailable point {j}")
         self.cur = None
-        rq = self.rank_of[j - 1]
-        arcs, free = self.arcs[g], self.free[g]
-        fq = bisect_left(free, rq)
+        members, free = self.members[g], av  # av is free[g] once it holds rq
         del free[fq]
         fr = bisect_left(free, r)
-        ar, aq = bisect_left(arcs, r), bisect_left(arcs, rq)
-        # the ccw side of the chord holds arcs[ar:aq] (the arcs starting in
+        ar, aq = bisect_left(members, r), bisect_left(members, rq)
+        # the ccw side of the chord holds members[ar:aq] (the ranks in
         # [r, rq)) and free[fr:fq], cyclically; it is the right side of the
-        # directed chord (arrival -> partner).  The side with fewer arcs
+        # directed chord (arrival -> partner).  The side with fewer ranks
         # moves to the new region.
-        g1 = len(self.arcs)  # ids run 0, 1, 2, ...
-        if 2 * ((aq - ar) % len(arcs)) <= len(arcs):
+        g1 = len(self.members)  # ids run 0, 1, 2, ...
+        if 2 * ((aq - ar) % len(members)) <= len(members):
             a, b, c, d, wrap, self.split = ar, aq, fr, fq, r > rq, (g, g1)
         else:
             a, b, c, d, wrap, self.split = aq, ar, fq, fr, r < rq, (g1, g)
-        moved = self.arcs[g1] = _take(arcs, a, b, wrap)
+        moved = self.members[g1] = _take(members, a, b, wrap)
         self.free[g1] = _take(free, c, d, wrap)
         for rk in moved:
-            self.arc_reg[rk] = g1
+            self.reg[rk] = g1
+        self.relabels += len(moved)
         left, right = self.split
         return len(self.free[left]), len(self.free[right])
 

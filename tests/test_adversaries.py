@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from cover_reference import recursive_cover_size
 
 from ncmatch import adversaries, engine, geometry, offline
 from ncmatch.adversaries import (
     AnnotatedInstance,
+    _exact_cover_size,
     approx_lb_rate,
     bnm_blue_positions,
     bnm_family,
@@ -23,7 +25,7 @@ from ncmatch.adversaries import (
     noncrossing_priors,
     parity_fingerprint,
 )
-from ncmatch.codecs import enumerate_231_avoiding
+from ncmatch.codecs import catalan, enumerate_231_avoiding
 from ncmatch.engine import greedy, simulate
 from ncmatch.errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
 from ncmatch.geometry import MNM, Matching
@@ -500,6 +502,34 @@ def test_cover_reads_at_most_one_member_past_its_cap():
 
 def test_cover_single_instance_is_one():
     assert min_strategy_cover([bnm_red_instance((1, 2))]) == 1
+
+
+def test_cover_search_agrees_with_the_recursive_reference():
+    # small random set systems, some with an element that no set holds and
+    # some whose cover needs a branch: the answer is the reference's
+    rng = random.Random(211)
+    sizes = set()
+    for _ in range(2000):
+        universe = frozenset(range(rng.randrange(9)))
+        density = rng.choice((0.2, 0.4, 0.6))
+        sets = [
+            frozenset(e for e in universe if rng.random() < density)
+            for _ in range(rng.randrange(8))
+        ]
+        want = recursive_cover_size(universe, sets)
+        assert _exact_cover_size(universe, sets) == want, (universe, sets)
+        sizes.add(want if want <= len(universe) else "none")
+    assert {0, 1, 2, 3, 4, "none"} <= sizes
+
+
+def test_cover_search_takes_disjoint_sets_without_recursion():
+    # the recursive search went one level deeper per chosen set
+    singletons = [frozenset({e}) for e in range(2000)]
+    assert _exact_cover_size(frozenset(range(2000)), singletons) == 2000
+
+
+def test_cover_of_the_n6_family_is_catalan():
+    assert min_strategy_cover(bnm_family(6), cap_instances=132) == catalan(6) == 132
 
 
 def test_cover_works_for_small_mnm_families():

@@ -1,7 +1,9 @@
 """The region-slot `bt` player against the tree-descent player it replaced,
 the hull-order audit on polygons against the pairwise reference, the
 bisect placement of nested reds against the re-sorting construction, and
-`bt` at scale."""
+`bt` and the region engine's relabel count at scale."""
+import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,8 +11,8 @@ from fractions import Fraction
 import pytest
 from bt_reference import brute_simulate, descent_bt
 
-from ncmatch import generators, geometry, offline
-from ncmatch.adversaries import bnm_red_instance
+from ncmatch import engine, generators, geometry, offline
+from ncmatch.adversaries import bnm_red_instance, markov_instance
 from ncmatch.codecs import (
     bits_for_universe,
     catalan,
@@ -18,7 +20,7 @@ from ncmatch.codecs import (
     tree_to_perm,
     tree_unrank,
 )
-from ncmatch.engine import bt_matching, make_engine, simulate
+from ncmatch.engine import asap_matching, bt_matching, greedy, make_engine, simulate
 from ncmatch.errors import NotConvex
 from ncmatch.geometry import BNM, CONVEX, MNM, Matching
 
@@ -207,6 +209,13 @@ def _engine_phase_seconds(inst):
     return elapsed
 
 
+@functools.lru_cache(maxsize=1)
+def _nested_at_ten_thousand():
+    """Shared by the tests that time or count only the engine; building it
+    takes about 7 s on a 2-core box."""
+    return _nested(10**4, False)
+
+
 @pytest.mark.parametrize("family", ["nested", "random"])
 def test_region_engine_at_ten_thousand_pairs(family):
     # the engine alone, fed the oracle's matching: about 0.15 s on a 2-core
@@ -214,9 +223,43 @@ def test_region_engine_at_ten_thousand_pairs(family):
     # sigma
     n = 10**4
     if family == "nested":
-        inst = _nested(n, False)
+        inst = _nested_at_ten_thousand()
     else:
         inst = generators.random_circle_instance(n, BNM, 0)
     budget = 2
     elapsed = _engine_phase_seconds(inst)
     assert elapsed < budget, f"engine took {elapsed:.2f}s, budget {budget}s"
+
+
+_RELABEL_CASES = {
+    "bt-random": (bt_matching, lambda: generators.random_circle_instance(10**4, BNM, 0)),
+    "bt-nested": (bt_matching, _nested_at_ten_thousand),
+    "asap": (asap_matching, lambda: generators.random_circle_instance(10**4, MNM, 0)),
+    "greedy-markov": (greedy, lambda: markov_instance(10**4, 1).instance),
+}
+
+
+@pytest.mark.parametrize("case", list(_RELABEL_CASES))
+def test_region_relabels_stay_within_m_log_m_at_ten_thousand_pairs(case, monkeypatch):
+    # the side of a cut region with fewer ranks takes the new id, so a rank
+    # is relabelled at most log2 m times.  Measured per engine (the oracle's
+    # and the player's, where there are two): 60 911 on the random circle,
+    # 19 998 on nested sigma, 92 167 under asap and 19 996 under greedy on
+    # the Markov instance, against the bound of 300 000
+    engines = []
+
+    class Counted(engine._RegionEngine):
+        def __init__(self, instance):
+            super().__init__(instance)
+            engines.append(self)
+
+    monkeypatch.setattr(engine, "_RegionEngine", Counted)
+    alg, build = _RELABEL_CASES[case]
+    inst = build()
+    sim = simulate(alg(), inst)
+    assert not sim.violations.crossings
+    assert sim.violations.perfect or case == "greedy-markov"
+    m = inst.size
+    assert len(engines) == (1 if case == "greedy-markov" else 2)
+    for eng in engines:
+        assert 0 < eng.relabels <= m * math.ceil(math.log2(m)) == 300_000

@@ -353,6 +353,19 @@ PINNED = {
     "markov200_0": "65c3413d54e0b10d6b7917110fd01fd4c754ca0938ea51ee4e297cfee79d8067",
     "markov200_1": "ae9ccc82d47f523c3935cf9924f986b356d2ef67de4efa6602784604f2d0180f",
     "markov200_7": "89b1b94ddf59d24419499ac274bc8475195267c6a6f39b1dc942d9e48464a32e",
+    "markov1_0": "13e6386be2ef5ac0daba7d2f5599783bec70af478193e24a608b26a8e3a8ee87",
+    "markov1_1": "3017d2abbbef91e72a87dabbb417543da71195aa6b24c77063c04d38b663019a",
+    "markov1_2": "73f789eea0c986874c022bdb1d9c857ffe2607a9493cb2cab578aec6a63e09d5",
+    "markov1_3": "b9306a1bfedd94a697e2fc0c17879b5afb81110eb9caf8c54edbac5d28301547",
+    "markov2_0": "43425a9b037397c105fbecd889c28e4dc5b4ef92efa8acea3a6e67730f067db6",
+    "markov2_1": "469d037fc6d01f7b9487303a76704e0e66c254e477ac2b091ca6470c28957761",
+    "markov2_2": "d10f8fe1f558c5975e72ab786d91d1d4d10d6e61add3928f897a4995d8617aa8",
+    "markov2_3": "f1200e0dc2f38133e8c1e07aa18f2cb381fb9adc109536ee6555616b849273cd",
+    "markov3_0": "8ffe6d4cc683e7dfe6c2f1966cd8605149247bf35306719f86ae86e415b5791d",
+    "markov3_1": "1974ca6d4e02f110ce36b27012544302f79eb7b2b0ee92d3b70861ee187ea1cf",
+    "markov3_2": "78d15ff304223d51c94308c53502667fe6125dc4fbb47f2fbb45f9db1982589e",
+    "markov3_3": "4eb3cd4c964e26520802bee43a3eba8d509aafa5bcd4ebf928d7d8d2804269d2",
+    "markov5000_1": "a23e4f79ad5ac6fcaac870665e4503be0f5201d9ae11e8835c50ff786a7eb6a0",
     "circle50_MNM_0": "bb811a2d34ac7a47073f1a8a4c8301648a3a704ee15236ab95a30f9d337dcc6b",
     "circle50_MNM_3": "202c1b1c148a18a25e2ea673adef5d5da97a88e447cb32603acef3e093e1eeeb",
     "circle50_BNM_0": "7537d6ea72f59d544130b13b70b40e9705f0ecc4c32572bd0bbdffeab5521b9b",
@@ -388,6 +401,17 @@ def test_instance_json_digests():
         got[f"bnm_{'-'.join(map(str, sigma))}"] = _sha(serial.annotated_to_json(ai))
     ai = adversaries.mnm_family_instance(2, 2, (1, 5))
     got["mnm_family_2_2"] = _sha(serial.annotated_to_json(ai))
+    assert got == {k: PINNED[k] for k in got}
+
+
+def test_markov_edge_case_digests():
+    # a tiny walk wraps past rank 0 within its first arrivals, and n = 5000
+    # is the size of the Markov file the benchmark writes
+    got = {}
+    for n in (1, 2, 3):
+        for s in range(4):
+            got[f"markov{n}_{s}"] = _sha(serial.annotated_to_json(adversaries.markov_instance(n, s)))
+    got["markov5000_1"] = _sha(serial.annotated_to_json(adversaries.markov_instance(5000, 1)))
     assert got == {k: PINNED[k] for k in got}
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -488,6 +489,50 @@ def test_region_engine_counts_match_available_set():
                 m = m.with_edge(i, j)
             else:
                 eng.commit(None)
+
+
+def _region_state(eng):
+    return copy.deepcopy({k: v for k, v in vars(eng).items() if k != "instance"})
+
+
+def test_an_illegal_commit_leaves_the_region_engine_untouched():
+    # commit tests availability on its own bisect of the region's free
+    # list; every refusal must come before any list, id or counter changes,
+    # and the next legal commit must still give the brute engine's split
+    rng = random.Random(107)
+    seen = set()
+    for trial in range(40):
+        kind = (MNM, BNM)[trial % 2]
+        n = rng.randrange(2, 9)
+        for inst in _convex_instances(n, kind, rng.randrange(10**6)):
+            moves = random.Random(trial)
+            e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
+            matched = set()
+            for i in range(1, 2 * n + 1):
+                assert e1.on_arrival(i) == e2.on_arrival(i)
+                blue = kind == BNM and i <= n
+                refused = {0: "zero", i: "late", i + 1: "late"}
+                for j in range(1, i):
+                    if blue:
+                        refused[j] = "blue"
+                    elif kind == BNM and j > n:
+                        refused[j] = "red"
+                    elif j in matched:
+                        refused[j] = "matched"
+                    elif not e2.has(j):
+                        refused[j] = "other region"
+                for j, why in refused.items():
+                    before = _region_state(e1)
+                    with pytest.raises(IllegalMatch):
+                        e1.commit(j)
+                    assert _region_state(e1) == before, (why, i, j)
+                    seen.add(why)
+                idx = available(e2, i)
+                j = moves.choice(idx) if idx and moves.random() < 0.6 else None
+                assert e1.commit(j) == e2.commit(j)
+                if j is not None:
+                    matched |= {i, j}
+    assert seen == {"zero", "late", "blue", "red", "matched", "other region"}
 
 
 # ---------------------------------------------------------------------------
