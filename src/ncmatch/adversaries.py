@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import geometry, offline
@@ -401,62 +401,60 @@ def approx_lb_rate(alpha: float, variant: str = "proof") -> float:
 # minimum strategy cover
 
 
-def min_strategy_cover(
-    family: Iterable[Instance | AnnotatedInstance],
-    cap_instances: int = 64,
-    cap_points: int = 12,
-) -> int:
+_COVER_MAX_POINTS = 20  # twice the 231 enumeration cap: bnm-lb reaches n = 10
+
+
+def min_strategy_cover(family: Iterable[Instance | AnnotatedInstance]) -> int:
     """Fewest deterministic no-advice strategies solving every family member.
 
     A strategy is a decision tree over the family's arrival prefix trie: it
     may branch only where observed prefixes differ geometrically, and two
     algorithms acting identically on every member are the same strategy.
-    Solvable instance subsets are enumerated bottom-up over the trie
-    (maximal antichains only) and finished with an exact set cover.  The
-    family is read lazily: past ``cap_instances`` members it raises
-    ``CapExceeded`` without taking more.
+    Arrivals are keyed by integer tick or (x, y) pair, every member on one
+    ``rational_grid``.  Solvable instance subsets are enumerated bottom-up
+    over the trie (maximal antichains only) and finished with an exact set
+    cover.  A first member of more than ``_COVER_MAX_POINTS`` points raises
+    ``CapExceeded`` before the rest is read.  That bounds size, not time:
+    MNM may also skip each arrival, and ``mnm_family(2)`` (12 points) runs
+    for minutes.
     """
-    instances = [
-        x.instance if isinstance(x, AnnotatedInstance) else x
-        for x in islice(family, cap_instances + 1)
-    ]
-    if not instances:
+    members = (x.instance if isinstance(x, AnnotatedInstance) else x for x in family)
+    first = next(members, None)
+    if first is None:
         return 0
-    if len(instances) > cap_instances:
-        raise CapExceeded(f"strategy cover capped at {cap_instances} instances")
-    size = instances[0].size
-    kind = instances[0].kind
+    if first.size > _COVER_MAX_POINTS:
+        raise CapExceeded(f"strategy cover capped at {_COVER_MAX_POINTS} points")
+    instances = [first, *members]
+    size, kind = first.size, first.kind
     if any(inst.size != size or inst.kind != kind for inst in instances):
         raise ValueError("family members must share size and kind")
-    if size > cap_points:
-        raise CapExceeded(f"strategy cover capped at {cap_points} points")
+
+    pairs = []
+    for inst in instances:
+        values, unit = inst.grid
+        pairs += [(v, unit) for v in (values if inst.geometry == CIRCLE else chain(*values))]
+    scaled = iter(geometry.rational_grid(pairs)[0])
+    keys = [  # per member, an int tick or an (x, y) pair per arrival
+        [next(scaled) for _ in range(size)] if inst.geometry == CIRCLE
+        else [(next(scaled), next(scaled)) for _ in range(size)]
+        for inst in instances
+    ]
 
     n = size // 2
-    first_decision = n + 1 if kind == BNM else 1
-    if kind == BNM:
-        shared = instances[0].points[:n]
-        for inst in instances[1:]:
-            if any(
-                a.position() != b.position()
-                for a, b in zip(shared, inst.points[:n])
-            ):
-                raise ValueError("BNM family members must share blue points")
-
-    full_len = size
+    if kind == BNM and any(k[:n] != keys[0][:n] for k in keys):
+        raise ValueError("BNM family members must share blue points")
 
     def solvable_sets(ids: tuple[int, ...], t: int, state: frozenset) -> frozenset:
         """Maximal subsets of `ids` one strategy can finish perfectly from
         (t points revealed, matched pairs `state`)."""
-        if t == full_len:
-            perfect = len(state) == n
-            return frozenset({frozenset(ids) if perfect else frozenset()})
-        groups: dict[tuple, list[int]] = {}
+        if t == size:
+            return frozenset({frozenset(ids) if len(state) == n else frozenset()})
+        groups: dict = {}
         for iid in ids:
-            key = instances[iid].points[t].position()
-            groups.setdefault(key, []).append(iid)
+            groups.setdefault(keys[iid][t], []).append(iid)
 
         per_group: list[frozenset] = []
-        for key, gids in sorted(groups.items()):
+        for gids in groups.values():
             rep = instances[gids[0]]
             ends = rep.crossing_view[0]
             edges = [(ends[a - 1], ends[b - 1]) for a, b in state]
@@ -473,14 +471,14 @@ def min_strategy_cover(
                 collected |= solvable_sets(tuple(gids), t + 1, new_state)
             per_group.append(_maximal(collected))
 
+        # antichains on disjoint sets of ids: their product is an antichain too
         out: set[frozenset] = {frozenset()}
         for coll in per_group:
             out = {s | c for s in out for c in coll}
-        return _maximal(out)
+        return frozenset(out)
 
     ids = tuple(range(len(instances)))
-    t0 = first_decision - 1
-    root_sets = solvable_sets(ids, t0, frozenset())
+    root_sets = solvable_sets(ids, n if kind == BNM else 0, frozenset())  # first decision
     covers = [s for s in root_sets if s]
     universe = frozenset(ids)
     if not covers or frozenset().union(*covers) != universe:

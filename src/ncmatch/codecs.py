@@ -319,21 +319,21 @@ class Permutation:
 def is_231_avoiding(perm: Permutation | Sequence[int]) -> tuple[bool, tuple[int, int, int] | None]:
     """Check for a 231 pattern: indices i < j < k with v[k] < v[i] < v[j].
 
-    Returns (True, None) when avoiding, else (False, witness) where the
-    witness is the first offending 0-based index triple in (j, i, k) scan
-    order.  O(n^2).
+    Returns (True, None) when avoiding, else (False, (i, j, k)): 0-based, k
+    the first index that completes a 231.  One pass, O(n): a stack holds the
+    indices of values not yet exceeded; v[i] is the largest value popped so
+    far, by v[j], and a later value completes a 231 iff it lies below v[i].
     """
     v = list(perm)
-    n = len(v)
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = n + 1  # sentinel above any value
-    for t in range(n - 1, -1, -1):
-        suffix_min[t] = min(v[t], suffix_min[t + 1])
-    for j in range(1, n - 1):
-        for i in range(j):
-            if v[i] < v[j] and suffix_min[j + 1] < v[i]:
-                k = next(t for t in range(j + 1, n) if v[t] < v[i])
-                return False, (i, j, k)
+    stack: list[int] = []
+    low = 0  # v[i], below every value of 1..n until something is popped
+    for k, x in enumerate(v):
+        if x < low:
+            return False, (i, j, k)
+        while stack and v[stack[-1]] < x:
+            i, j = stack.pop(), k
+            low = v[i]
+        stack.append(k)
     return True, None
 
 

@@ -25,6 +25,7 @@ from ncmatch.adversaries import (
     noncrossing_priors,
     parity_fingerprint,
 )
+from ncmatch.campaigns import check_bnm_lb
 from ncmatch.codecs import catalan, enumerate_231_avoiding
 from ncmatch.engine import greedy, simulate
 from ncmatch.errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
@@ -477,25 +478,18 @@ def test_cover_of_the_counterexample_pair_is_one():
     assert min_strategy_cover(pair) == 1
 
 
-def test_cover_respects_caps():
-    fam = list(bnm_family(3))
-    with pytest.raises(CapExceeded):
-        min_strategy_cover(fam, cap_instances=2)
-    with pytest.raises(CapExceeded):
-        min_strategy_cover(fam, cap_points=4)
-
-
 def test_cover_reads_at_most_one_member_past_its_cap():
+    # the size guard reads the first member only: 22 points is past it
     taken = []
 
     def family():
-        for ai in bnm_family(4):
-            taken.append(ai)
-            yield ai
+        for sigma in (range(1, 12), range(11, 0, -1)):
+            taken.append(sigma)
+            yield bnm_red_instance(sigma)
 
     with pytest.raises(CapExceeded):
-        min_strategy_cover(family(), cap_instances=5)
-    assert len(taken) == 6
+        min_strategy_cover(family())
+    assert len(taken) == 1
     # a generator within the cap gives what its list gives
     assert min_strategy_cover(bnm_family(3)) == min_strategy_cover(list(bnm_family(3))) == 5
 
@@ -529,10 +523,16 @@ def test_cover_search_takes_disjoint_sets_without_recursion():
 
 
 def test_cover_of_the_n6_family_is_catalan():
-    assert min_strategy_cover(bnm_family(6), cap_instances=132) == catalan(6) == 132
+    assert min_strategy_cover(bnm_family(6)) == catalan(6) == 132
+
+
+def test_bnm_lb_certifies_n8():
+    # C_8 = 1430 family members; the cover search takes about 0.5 s
+    report = check_bnm_lb(8)
+    assert report["ok"]
+    assert report["results"][0]["measured"] == catalan(8) == 1430
 
 
 def test_cover_works_for_small_mnm_families():
     members = list(mnm_family(1))[:3]
-    cover = min_strategy_cover(members, cap_points=6, cap_instances=8)
-    assert cover >= 1
+    assert min_strategy_cover(members) >= 1

@@ -181,7 +181,7 @@ def test_bt_at_a_thousand_pairs_on_a_random_polygon(seed):
 @pytest.mark.parametrize("n, budget", [(2000, 25), (10**4, 30)], ids=["2000", "10000"])
 def test_bt_on_nested_sigma_at_scale(n, budget, reverse):
     # on a 2-core box: under 0.5 s each at n = 2000 (the descent player and
-    # the re-sorting red placement took over 40 s) and 4 to 7 s at n = 10^4,
+    # the re-sorting red placement took over 40 s) and 2 to 3 s at n = 10^4,
     # most of it generation (about 18 s with the oracle's former descent)
     _bt_perfect_within(budget, lambda: _nested(n, reverse))
 
@@ -212,7 +212,7 @@ def _engine_phase_seconds(inst):
 @functools.lru_cache(maxsize=1)
 def _nested_at_ten_thousand():
     """Shared by the tests that time or count only the engine; building it
-    takes about 7 s on a 2-core box."""
+    takes about 2 s on a 2-core box."""
     return _nested(10**4, False)
 
 

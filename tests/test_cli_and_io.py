@@ -287,9 +287,10 @@ def test_cli_verify_catalan_bijections_fails_fast_past_the_cap():
 
 
 def test_cli_verify_bnm_lb_fails_fast_past_the_cap():
-    # C_10 = 16 796 family members were built before the 64-member cap check
+    # n = 10 is the last size the 231 enumeration reaches; past it no
+    # family member is built
     start = time.perf_counter()
-    res = CliRunner().invoke(main, ["verify", "bnm-lb", "--n", "10"])
+    res = CliRunner().invoke(main, ["verify", "bnm-lb", "--n", "11"])
     elapsed = time.perf_counter() - start
     assert res.exit_code == 2
     assert "CapExceeded" in res.output

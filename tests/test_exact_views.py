@@ -110,10 +110,8 @@ BUILT_IN_WINDOW = {
 }
 
 
-@pytest.mark.parametrize("family", EXACT_FAMILIES)
-def test_no_fraction_comparison_or_arithmetic_runs_in_a_simulation(monkeypatch, family):
-    # the others are built before the patch, from Fraction angles
-    inst = None if family in BUILT_IN_WINDOW else EXACT_FAMILIES[family]()
+def _count_fraction_calls(monkeypatch) -> list[str]:
+    """The names of the Fraction dunders called from now on, in order."""
     calls = []
     for name in FRACTION_DUNDERS:
         original = getattr(Fraction, name)
@@ -123,6 +121,14 @@ def test_no_fraction_comparison_or_arithmetic_runs_in_a_simulation(monkeypatch, 
             return _original(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_no_fraction_comparison_or_arithmetic_runs_in_a_simulation(monkeypatch, family):
+    # the others are built before the patch, from Fraction angles
+    inst = None if family in BUILT_IN_WINDOW else EXACT_FAMILIES[family]()
+    calls = _count_fraction_calls(monkeypatch)
     if inst is None:
         inst = EXACT_FAMILIES[family]()
         assert calls == [], calls[:5]
@@ -135,6 +141,21 @@ def test_no_fraction_comparison_or_arithmetic_runs_in_a_simulation(monkeypatch, 
             pass  # the precondition refused the instance, and made no call either
         assert calls == [], (name, calls[:5])
     assert "greedy" in ran and len(ran) >= 2
+    assert Fraction(1, 3) < Fraction(1, 2) and calls == ["__lt__"]  # the patch is live
+
+
+def test_the_cover_search_makes_no_fraction_call_and_builds_no_point(monkeypatch):
+    # the family is built before the patch, from Fraction angles; the search
+    # keys every arrival on one integer grid
+    family = list(bnm_family(5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Point was built")
+
+    calls = _count_fraction_calls(monkeypatch)
+    monkeypatch.setattr(geometry.Point, "__init__", forbidden)
+    assert min_strategy_cover(family) == 42
+    assert calls == [], calls[:5]
     assert Fraction(1, 3) < Fraction(1, 2) and calls == ["__lt__"]  # the patch is live
 
 
