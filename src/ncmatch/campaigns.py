@@ -107,21 +107,33 @@ def check_mnm_lb(k: int = 2) -> dict:
 
 
 def check_catalan_bijections(n: int = 8) -> dict:
-    """Tree, balanced-word and 231-avoiding counts all equal catalan(n)."""
+    """Tree, balanced-word and 231-avoiding counts, the trees that survive
+    each round trip (rank, balanced word, permutation) and, for n >= 1, the
+    distinct bt ranks over the 231-avoiding family all equal catalan(n)."""
     expected = catalan(n)
     # the capped enumeration first, so n past its cap fails before any work
     perms = sum(1 for _ in enumerate_231_avoiding(n))
-    trees = sum(1 for _ in enumerate_trees(n))
+    trees = list(enumerate_trees(n))
     dycks = sum(1 for _ in enumerate_dyck(n))
-    return _finish(
-        "catalan-bijections",
-        {"n": n},
-        [
-            _entry("tree count", expected, trees),
-            _entry("balanced word count", expected, dycks),
-            _entry("231-avoiding count", expected, perms),
-        ],
-    )
+    rank_trips = sum(codecs.tree_unrank(n, codecs.tree_rank(t)) == t for t in trees)
+    word_trips = sum(codecs.dyck_to_tree(codecs.tree_to_dyck(t)) == t for t in trees)
+    perm_trips = sum(codecs.perm_to_tree(codecs.tree_to_perm(t)) == t for t in trees)
+    results = [
+        _entry("tree count", expected, len(trees)),
+        _entry("balanced word count", expected, dycks),
+        _entry("231-avoiding count", expected, perms),
+        _entry("tree rank round trips", expected, rank_trips),
+        _entry("tree-word round trips", expected, word_trips),
+        _entry("tree-permutation round trips", expected, perm_trips),
+    ]
+    if n:  # the family's instances need at least one pair
+        oracle = engine.bt_matching().oracle
+        ranks = {
+            codecs.read_ranked(codecs.AdviceTape(oracle(ai.instance)), expected)
+            for ai in bnm_family(n)
+        }
+        results.append(_entry("distinct bt ranks over all avoiding sigma", expected, len(ranks)))
+    return _finish("catalan-bijections", {"n": n}, results)
 
 
 def _coupling_trial(args: tuple[int, int]) -> tuple[int, int, int, int, int, int]:

@@ -85,13 +85,18 @@ class BinaryTree:
 
 
 def tree_size(t: BinaryTree | None) -> int:
-    return len(_preorder(t)) if t is not None else 0
+    return len(tree_children(t)[0])
+
+
+def tree_children(t: BinaryTree | None) -> tuple[list[int], list[int]]:
+    """Child arrays of t: node k has children lefts[k] and rights[k] (-1
+    for none), nodes numbered in preorder, so node 0 is the root and every
+    child has a larger number than its parent."""
+    return _dyck_children(_dyck_bits(t))
 
 
 def _assemble(lefts: Sequence[int], rights: Sequence[int]) -> BinaryTree | None:
-    """The tree whose node k has children lefts[k] and rights[k] (-1 for
-    none), where every child has a larger number than its parent and node 0
-    is the root; built children first."""
+    """The tree of child arrays numbered as in tree_children."""
     built: list[BinaryTree | None] = [None] * len(lefts)
     for k in range(len(lefts) - 1, -1, -1):
         left, right = lefts[k], rights[k]
@@ -113,67 +118,57 @@ def enumerate_trees(n: int) -> Iterator[BinaryTree | None]:
                 yield BinaryTree(left, right)
 
 
-def _preorder(t: BinaryTree) -> list[BinaryTree]:
-    """Nodes of t with every parent before its children."""
-    out = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-    return out
-
-
 def tree_rank(t: BinaryTree | None) -> int:
-    """Rank of t in the canonical order of trees of its size.
+    """Rank of t in the canonical order of trees of its size."""
+    return rank_children(*tree_children(t))
 
-    Trees sort by left-subtree size, then left rank (major), then right
-    rank (minor).  One bottom-up pass computes every subtree's size and
-    rank.  A node's offset among trees of its size is a sum of Catalan
-    products taken from the shorter end, O(min(left, right)) terms, so the
-    whole rank costs O(n log n) multiplications.
-    """
-    if t is None:
-        return 0
-    nodes = _preorder(t)
-    c = _catalan_table(len(nodes))
-    size: dict[int, int] = {id(None): 0}
-    rank: dict[int, int] = {id(None): 0}
-    for node in reversed(nodes):
-        ls = size[id(node.left)]
-        n = 1 + ls + size[id(node.right)]
-        if 2 * ls < n:
-            prefix = sum(c[k] * c[n - 1 - k] for k in range(ls))
+
+def rank_children(lefts: Sequence[int], rights: Sequence[int]) -> int:
+    """Rank of the tree with these child arrays (numbered as in
+    tree_children) among trees of its size: they sort by left-subtree size,
+    then left rank (major), then right rank (minor).  One pass from the last
+    node to the root computes every subtree's size and rank.  A node's
+    offset among trees of its size is a sum of Catalan products taken from
+    the shorter end, O(min(left, right)) terms, so the whole rank costs
+    O(n log n) multiplications."""
+    n = len(lefts)
+    c = _catalan_table(n)
+    # one extra slot, read through index -1, holds the empty tree
+    size, rank = [0] * (n + 1), [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        left, right = lefts[k], rights[k]
+        ls = size[left]
+        s = 1 + ls + size[right]
+        if 2 * ls < s:
+            prefix = sum(c[j] * c[s - 1 - j] for j in range(ls))
         else:
-            prefix = c[n] - sum(c[k] * c[n - 1 - k] for k in range(ls, n))
-        size[id(node)] = n
-        rank[id(node)] = (
-            prefix + rank[id(node.left)] * c[n - 1 - ls] + rank[id(node.right)]
-        )
-    return rank[id(t)]
+            prefix = c[s] - sum(c[j] * c[s - 1 - j] for j in range(ls, s))
+        size[k] = s
+        rank[k] = prefix + rank[left] * c[s - 1 - ls] + rank[right]
+    return rank[0]
 
 
 def tree_unrank(n: int, r: int) -> BinaryTree | None:
     """Inverse of tree_rank over trees with n nodes."""
+    return _assemble(*unrank_children(n, r)[:2])
+
+
+def unrank_children(n: int, r: int) -> tuple[list[int], list[int], list[int]]:
+    """Inverse of rank_children over trees with n nodes: the child arrays
+    and each node's left-subtree size."""
     c = _catalan_table(n)
     if not 0 <= r < c[n]:
         raise RankOutOfRange(f"rank {r} out of range for {n}-node trees")
-    if n == 0:
-        return None
-    # split top-down into child slots, then build bottom-up: a node's
-    # children always get larger slot numbers than the node itself
-    children: tuple[list[int], list[int]] = ([], [])  # left, right slots
-    todo = [(n, r, -1, 0)]  # (size, rank, parent slot, 0 left / 1 right)
+    lefts: list[int] = []
+    rights: list[int] = []
+    lsizes: list[int] = []
+    # (size, rank, the parent's child links, parent); the root's are a dummy
+    todo = [(n, r, [0], 0)] if n else []
     while todo:
-        size, rank, parent, side = todo.pop()
-        slot = len(children[0])
-        children[0].append(-1)
-        children[1].append(-1)
-        if parent >= 0:
-            children[side][parent] = slot
+        size, rank, links, parent = todo.pop()
+        links[parent] = k = len(lefts)
+        lefts.append(-1)
+        rights.append(-1)
         # find the left size ls scanning from both ends at once;
         # below = trees with left size < lo, upto_hi = with left size < hi
         lo, hi = 0, size - 1
@@ -190,12 +185,13 @@ def tree_unrank(n: int, r: int) -> BinaryTree | None:
                 break
             hi -= 1
             upto_hi -= c[hi] * c[size - 1 - hi]
+        lsizes.append(ls)
         left_rank, right_rank = divmod(rank, c[size - 1 - ls])
         if size - 1 - ls:
-            todo.append((size - 1 - ls, right_rank, slot, 1))
+            todo.append((size - 1 - ls, right_rank, rights, k))
         if ls:
-            todo.append((ls, left_rank, slot, 0))
-    return _assemble(*children)
+            todo.append((ls, left_rank, lefts, k))
+    return lefts, rights, lsizes
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +393,19 @@ def perm_to_tree(perm: Permutation | Sequence[int]) -> BinaryTree | None:
 def tree_to_perm(t: BinaryTree | None) -> Permutation:
     """Inverse of perm_to_tree: in order, a node takes the largest value of
     its subtree's range, its left subtree the smallest.  O(n)."""
-    if t is None:
-        return Permutation(())
-    size: dict[int, int] = {id(None): 0}
-    for node in reversed(_preorder(t)):
-        size[id(node)] = 1 + size[id(node.left)] + size[id(node.right)]
-    values: list[int] = []
-    stack: list[tuple[BinaryTree, int]] = []
-    node, lo = t, 1  # lo: smallest value of node's subtree
-    while stack or node is not None:
-        while node is not None:
-            stack.append((node, lo))
-            node = node.left
-        node, lo = stack.pop()
-        values.append(lo + size[id(node)] - 1)
-        node, lo = node.right, lo + size[id(node.left)]
+    lefts, rights = tree_children(t)
+    n = len(lefts)
+    size = [0] * (n + 1)  # slot -1 is the empty tree, as in rank_children
+    for k in range(n - 1, -1, -1):
+        size[k] = 1 + size[lefts[k]] + size[rights[k]]
+    lo = [1] * (n + 1)  # smallest value of each subtree
+    at = [0] * (n + 1)  # first in-order position of each subtree
+    values = [0] * n
+    for k in range(n):  # parents first
+        left, right, ls = lefts[k], rights[k], size[lefts[k]]
+        lo[left], lo[right] = lo[k], lo[k] + ls
+        at[left], at[right] = at[k], at[k] + ls + 1
+        values[at[k] + ls] = lo[k] + size[k] - 1
     return Permutation(tuple(values))
 
 
@@ -441,20 +435,24 @@ def tree_to_dyck(t: BinaryTree | None) -> DyckWord:
 
 
 def dyck_to_tree(w: DyckWord) -> BinaryTree | None:
-    """Inverse of tree_to_dyck.  Each 0 opens the next node in preorder,
-    hung where the previous bit left off: as the left child of the node a
-    0 opened, or as the right child of the node a 1 closed."""
+    """Inverse of tree_to_dyck."""
+    return _assemble(*_dyck_children(w.bits))
+
+
+def _dyck_children(bits: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Child arrays of the tree of a balanced word.  Each 0 opens the next
+    node in preorder, hung where the previous bit left off: as the left
+    child of the node a 0 opened, or as the right child of the node a 1
+    closed."""
     lefts: list[int] = []
     rights: list[int] = []
     open_nodes: list[int] = []
-    links, parent = None, -1  # where the next node hangs; None: the root
-    for b in w.bits:
+    links, parent = [0], 0  # where the next node hangs; the root's are a dummy
+    for b in bits:
         if b == 0:
-            k = len(lefts)
+            links[parent] = k = len(lefts)
             lefts.append(-1)
             rights.append(-1)
-            if links is not None:
-                links[parent] = k
             open_nodes.append(k)
             links, parent = lefts, k
         elif open_nodes:
@@ -463,7 +461,7 @@ def dyck_to_tree(w: DyckWord) -> BinaryTree | None:
             raise InvalidDyck("trailing bits after parse")
     if open_nodes:
         raise InvalidDyck("trailing bits after parse")
-    return _assemble(lefts, rights)
+    return lefts, rights
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +488,12 @@ class AdviceTape:
     def bits(self) -> tuple[int, ...]:
         return tuple(self._bits)
 
-    def write_bit(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError("tape bits must be 0 or 1")
-        self._bits.append(bit)
-
     def write_bits(self, bits: Iterable[int]) -> None:
-        for b in bits:
-            self.write_bit(b)
+        """Append the bits as ints, all or none: ValueError unless each is 0 or 1."""
+        new = list(bits)
+        if not {*new} <= {0, 1}:
+            raise ValueError("tape bits must be 0 or 1")
+        self._bits += bytes(new)
 
     def read_bit(self) -> int:
         if self.cursor >= len(self._bits):
@@ -509,7 +505,13 @@ class AdviceTape:
         return b
 
     def read_bits(self, k: int) -> list[int]:
-        return [self.read_bit() for _ in range(k)]
+        """The next k bits; TapeExhausted, the cursor at the end, past it."""
+        start, self.cursor = self.cursor, min(self.cursor + k, len(self._bits))
+        if self.cursor - start < k:
+            raise TapeExhausted(
+                f"read at {self.cursor} but only {len(self._bits)} bits written"
+            )
+        return self._bits[start : self.cursor]
 
 
 def elias_delta_encode(m: int) -> list[int]:
@@ -541,21 +543,25 @@ def elias_delta_decode(tape: AdviceTape) -> int:
         raise TruncatedCode("tape ended inside an Elias delta codeword") from exc
 
 
+# a field's binary digits, as characters and as bits, one table each way
+_CHARS_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_BITS_TO_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 def write_ranked(tape: AdviceTape, rank: int, universe_size: int) -> int:
     """Write a rank as a fixed-width big-endian field; returns bits used."""
     if not 0 <= rank < universe_size:
         raise RankOutOfRange(f"rank {rank} outside universe of {universe_size}")
     width = bits_for_universe(universe_size)
-    tape.write_bits((rank >> k) & 1 for k in range(width - 1, -1, -1))
+    digits = bin(rank | 1 << width)[3:]  # the low width bits, past "0b1"
+    tape.write_bits(digits.encode().translate(_CHARS_TO_BITS))
     return width
 
 
 def read_ranked(tape: AdviceTape, universe_size: int) -> int:
     """Read a fixed-width rank written by write_ranked."""
-    width = bits_for_universe(universe_size)
-    rank = 0
-    for b in tape.read_bits(width):
-        rank = (rank << 1) | b
+    bits = bytes(tape.read_bits(bits_for_universe(universe_size)))
+    rank = int(b"0" + bits.translate(_BITS_TO_CHARS), 2)
     if rank >= universe_size:
         raise RankOutOfRange(f"decoded rank {rank} outside universe of {universe_size}")
     return rank

@@ -27,9 +27,9 @@ hull rank keeps the id of its region and each region its ranks and free
 points as two rank-sorted lists: an arrival reads one id, a match costs
 bisects plus the slices it moves, and relabels total O(m log m) because
 the side with fewer ranks takes the new id.  The region engine also
-names each arrival's region, which is the tree slot that the bt oracle
-fills when it builds the tree and that the bt player replays, and the k-th
-available blue clockwise from a red.
+names each arrival's region, which is the tree slot that the bt player
+fills (the oracle builds the same tree offline, in offline.bt_children),
+and the k-th available blue clockwise from a red.
 """
 from __future__ import annotations
 
@@ -41,15 +41,14 @@ from . import geometry, offline
 from .codecs import (
     AdviceTape,
     DyckWord,
-    _preorder,
     catalan,
     dyck_rank,
     dyck_unrank,
     elias_delta_decode,
     elias_delta_encode,
+    rank_children,
     read_ranked,
-    tree_unrank,
-    tree_rank,
+    unrank_children,
     write_ranked,
 )
 from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
@@ -383,31 +382,28 @@ class _BTPlayer:
     """Replays a perfect matching from its tree encoding.
 
     Every face of the committed chords is one empty child slot of the
-    tree, so the player keeps a dict from the engine's region ids to tree
-    nodes instead of descending the tree.  A red takes the node of its
-    region; the left-subtree size k says that its partner is the k-th
-    available blue clockwise from it, and the node's children become the
-    slots of the regions left and right of the new chord.  A red costs
-    O(log a) on top of the region engine's own work.
+    tree, so the player maps the engine's region ids to tree nodes (their
+    numbers in the child arrays) instead of descending the tree.  A red
+    takes the node of its region; the left-subtree size k says that its
+    partner is the k-th available blue clockwise from it, and the node's
+    children become the slots of the regions left and right of the new
+    chord.  A red costs O(log a) on top of the region engine's own work.
     """
 
     def begin(self, ctx: BeginContext, tape: AdviceTape) -> None:
         n = ctx.n
-        root = tree_unrank(n, read_ranked(tape, catalan(n)))
-        self.size = {id(None): 0}
-        for node in reversed(_preorder(root) if root is not None else []):
-            self.size[id(node)] = 1 + self.size[id(node.left)] + self.size[id(node.right)]
-        self.slot = {0: root}
-        self.last = None  # the node matched at the previous red
+        self.lefts, self.rights, self.lsizes = unrank_children(n, read_ranked(tape, catalan(n)))
+        self.slot = {0: 0}
+        self.last = -1  # the node matched at the previous red
 
     def decide(self, i, view, tape):
-        if self.last is not None:
+        if self.last >= 0:
             left, right = view.split
-            self.slot[left], self.slot[right] = self.last.left, self.last.right
-        node = self.last = self.slot.get(view.region())
-        if node is None:
+            self.slot[left], self.slot[right] = self.lefts[self.last], self.rights[self.last]
+        k = self.last = self.slot.get(view.region(), -1)
+        if k < 0:
             raise IllegalMatch(f"red {i} arrives in an empty tree slot")
-        return view.kth_clockwise(self.size[id(node.left)] + 1)
+        return view.kth_clockwise(self.lsizes[k] + 1)
 
 
 def _check_convex(kind: str) -> Callable[[Instance], None]:
@@ -424,9 +420,8 @@ def _check_convex(kind: str) -> Callable[[Instance], None]:
 
 def _bt_oracle(instance: Instance) -> list[int]:
     m = offline.convex_noncrossing_pm(instance)
-    tree = offline.matching_to_bt(instance, m)
     tape = AdviceTape()
-    write_ranked(tape, tree_rank(tree), catalan(instance.n))
+    write_ranked(tape, rank_children(*offline.bt_children(instance, m)), catalan(instance.n))
     return list(tape.bits)
 
 

@@ -15,7 +15,6 @@ from .codecs import BinaryTree, _assemble
 from .errors import (
     CapExceeded,
     CrossingDetected,
-    IllegalMatch,
     NotConvex,
     NotPerfect,
     SharedEndpoint,
@@ -193,47 +192,71 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
 
 
 def matching_to_bt(instance: Instance, matching: Matching) -> BinaryTree:
-    """Tree of a perfect non-crossing red-blue matching in convex position.
+    """Tree of a perfect non-crossing red-blue matching (bt_children)."""
+    return _assemble(*bt_children(instance, matching))
 
-    The root is the first red's edge; the left/right subtrees are the trees
-    of the edges lying in the left/right half-plane of that directed edge
-    (red towards blue).  Every face of the edges placed so far is one empty
-    child slot of the tree, so the build replays the region engine the bt
-    player runs on: node k is the k-th red's edge, it fills the slot of the
-    region that red arrives in, and its children become the slots of the
-    regions left and right of it.  A red whose partner lies in another
-    region raises CrossingDetected.  O(n log n) on top of the hull ranks.
+
+def bt_children(instance: Instance, matching: Matching) -> tuple[list[int], list[int]]:
+    """Child arrays (as in codecs.tree_children) of the matching's tree:
+    the root is the first red's edge, and the left/right subtrees are the
+    trees of the edges in the left/right half-plane of that directed edge
+    (red towards blue).  So node k, the k-th red's edge, has on each side
+    the earliest later red in the face there of the chords of reds 0..k.
+    A union-find over the faces of all chords (``_enclosing``), taking the
+    reds in reverse arrival order, reads those reds and then merges the two
+    faces.  CrossingDetected on a crossing.  O(n alpha(n)) after the ranks.
     """
-    from .engine import _RegionEngine  # engine imports this module at load time
-
     n = instance.n
     if not n or len(matching) != n:
         raise NotPerfect("matching_to_bt needs a perfect red-blue matching")
-    partner: dict[int, int] = {}
+    chords = [(0, 0)] * n  # by red number
     for b, r in matching:  # blues arrive first and edges are (min, max)
         if not 0 < b <= n < r <= 2 * n:
             raise NotPerfect(f"edge {(b, r)} is not red-blue")
-        partner[r] = b
-
-    eng = _RegionEngine(instance)
-    for i in range(1, n + 1):
-        eng.on_arrival(i)
-        eng.commit(None)
+        chords[r - n - 1] = (b, r)
+    rank = instance.ranks
+    outer = _enclosing(rank, chords)
+    if outer is None:
+        raise CrossingDetected("two edges of the matching cross")
     lefts, rights = [-1] * n, [-1] * n
-    # region id -> (child links, parent node); the root fills a dummy link
-    slot = {0: ([-1], 0)}
-    for k, i in enumerate(range(n + 1, 2 * n + 1)):
-        eng.on_arrival(i)
-        links, parent = slot.pop(eng.region())
-        links[parent] = k
-        j = partner[i]
-        try:
-            eng.commit(j)
-        except IllegalMatch:
-            raise CrossingDetected(f"edge {i}-{j} crosses the edge of an earlier red") from None
-        left, right = eng.split
-        slot[left], slot[right] = (lefts, k), (rights, k)
-    return _assemble(lefts, rights)
+    root, weight, first = list(range(n + 1)), [1] * (n + 1), [-1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        b, r = chords[k]
+        # the inside of a chord is its right side iff its red's rank is the lower
+        left, right = (outer[k], k) if rank[r - 1] < rank[b - 1] else (k, outer[k])
+        left, right = _find(root, left), _find(root, right)
+        lefts[k], rights[k] = first[left], first[right]
+        small, big = (left, right) if weight[left] <= weight[right] else (right, left)
+        root[small] = big
+        weight[big] += weight[small]
+        first[big] = k
+    return lefts, rights
+
+
+def _find(root: list[int], f: int) -> int:
+    """Union-find root of f, halving the path on the way."""
+    while root[f] != f:
+        root[f] = f = root[root[f]]
+    return f
+
+
+def _enclosing(rank: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int] | None:
+    """For chords in convex position, the index of the chord directly
+    enclosing each (len(edges) for none), or None if two cross: O(m), as
+    non-crossing chords close like balanced parentheses along the hull."""
+    at = [-1] * len(rank)
+    for x, (a, b) in enumerate(edges):
+        at[rank[a - 1]] = at[rank[b - 1]] = x
+    outer, stack = [-1] * len(edges), []
+    for x in at:
+        if x < 0:
+            continue
+        if outer[x] < 0:
+            outer[x] = stack[-1] if stack else len(edges)
+            stack.append(x)
+        elif stack.pop() != x:
+            return None
+    return outer
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +291,6 @@ class MatchingReport:
         return self.valid and (self.perfect or not self.required_perfect)
 
 
-def _hull_noncrossing_ok(instance: Instance, edges: list[tuple[int, int]]) -> bool:
-    """O(m) stack check for convex position: chords are non-crossing iff,
-    along the hull order, they close like balanced parentheses."""
-    rank = instance.ranks
-    partner = [-1] * len(rank)
-    for a, b in edges:
-        partner[rank[a - 1]] = rank[b - 1]
-        partner[rank[b - 1]] = rank[a - 1]
-    stack: list[int] = []
-    for pos, other in enumerate(partner):
-        if other > pos:
-            stack.append(pos)
-        elif other >= 0 and (not stack or stack.pop() != other):
-            return False
-    return True
-
-
 def validate_matching(
     instance: Instance,
     matching: Matching | Sequence[tuple[int, int]],
@@ -315,7 +321,8 @@ def validate_matching(
             report.color_violations.append(e)
     report.matched_count = len(seen)
 
-    if instance.convex and not report.duplicate_endpoints and _hull_noncrossing_ok(instance, usable):
+    fast = instance.convex and not report.duplicate_endpoints
+    if fast and _enclosing(instance.ranks, usable) is not None:
         segs = []  # fast path: provably no crossing pair
     else:
         ends, crosses = instance.crossing_view

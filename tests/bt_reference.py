@@ -1,15 +1,17 @@
 """References for the engine tests: ``brute_simulate`` runs a whole
 algorithm on the brute engine, which stays the reference for the region
-engine in convex position, and ``descent_bt`` is the tree-descent `bt`
+engine in convex position; ``descent_bt`` is the tree-descent `bt`
 player that the region-slot player replaced: each red descends the advice
 tree by half-plane tests against the labeled edges, then sorts its
-available blues clockwise."""
+available blues clockwise; and ``replay_matching_to_bt`` is the tree build
+that the offline union-find build replaced: it replays the region engine
+to label the tree slots."""
 from unittest import mock
 
 from ncmatch import engine, geometry
-from ncmatch.codecs import _preorder, catalan, read_ranked, tree_unrank
+from ncmatch.codecs import _assemble, catalan, read_ranked, tree_unrank
 from ncmatch.engine import OnlineAlgorithm, _bt_oracle, bt_matching
-from ncmatch.errors import IllegalMatch, NotConvex
+from ncmatch.errors import CrossingDetected, IllegalMatch, NotConvex, NotPerfect
 from ncmatch.geometry import LEFT
 
 
@@ -51,8 +53,14 @@ class _LabeledNode:
 
 
 def _labeled_copy(t):
+    nodes, todo = [], [t]  # preorder: every parent before its children
+    while todo:
+        node = todo.pop()
+        if node is not None:
+            nodes.append(node)
+            todo += (node.right, node.left)
     copy = {id(None): None}
-    for node in reversed(_preorder(t) if t is not None else []):
+    for node in reversed(nodes):
         left, right = copy[id(node.left)], copy[id(node.right)]
         size = 1 + (left.size if left else 0) + (right.size if right else 0)
         copy[id(node)] = _LabeledNode(left, right, size)
@@ -86,3 +94,38 @@ def descent_bt():
     """`bt` with the descent player; runs on either engine."""
     return OnlineAlgorithm("bt", _bt_oracle, DescentBTPlayer, bt_matching().check)
 
+
+def replay_matching_to_bt(instance, matching):
+    """Tree of a perfect non-crossing red-blue matching in convex position,
+    by replaying the region engine the bt player runs on: node k is the
+    k-th red's edge, it fills the slot of the region that red arrives in,
+    and its children become the slots of the regions left and right of it.
+    A red whose partner lies in another region raises CrossingDetected."""
+    n = instance.n
+    if not n or len(matching) != n:
+        raise NotPerfect("matching_to_bt needs a perfect red-blue matching")
+    partner = {}
+    for b, r in matching:  # blues arrive first and edges are (min, max)
+        if not 0 < b <= n < r <= 2 * n:
+            raise NotPerfect(f"edge {(b, r)} is not red-blue")
+        partner[r] = b
+
+    eng = engine._RegionEngine(instance)
+    for i in range(1, n + 1):
+        eng.on_arrival(i)
+        eng.commit(None)
+    lefts, rights = [-1] * n, [-1] * n
+    # region id -> (child links, parent node); the root fills a dummy link
+    slot = {0: ([-1], 0)}
+    for k, i in enumerate(range(n + 1, 2 * n + 1)):
+        eng.on_arrival(i)
+        links, parent = slot.pop(eng.region())
+        links[parent] = k
+        j = partner[i]
+        try:
+            eng.commit(j)
+        except IllegalMatch:
+            raise CrossingDetected(f"edge {i}-{j} crosses the edge of an earlier red") from None
+        left, right = eng.split
+        slot[left], slot[right] = (lefts, k), (rights, k)
+    return _assemble(lefts, rights)

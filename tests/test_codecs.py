@@ -353,11 +353,31 @@ def test_tape_read_past_end_is_hard_error():
         tape.read_bit()
     assert tape.bits_written == 2
     assert tape.cursor == 2
+    # a word read past the end fails as reading bit by bit did: the cursor
+    # stops at the end and the message names it
+    tape = AdviceTape([1, 0, 1])
+    assert tape.read_bits(1) == [1]
+    with pytest.raises(TapeExhausted, match=r"^read at 3 but only 3 bits written$"):
+        tape.read_bits(3)
+    assert tape.cursor == 3
 
 
 def test_tape_rejects_non_bits():
     with pytest.raises(ValueError):
         AdviceTape([2])
+    # a rejected write leaves nothing on the tape
+    tape = AdviceTape([1])
+    with pytest.raises(ValueError):
+        tape.write_bits([1, 0, 2])
+    assert tape.bits == (1,) and tape.bits_written == 1
+
+
+def test_tape_stores_bools_as_ints():
+    tape = AdviceTape([True, False])
+    tape.write_bits([True])
+    assert tape.bits == (1, 0, 1)
+    assert {type(b) for b in tape.bits} == {int}
+    assert read_ranked(tape, 8) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +431,11 @@ def test_write_ranked_single_universe_writes_nothing():
     assert write_ranked(tape, 0, 1) == 0
     assert tape.bits_written == 0
     assert read_ranked(tape, 1) == 0
+    assert tape.cursor == 0
+    tape = AdviceTape([1, 1])
+    assert write_ranked(tape, 0, 1) == 0
+    assert read_ranked(tape, 1) == 0
+    assert tape.bits == (1, 1) and tape.cursor == 0
 
 
 def test_write_ranked_catalan4_uses_four_bits():

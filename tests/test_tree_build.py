@@ -1,11 +1,13 @@
-"""The region-replay `matching_to_bt` and the comparison-only circle
-predicates, checked against the half-plane recursion and the modular angle
-rule they replaced."""
+"""The union-find `matching_to_bt`, checked against the half-plane
+recursion and against the region-engine replay it replaced, and the
+comparison-only circle predicates, checked against the modular angle rule
+they replaced."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from bt_reference import available
+from bt_reference import available, replay_matching_to_bt
 
 from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
@@ -186,6 +188,70 @@ def test_tree_build_agrees_with_recursion_on_arbitrary_red_blue_matchings():
     assert outcomes == {True, False}
 
 
+def _replay_cases(family):
+    """(instance, matching) pairs for the comparison with the replay."""
+    if family == "convex":
+        for n in range(1, 41):
+            for seed in range(3):
+                insts = [
+                    generators.random_circle_instance(n, BNM, seed),
+                    parabola_instance(n, seed),
+                ]
+                try:
+                    insts.append(generators.random_convex_polygon_instance(n, BNM, seed))
+                except NotConvex:
+                    pass  # the polygon generator gives up on some (n, seed)
+                for inst in insts:
+                    yield inst, convex_noncrossing_pm(inst)
+    elif family == "sigma":
+        for n in range(1, 7):
+            for sigma in enumerate_231_avoiding(n):
+                inst = bnm_red_instance(sigma).instance
+                for m in offline.enumerate_perfect_noncrossing(inst):
+                    yield inst, m
+    else:
+        # random red-blue pairings, most of which cross, and every fourth
+        # one a pairing of any points, which is rarely red-blue
+        rng = random.Random(23)
+        for trial in range(600):
+            n = rng.randint(1, 8)
+            if trial % 2:
+                inst = generators.random_circle_instance(n, BNM, trial)
+            else:
+                inst = parabola_instance(n, trial)
+            if trial % 4 == 3:
+                ids = list(range(1, 2 * n + 1))
+                rng.shuffle(ids)
+                yield inst, Matching.from_pairs(zip(ids[:n], ids[n:]))
+            else:
+                reds = list(range(n + 1, 2 * n + 1))
+                rng.shuffle(reds)
+                yield inst, Matching.from_pairs(zip(range(1, n + 1), reds))
+
+
+@pytest.mark.parametrize("family", ["convex", "sigma", "pairings"])
+def test_tree_build_matches_the_engine_replay(family):
+    outcomes = set()
+    for inst, m in _replay_cases(family):
+        new = _outcome(matching_to_bt, inst, m)
+        assert new == _outcome(replay_matching_to_bt, inst, m)
+        outcomes.add(new if isinstance(new, type) else "tree")
+    expected = {"tree", CrossingDetected, NotPerfect} if family == "pairings" else {"tree"}
+    assert outcomes == expected
+
+
+def test_tree_build_matches_the_engine_replay_at_ten_thousand_pairs():
+    inst = generators.random_circle_instance(10**4, BNM, 0)
+    m = convex_noncrossing_pm(inst)
+    started = time.perf_counter()
+    tree = matching_to_bt(inst, m)
+    elapsed = time.perf_counter() - started
+    assert tree == replay_matching_to_bt(inst, m)
+    # about 0.04 s on a 2-core box, tree assembly included; the replay
+    # takes about 0.12 s
+    assert elapsed < 2, f"the build took {elapsed:.2f}s, budget 2s"
+
+
 def test_tree_build_rejects_a_crossing_matching():
     # blues at 0 and 1/4, reds at 1/2 and 3/4: chords 0-1/2 and 1/4-3/4 cross
     pts = [
@@ -218,8 +284,8 @@ def test_tree_build_rejects_non_red_blue_edges():
 
 
 def test_tree_build_reads_the_cached_ranks(monkeypatch):
-    # the hull ranks are computed once per instance; the build replays the
-    # region engine over Instance.ranks and ranks nothing itself
+    # the hull ranks are computed once per instance; the build reads
+    # Instance.ranks and ranks nothing itself
     inst = generators.random_convex_polygon_instance(60, BNM, 0)
     inst.ranks
     calls = []
