@@ -17,25 +17,11 @@ from typing import Iterable, Iterator, Sequence
 from . import geometry, offline
 from .codecs import Permutation, enumerate_231_avoiding, is_231_avoiding
 from .engine import SimulationResult
-from .errors import (
-    BadSubset,
-    CapExceeded,
-    DomainError,
-    Not231Avoiding,
-)
-from .geometry import (
-    BLUE,
-    BNM,
-    CIRCLE,
-    MNM,
-    RED,
-    Instance,
-    Matching,
-    Point,
-    circle_point,
-)
+from .errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
+from .geometry import BLUE, BNM, CIRCLE, MNM, RED, Instance, Matching
 
 RNG_ALGORITHM = "python-random-mt19937"
+_TOP_BIT = bytes(b >> 7 for b in range(256))  # bytes.translate: byte -> top bit
 
 
 @dataclass
@@ -54,19 +40,6 @@ class AnnotatedInstance:
 
 # ---------------------------------------------------------------------------
 # bichromatic lower-bound family
-
-
-def bnm_blue_positions(n: int) -> list[Point]:
-    """Blue points spread over the upper semicircle, left to right.
-
-    Blue i sits at turn fraction (1 - i/(n+1))/2, strictly between the west
-    and east poles, with strictly decreasing angles (so increasing x).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return [
-        circle_point(Fraction(n + 1 - i, 2 * (n + 1)), i, BLUE) for i in range(1, n + 1)
-    ]
 
 
 def bnm_red_instance(
@@ -106,7 +79,7 @@ def bnm_red_instance(
         reds.append((lo + hi) / 2)
         placed.insert(j, s)
         angles.insert(j, reds[-1])
-    # the blue angles of bnm_blue_positions, exactly, without their placeholders
+    # blue i at turn fraction (1 - i/(n+1))/2 on the upper semicircle, left to right
     rows = [(None, None, (n + 1 - i, 2 * (n + 1)), BLUE) for i in range(1, n + 1)]
     rows += [(None, None, a.as_integer_ratio(), RED) for a in reds]
     instance = Instance.from_rows(rows, BNM, CIRCLE)
@@ -258,31 +231,39 @@ def markov_instance(n: int, seed: int) -> AnnotatedInstance:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
-    coins_f = [0] + [rng.getrandbits(1) for _ in range(m)]
-    coins_r = [0] + [rng.getrandbits(1) for _ in range(m)]
+    # getrandbits(1) is the top bit of one 32-bit output, and getrandbits(32 * m)
+    # packs m outputs from the low end: the coins are its bits 31, 63, 95, ...
+    coins_f, coins_r = (
+        [0, *rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(_TOP_BIT)]
+        for _ in range(2)
+    )
 
     one = 1 << m + 2  # enough halvings: angles are multiples of 1 / one
+    mask = one - 1
     ticks = [one >> 2, 3 * (one >> 2)]  # by arrival: north, south
     # circular neighbours by 0-based arrival index: ccw (nxt) and cw (prv)
     nxt, prv = [1, 0], [1, 0]
     fake = [0, 0, 0]  # 1-based; p_1 is neither parent nor fake
 
     cur_parent = 2  # arrival index of the active parent
+    was_fake = 0  # fake[i - 1]
     for i in range(3, m + 1):
         # R=1 is the right (ccw) arc; the point after a fake lands in the
-        # parent's other arc and is never a fake itself
-        go_ccw = coins_r[cur_parent] != fake[i - 1]
-        new_fake = 0 if fake[i - 1] else coins_f[i]
+        # parent's other arc and is never a fake itself.  The new point
+        # halves the arc from a ccw to b, which may wrap past 0.
         p = cur_parent - 1
-        # the new point halves the arc from a ccw to b, which may wrap past 0
-        a, b = (p, nxt[p]) if go_ccw else (prv[p], p)
+        if coins_r[cur_parent] != was_fake:
+            a, b = p, nxt[p]
+        else:
+            a, b = prv[p], p
         lo, hi = ticks[a], ticks[b]
-        ticks.append((lo + hi + (one if hi < lo else 0)) // 2 % one)
+        ticks.append(lo + hi >> 1 if lo < hi else lo + hi + one >> 1 & mask)
         nxt[a] = prv[b] = i - 1
         nxt.append(b)
         prv.append(a)
-        fake.append(new_fake)
-        if not new_fake:
+        was_fake = coins_f[i] & ~was_fake
+        fake.append(was_fake)
+        if not was_fake:
             cur_parent = i
 
     instance = Instance.from_ticks(ticks, one, MNM, validate=False)
@@ -487,11 +468,18 @@ def min_strategy_cover(family: Iterable[Instance | AnnotatedInstance]) -> int:
 
 
 def _maximal(sets: Iterable[frozenset]) -> frozenset:
+    """The sets no other set strictly contains.  A strict superset of s holds
+    s's first element, so s is tested only against kept sets holding it."""
     pool = sorted(set(sets), key=len, reverse=True)
     out: list[frozenset] = []
+    holders: dict = {}  # element -> the kept sets holding it
     for s in pool:
-        if not any(s < t for t in out):
-            out.append(s)
+        rivals = holders.get(next(iter(s)), ()) if s else out
+        if any(s < t for t in rivals):
+            continue
+        for e in s:
+            holders.setdefault(e, []).append(s)
+        out.append(s)
     return frozenset(out)
 
 

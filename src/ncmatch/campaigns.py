@@ -40,7 +40,7 @@ def _finish(check: str, params: dict, results: list[dict]) -> dict:
 
 def check_bnm_lb(n: int = 3) -> dict:
     """Strategy cover of the full 231-avoiding family equals catalan(n), for
-    n up to the enumeration cap of 10 (about 20 s there on a 2-core box)."""
+    n up to the enumeration cap of 10 (about 9 s there on a 2-core box)."""
     cover = min_strategy_cover(bnm_family(n))
     results = [_entry(f"cover(all avoiding sigma, n={n})", catalan(n), cover)]
     if n >= 3:

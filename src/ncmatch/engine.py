@@ -83,6 +83,8 @@ class _BruteEngine:
     ``commit_turns`` count the work.
     """
 
+    work_counters = ("arrival_turns", "commit_turns")
+
     def __init__(self, instance: Instance):
         self.instance = instance
         self.ends = [(r, r * r) for r in instance.ranks] if instance.convex else instance.int_xy
@@ -170,21 +172,25 @@ class _RegionEngine:
     """Laminar-region availability tracker for convex-position instances.
 
     It reads only the instance's hull ranks.  Committed chords partition
-    the polygon into regions (integer ids, 0 is the whole polygon).  Every
-    hull rank, arrived or not, has a region id in ``reg``; it is read once,
-    on arrival, when the rank lies on one region's boundary only.  Each
-    region keeps two rank-sorted lists: ``members``, its ranks, and
-    ``free``, the points a later arrival may join: every unmatched point on
-    MNM, every unmatched blue on BNM.
+    the polygon into regions, with ids 0, 1, 2, ... in order of creation (0
+    is the whole polygon).  Every hull rank, arrived or not, has a region id
+    in ``reg``; it is read once, on arrival, when the rank lies on one
+    region's boundary only.  ``members`` and ``free``, indexed by region id,
+    hold each region's two rank-sorted lists: its ranks, and the points a
+    later arrival may join (every unmatched point on MNM, every unmatched
+    blue on BNM).
 
     An arrival reads its region from ``reg``.  Counts are list lengths,
-    ``has`` and ``kth_clockwise`` are one bisect each.  A match cuts both
-    lists of its region at the two chord ranks, which costs bisects plus
-    the slices it moves; the side with fewer ranks takes the new id and is
-    relabelled in ``reg``, so ``relabels`` totals at most m * ceil(log2 m).
-    After a match, ``split`` holds the ids of the regions left and right of
-    the directed chord (arrival to partner).
+    ``has`` and ``kth_clockwise`` are one bisect each, and ``min_arrival``
+    and ``max_arrival`` read one entry when one point is free.  A match cuts
+    both lists of its region in place at the two chord ranks, which costs
+    bisects plus the slices it moves; the side with fewer ranks is appended
+    as a new region and relabelled in ``reg``, so ``relabels`` totals at
+    most m * ceil(log2 m).  After a match, ``split`` holds the ids of the
+    regions left and right of the directed chord (arrival to partner).
     """
+
+    work_counters = ("relabels",)
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -194,8 +200,8 @@ class _RegionEngine:
         for pi, pos in enumerate(self.rank_of):
             self.arrival_at_rank[pos] = pi + 1
         self.reg = [0] * len(self.rank_of)
-        self.members: dict[int, list[int]] = {0: list(range(len(self.rank_of)))}
-        self.free: dict[int, list[int]] = {0: []}
+        self.members: list[list[int]] = [list(range(len(self.rank_of)))]
+        self.free: list[list[int]] = [[]]
         self.split: tuple[int, int] | None = None
         self.relabels = 0
         # (arrival, rank, region, the free ranks it may join)
@@ -214,11 +220,15 @@ class _RegionEngine:
 
     def min_arrival(self) -> int | None:
         av = self.cur[3]
-        return min(map(self.arrival_at_rank.__getitem__, av)) if av else None
+        if len(av) > 1:
+            return min(map(self.arrival_at_rank.__getitem__, av))
+        return self.arrival_at_rank[av[0]] if av else None
 
     def max_arrival(self) -> int | None:
         av = self.cur[3]
-        return max(map(self.arrival_at_rank.__getitem__, av)) if av else None
+        if len(av) > 1:
+            return max(map(self.arrival_at_rank.__getitem__, av))
+        return self.arrival_at_rank[av[0]] if av else None
 
     def kth_clockwise(self, k: int) -> int:
         """BNM: the k-th available point clockwise from the arrival;
@@ -258,32 +268,27 @@ class _RegionEngine:
         # the ccw side of the chord holds members[ar:aq] (the ranks in
         # [r, rq)) and free[fr:fq], cyclically; it is the right side of the
         # directed chord (arrival -> partner).  The side with fewer ranks
-        # moves to the new region.
-        g1 = len(self.members)  # ids run 0, 1, 2, ...
+        # moves to the new region, members[a:b] and free[c:d], or their
+        # ends members[:b] + members[a:] and free[:d] + free[c:] if it wraps.
+        g1 = len(self.members)
         if 2 * ((aq - ar) % len(members)) <= len(members):
             a, b, c, d, wrap, self.split = ar, aq, fr, fq, r > rq, (g, g1)
         else:
             a, b, c, d, wrap, self.split = aq, ar, fq, fr, r < rq, (g1, g)
-        moved = self.members[g1] = _take(members, a, b, wrap)
-        self.free[g1] = _take(free, c, d, wrap)
+        if wrap:
+            moved, moved_free = members[:b] + members[a:], free[:d] + free[c:]
+            del members[a:], members[:b], free[c:], free[:d]
+        else:
+            moved, moved_free = members[a:b], free[c:d]
+            del members[a:b], free[c:d]
+        self.members.append(moved)
+        self.free.append(moved_free)
+        reg = self.reg
         for rk in moved:
-            self.reg[rk] = g1
+            reg[rk] = g1
         self.relabels += len(moved)
         left, right = self.split
         return len(self.free[left]), len(self.free[right])
-
-
-def _take(ranks: list[int], a: int, b: int, wrap: bool) -> list[int]:
-    """Remove ranks[a:b] from a sorted list, or ranks[:b] and ranks[a:] if
-    the slice wraps round, and return what was removed, sorted."""
-    if wrap:
-        out = ranks[:b] + ranks[a:]
-        del ranks[a:]
-        del ranks[:b]
-    else:
-        out = ranks[a:b]
-        del ranks[a:b]
-    return out
 
 
 def make_engine(instance: Instance):
@@ -306,13 +311,17 @@ class BeginContext:
 class SimulationResult:
     """``steps`` holds ``(arrival, available, partner, left, right)`` per
     decision arrival: the available count, then the counts left and right of
-    the chord arrival -> partner; the last three are None on a skip."""
+    the chord arrival -> partner; the last three are None on a skip.
+    ``work`` holds the engine's work counters by name: ``relabels`` from the
+    region engine, ``arrival_turns`` and ``commit_turns`` from the brute
+    engine."""
 
     matching: Matching
     bits_written: int
     bits_read: int
     steps: list[tuple[int, int, int | None, int | None, int | None]]
     violations: MatchingReport
+    work: dict[str, int]
 
 
 @dataclass
@@ -338,11 +347,12 @@ def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tupl
         commit(None)
     decide = player.decide
     steps: list[tuple] = []
+    step = steps.append
     for i in range(first, 2 * n + 1):
         available = arrive(i)
         j = decide(i, eng, tape)
         left, right = commit(j)
-        steps.append((i, available, j, left, right))
+        step((i, available, j, left, right))
     return steps
 
 
@@ -364,13 +374,15 @@ def simulate(alg: OnlineAlgorithm, instance: Instance) -> SimulationResult:
     knows_n = alg.needs_n or instance.kind == BNM
     player.begin(BeginContext(n=instance.n if knows_n else None), tape)
     steps = _play(instance, eng, player, tape)
-    matching = Matching.from_pairs((j, i) for i, _a, j, _l, _r in steps if j is not None)
+    # a partner j always arrived before i, so (j, i) is already ordered
+    matching = Matching(frozenset([(j, i) for i, _a, j, _l, _r in steps if j is not None]))
     return SimulationResult(
         matching=matching,
         bits_written=tape.bits_written,
         bits_read=tape.cursor,
         steps=steps,
         violations=offline.validate_matching(instance, matching),
+        work={k: getattr(eng, k) for k in eng.work_counters},
     )
 
 

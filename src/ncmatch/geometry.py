@@ -597,7 +597,7 @@ class Matching:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(frozenset((min(i, j), max(i, j)) for i, j in pairs))
+        return cls(frozenset((i, j) if i < j else (j, i) for i, j in pairs))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -615,9 +615,6 @@ class Matching:
             if b == i:
                 return a
         return None
-
-    def with_edge(self, i: int, j: int) -> "Matching":
-        return Matching(self.edges | {(min(i, j), max(i, j))})
 
 
 # ---------------------------------------------------------------------------

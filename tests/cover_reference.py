@@ -1,6 +1,17 @@
 """The recursive minimum set cover that ``adversaries._exact_cover_size``
 replaced; its recursion depth is the cover size.  The differential tests
-compare the explicit-stack search against it on small set systems."""
+compare the explicit-stack search against it on small set systems.  And
+``pairwise_maximal``, the filter that ``adversaries._maximal`` replaced: it
+tests every set against every kept set."""
+
+
+def pairwise_maximal(sets) -> frozenset:
+    pool = sorted(set(sets), key=len, reverse=True)
+    out: list[frozenset] = []
+    for s in pool:
+        if not any(s < t for t in out):
+            out.append(s)
+    return frozenset(out)
 
 
 def recursive_cover_size(universe: frozenset, sets: list[frozenset]) -> int:

@@ -4,14 +4,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from cover_reference import recursive_cover_size
+from cover_reference import pairwise_maximal, recursive_cover_size
+from helpers import bnm_blue_positions
 
 from ncmatch import adversaries, engine, geometry, offline
 from ncmatch.adversaries import (
     AnnotatedInstance,
     _exact_cover_size,
+    _maximal,
     approx_lb_rate,
-    bnm_blue_positions,
     bnm_family,
     bnm_red_instance,
     consistent,
@@ -216,6 +217,17 @@ def test_markov_parent_recurrence():
         fake = (0,) + ai.fake
         for i in range(2, 61):
             assert fake[i] == parent[i - 1] * f[i]
+
+
+def test_markov_coins_are_one_bit_draws():
+    # the walk draws each coin stream at once; the coins equal m calls of
+    # getrandbits(1) each
+    for n, seed in ((1, 0), (2, 5), (3, 9), (200, 1), (1000, 77)):
+        rng = random.Random(seed)
+        coins_f = tuple([0] + [rng.getrandbits(1) for _ in range(2 * n)])
+        coins_r = tuple([0] + [rng.getrandbits(1) for _ in range(2 * n)])
+        ai = markov_instance(n, seed)
+        assert (ai.coins_f, ai.coins_r) == (coins_f, coins_r)
 
 
 def test_markov_placement_follows_the_coins():
@@ -514,6 +526,27 @@ def test_cover_search_agrees_with_the_recursive_reference():
         assert _exact_cover_size(universe, sets) == want, (universe, sets)
         sizes.add(want if want <= len(universe) else "none")
     assert {0, 1, 2, 3, 4, "none"} <= sizes
+
+
+def test_maximal_sets_agree_with_the_pairwise_filter():
+    # random families with repeats, nested chains, the empty set and
+    # families of the empty set alone: the same frozenset of maximal sets
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(3000):
+        universe = range(rng.randrange(1, 10))
+        density = rng.choice((0.1, 0.3, 0.6, 0.9))
+        sets = [
+            frozenset(e for e in universe if rng.random() < density)
+            for _ in range(rng.randrange(12))
+        ]
+        if sets and rng.random() < 0.3:
+            sets += [s - {min(s)} for s in sets if s]  # strict subsets
+        want = pairwise_maximal(sets)
+        assert _maximal(sets) == want, sets
+        assert _maximal(iter(sets)) == want
+        kinds.add(len(want) if frozenset() not in want else "empty")
+    assert {0, 1, 2, 3, "empty"} <= kinds
 
 
 def test_cover_search_takes_disjoint_sets_without_recursion():

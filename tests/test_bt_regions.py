@@ -205,7 +205,7 @@ def _engine_phase_seconds(inst):
         left, right = eng.commit(j)
         assert left + right == cnt - 1
     elapsed = time.perf_counter() - started
-    assert all(not free for free in eng.free.values())
+    assert all(not free for free in eng.free)
     return elapsed
 
 

@@ -385,6 +385,9 @@ PINNED = {
     "sim_sorted_circle60": "4ac97e63bddfd39f5e817a29314d4ca4d0103b24128f748a81d9114378ca0ca6",
     "minlen_circle4": "bd19a443ae2587412c200479944434d1e1c25dc5da0e7cd10e8e9eb041e90efe",
     "coupling_150": "01715fa4367e1e6434aa396ea33d04485c8a86ce455398b899090676aa1687fa",
+    "diag_greedy_markov200_0": "0b4909e45ae9c23a3c6a17d33010251e94e1784a8a91dcef5ca3e11d7411df82",
+    "diag_greedy_markov200_1": "baa79205525b0b1a1dfe62c64c4ba842e4fd7c5c9609ea8905a4cebd399aece9",
+    "diag_greedy_markov200_2": "a7c8cdad575e2ea5462f232d137e11c5d4012a6c9f05a0ad46b27169843d4df1",
 }
 
 
@@ -448,6 +451,17 @@ def test_coupling_campaign_digest():
     summary = campaigns.check_coupling(n=200, trials=150, seed=1_000_000, workers=1)
     assert summary["ok"]
     assert _sha(summary) == PINNED["coupling_150"]
+
+
+def test_coupling_diagnostics_digests():
+    # times, cases, x, y and isolated_count of greedy traces, where the
+    # campaign digest sees only their aggregates
+    got = {}
+    for s in (0, 1, 2):
+        ai = adversaries.markov_instance(200, s)
+        diag = adversaries.coupling_diagnostics(ai, engine.simulate(engine.greedy(), ai.instance))
+        got[f"diag_greedy_markov200_{s}"] = _sha(dataclasses.asdict(diag))
+    assert got == {k: PINNED[k] for k in got}
 
 
 def test_eager_reference_instances_give_the_same_outputs():

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import with_edge
 
 from ncmatch import adversaries, generators, geometry, offline
 from ncmatch.adversaries import (
@@ -253,7 +254,7 @@ def test_available_set_matches_reference():
             assert got == reference_available_set(inst, m, i)
             options = sorted(j for j in got if inst.kind == MNM or i > inst.n)
             if options and rng.random() < 0.6:
-                m = m.with_edge(i, rng.choice(options))
+                m = with_edge(m, i, rng.choice(options))
 
 
 def test_pairing_search_matches_reference_on_families_and_random_instances():

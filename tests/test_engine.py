@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from bt_reference import available, brute_simulate, descent_bt
 from click.testing import CliRunner
+from helpers import with_edge
 
-from ncmatch import generators, geometry, offline, serial
+from ncmatch import engine, generators, geometry, offline, serial
 from ncmatch.adversaries import markov_instance
 from ncmatch.cli import main
 from ncmatch.codecs import DyckWord, bits_for_universe, catalan, elias_delta_encode
@@ -281,7 +282,7 @@ def test_brute_engine_integer_path_matches_available_set():
             if expected and rng.random() < 0.6:
                 j = rng.choice(sorted(expected))
                 eng.commit(j)
-                m = m.with_edge(i, j)
+                m = with_edge(m, i, j)
             else:
                 eng.commit(None)
 
@@ -377,7 +378,7 @@ def _brute_play_against_available_set(inst, rng) -> int:
         if expected and rng.random() < 0.6:
             j = rng.choice(expected)
             eng.commit(j)
-            m = m.with_edge(i, j)
+            m = with_edge(m, i, j)
         else:
             eng.commit(None)
     return len(m)
@@ -486,7 +487,7 @@ def test_region_engine_counts_match_available_set():
                 j = rng.choice(sorted(expected))
                 assert eng.has(j)
                 eng.commit(j)
-                m = m.with_edge(i, j)
+                m = with_edge(m, i, j)
             else:
                 eng.commit(None)
 
@@ -795,7 +796,7 @@ def test_asap_oracle_word_is_balanced_and_opposite_parity_rule_holds():
             if bit == 1:
                 assert avail == opp  # parity homogeneity of available sets
                 j = min(avail)
-                m = m.with_edge(i, j)
+                m = with_edge(m, i, j)
 
 
 def test_asap_rejects_general_position():
@@ -820,3 +821,23 @@ def test_every_paper_algorithm_reads_exactly_what_it_writes():
     ]:
         sim = simulate(alg, inst)
         assert sim.bits_read == sim.bits_written
+
+
+def test_simulation_reports_its_engines_work_counters(monkeypatch):
+    # relabels from the region engine, arrival and commit turns from the
+    # brute engine: the counters of the engine that simulate ran
+    engines = []
+    make_engine = engine.make_engine
+
+    def recording(instance):
+        engines.append(make_engine(instance))
+        return engines[-1]
+
+    monkeypatch.setattr(engine, "make_engine", recording)
+    sim = simulate(greedy(), markov_instance(50, 3).instance)
+    assert sim.work == {"relabels": engines[-1].relabels}
+    assert sim.work["relabels"] > 0
+    sim = simulate(sorted_matching(), generators.random_general_instance(20, 5))
+    eng = engines[-1]
+    assert sim.work == {"arrival_turns": eng.arrival_turns, "commit_turns": eng.commit_turns}
+    assert min(sim.work.values()) > 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from bt_reference import brute_simulate
+from helpers import with_edge
 
 from ncmatch import adversaries, generators, geometry
 from ncmatch.adversaries import (
@@ -192,7 +193,7 @@ def test_planar_left_right_are_the_half_plane_counts(make):
             sides = [geometry.half_plane_side(edge, pts[t - 1]) for t in avail - {j}]
             assert (left, right) == (sides.count(LEFT), sides.count(RIGHT))
             seen.update(side for side, count in ((LEFT, left), (RIGHT, right)) if count)
-            m = m.with_edge(i, j)
+            m = with_edge(m, i, j)
     assert seen == {LEFT, RIGHT}
 
 

@@ -344,3 +344,17 @@ def test_available_set_monotone_under_edge_insertion():
 def test_matching_rejects_reuse():
     with pytest.raises(InvalidInstance):
         Matching.from_pairs([(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "edges, pattern",
+    [
+        ({(1, 2), (3, 3)}, r"self-loop edge"),
+        ({(1, 2), (4, 3)}, r"edges must be stored as \(min, max\)"),
+        # either edge may come second in the set's order
+        ({(1, 2), (2, 3)}, r"index reused by edge \((1, 2|2, 3)\)"),
+    ],
+)
+def test_matching_names_the_broken_invariant(edges, pattern):
+    with pytest.raises(InvalidInstance, match=f"^{pattern}$"):
+        Matching(frozenset(edges))
