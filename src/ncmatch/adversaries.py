@@ -176,7 +176,10 @@ class ConsistencyResult:
         return self.completable
 
 
-def consistent(prior: Matching, ai: AnnotatedInstance, cap: int = 18) -> ConsistencyResult:
+_CONSISTENCY_MAX_POINTS = 18
+
+
+def consistent(prior: Matching, ai: AnnotatedInstance) -> ConsistencyResult:
     """Brute-force search for an online-realizable perfect completion.
 
     New edges must touch an arriving point: after the fixed prefix has
@@ -187,8 +190,8 @@ def consistent(prior: Matching, ai: AnnotatedInstance, cap: int = 18) -> Consist
     """
     inst = ai.instance
     m = inst.size
-    if m > cap:
-        raise CapExceeded(f"consistency search capped at {cap} points")
+    if m > _CONSISTENCY_MAX_POINTS:
+        raise CapExceeded(f"consistency search capped at {_CONSISTENCY_MAX_POINTS} points")
     k = m // 6
     prefix = 4 * k
     chi = geometry.parity(inst)

@@ -336,14 +336,14 @@ def is_231_avoiding(perm: Permutation | Sequence[int]) -> tuple[bool, tuple[int,
 _ENUM_CAP = 10
 
 
-def enumerate_231_avoiding(n: int, cap: int = _ENUM_CAP) -> Iterator[Permutation]:
+def enumerate_231_avoiding(n: int) -> Iterator[Permutation]:
     """All 231-avoiding permutations of 1..n; there are catalan(n) of them.
 
     Generated structurally from the before-max/after-max decomposition, so
     no filtering over n! objects happens.
     """
-    if n > cap:
-        raise CapExceeded(f"enumeration capped at n <= {cap}")
+    if n > _ENUM_CAP:
+        raise CapExceeded(f"enumeration capped at n <= {_ENUM_CAP}")
 
     def rec(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         # values is an increasing run; in a 231-avoiding permutation every

@@ -22,11 +22,12 @@ do not lie strictly on one side of the candidate's line, two inline turns.
 Its answers equal geometry.scan_available's, which stays the reference.
 
 Two points in convex position can be joined without a crossing iff no
-committed chord separates them, so region identity is availability.  Every
-hull rank keeps the id of its region and each region its ranks and free
-points as two rank-sorted lists: an arrival reads one id, a match costs
-bisects plus the slices it moves, and relabels total O(m log m) because
-the side with fewer ranks takes the new id.  The region engine also
+committed chord separates them, so region identity is availability.  The
+region engine reads the instance's hull order and ranks as they are.
+Every hull rank keeps the id of its region and each region its ranks and
+free points as two rank-sorted lists: an arrival reads one id, a match
+costs bisects plus the slices it moves, and relabels total O(m log m)
+because the side with fewer ranks takes the new id.  The region engine also
 names each arrival's region, which is the tree slot that the bt player
 fills (the oracle builds the same tree offline, in offline.bt_children),
 and the k-th available blue clockwise from a red.
@@ -171,7 +172,8 @@ class _BruteEngine:
 class _RegionEngine:
     """Laminar-region availability tracker for convex-position instances.
 
-    It reads only the instance's hull ranks.  Committed chords partition
+    It reads only the instance's hull order (``hull``, the arrival at each
+    rank) and its inverse (``ranks``).  Committed chords partition
     the polygon into regions, with ids 0, 1, 2, ... in order of creation (0
     is the whole polygon).  Every hull rank, arrived or not, has a region id
     in ``reg``; it is read once, on arrival, when the rank lies on one
@@ -196,9 +198,7 @@ class _RegionEngine:
         self.instance = instance
         self.colors = instance.colors
         self.rank_of = instance.ranks  # ccw hull position
-        self.arrival_at_rank = [0] * len(self.rank_of)
-        for pi, pos in enumerate(self.rank_of):
-            self.arrival_at_rank[pos] = pi + 1
+        self.arrival_at_rank = instance.hull
         self.reg = [0] * len(self.rank_of)
         self.members: list[list[int]] = [list(range(len(self.rank_of)))]
         self.free: list[list[int]] = [[]]

@@ -18,13 +18,15 @@ Each instance has one exact view, picked by ``Instance.crossing_view``:
 ``(ends, crosses)``.  Convex position (circles and convex polygons)
 runs on hull ranks (``Instance.ranks``): chords cross iff their ranks
 interleave (``chords_cross``), and three points turn left iff their ranks
-run counterclockwise (``cyclic_turn``).  Circles sort their ticks into
-ranks; polygons rank by one convex hull of their integer pairs.  General
-position runs on the pairs (``Instance.int_xy``): the segment test
-``seg_cross_int``, the cross product ``cross_int`` and the
-general-position check ``collinear_triple``.  ``orientation``,
-``segments_cross`` and ``half_plane_side`` decide the same questions on
-``Point``s through these predicates and serve as references.
+run counterclockwise (``cyclic_turn``).  The counterclockwise order is
+decided once per instance, in ``Instance.hull``: circles sort their ticks,
+polygons take one convex hull of their integer pairs.  ``ranks`` is its
+inverse, and ``hull_order`` a slice of it.  General position runs on the
+pairs (``Instance.int_xy``): the segment test ``seg_cross_int``, the cross
+product ``cross_int`` and the general-position check ``collinear_triple``.
+``orientation``, ``segments_cross`` and ``half_plane_side`` decide the
+same questions on ``Point``s through these predicates and serve as
+references.
 """
 from __future__ import annotations
 
@@ -400,9 +402,6 @@ class Instance:
     def size(self) -> int:
         return len(self.colors)
 
-    def point(self, arrival_index: int) -> Point:
-        return self.points[arrival_index - 1]
-
     @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(self.iter_points())
@@ -452,18 +451,34 @@ class Instance:
         return (self.ranks, chords_cross) if self.convex else (self.int_xy, seg_cross_int)
 
     @cached_property
+    def hull(self) -> list[int]:
+        """The arrival index at each counterclockwise hull rank: the one place
+        convex position is decided.  Circles sort their ticks, and two equal
+        neighbours raise ``InvalidInstance``; polygons take their convex hull,
+        which must hold every point, else ``NotConvex``.  Shared by ``ranks``,
+        the region engine and ``hull_order``, so callers must not modify it."""
+        values = self.grid[0]
+        if self.geometry == CIRCLE:
+            order = sorted(range(len(values)), key=values.__getitem__)
+            ticks = list(map(values.__getitem__, order))
+            if any(map(operator.eq, ticks, ticks[1:])):
+                raise InvalidInstance("duplicate circle points")
+        else:
+            order = _convex_hull_ccw(values)
+            if len(order) != len(values):
+                raise NotConvex("convex instances require every point on the hull")
+        return [i + 1 for i in order]
+
+    @cached_property
     def ranks(self) -> list[int]:
-        """Counterclockwise hull position of each point, in arrival order:
-        the sorted ticks on circles, else ``cyclic_ranks``.  Shared by
-        validation, the crossing view, the region engine, the hull audit
-        and ``hull_order``, so callers must not modify it."""
-        return (_key_ranks if self.geometry == CIRCLE else cyclic_ranks)(self.grid[0])
-
-    def blues(self) -> tuple[Point, ...]:
-        return self.points[: self.n]
-
-    def reds(self) -> tuple[Point, ...]:
-        return self.points[self.n :]
+        """Counterclockwise hull rank of each point, in arrival order: the
+        inverse of ``hull``.  Shared by validation, the crossing view, the
+        region engine and the hull audit, so callers must not modify it."""
+        hull = self.hull
+        ranks = [0] * len(hull)
+        for r, i in enumerate(hull):
+            ranks[i - 1] = r
+        return ranks
 
 
 def validate_instance(inst: Instance) -> Instance:
@@ -487,11 +502,11 @@ def validate_instance(inst: Instance) -> Instance:
     if inst.geometry == CIRCLE:
         if not all(0 <= t < unit for t in values):
             raise InvalidInstance("ticks must lie in [0, unit): turn fractions in [0, 1)")
-        inst.ranks  # raises InvalidInstance on duplicate ticks
+        inst.hull  # raises InvalidInstance on duplicate ticks
     elif len(set(values)) != m:
         raise InvalidInstance("duplicate points")
     elif inst.geometry == CONVEX:
-        inst.ranks  # raises NotConvex unless every point is a hull vertex
+        inst.hull  # raises NotConvex unless every point is a hull vertex
     elif (triple := collinear_triple(values)) is not None:
         a, b, c = sorted(triple)
         raise InvalidInstance(f"collinear triple {a + 1}, {b + 1}, {c + 1}")
@@ -519,29 +534,6 @@ def _convex_hull_ccw(xy: Sequence[tuple[int, int]]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def cyclic_ranks(xy: Sequence[tuple[int, int]]) -> list[int]:
-    """Counterclockwise hull position of each integer point, in input order,
-    by their convex hull, which must contain every point.  In convex
-    position the orientation of three points is the cyclic order of their
-    ranks (``cyclic_turn``).
-    """
-    order = _convex_hull_ccw(xy)
-    if len(order) != len(xy):
-        raise NotConvex("convex instances require every point on the hull")
-    return sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
-
-
-def _key_ranks(keys: Sequence) -> list[int]:
-    """Position of each key in sorted order; two equal keys raise
-    ``InvalidInstance``."""
-    if len(set(keys)) < len(keys):
-        raise InvalidInstance("duplicate circle points")
-    ranks = [0] * len(keys)
-    for pos, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        ranks[i] = pos
-    return ranks
-
-
 def hull_order(instance: Instance) -> list[int]:
     """Clockwise cyclic hull order of all points, starting at p_1.
 
@@ -549,13 +541,8 @@ def hull_order(instance: Instance) -> list[int]:
     """
     if not instance.convex:
         raise NotConvex("hull order needs circle or convex geometry")
-    ranks = instance.ranks
-    m = len(ranks)
-    ccw = [0] * m
-    for i, r in enumerate(ranks):
-        ccw[r] = i + 1
-    start = ranks[0]
-    return [ccw[(start - t) % m] for t in range(m)]
+    hull, r0 = instance.hull, instance.ranks[0]
+    return hull[r0::-1] + hull[:r0:-1]
 
 
 def parity(instance: Instance) -> list[int]:
@@ -619,18 +606,6 @@ class Matching:
 
 # ---------------------------------------------------------------------------
 # availability
-
-
-def available_set(instance: Instance, current: Matching, i: int) -> set[int]:
-    """Arrival indices of earlier unmatched points that p_i can legally match.
-
-    The brute-force definition (``scan_available``); the region engine
-    answers the same queries for convex-position instances and is
-    cross-checked against this one.
-    """
-    ends = instance.crossing_view[0]
-    edges = [(ends[a - 1], ends[b - 1]) for a, b in current.edges]
-    return set(scan_available(instance, i, current.matched_indices(), edges))
 
 
 def scan_available(

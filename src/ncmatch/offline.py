@@ -117,14 +117,12 @@ def noncrossing_pairings(
     yield from rec(list(free))
 
 
-def enumerate_perfect_noncrossing(
-    instance: Instance, cap: int = BRUTE_FORCE_CAP
-) -> Iterator[Matching]:
+def enumerate_perfect_noncrossing(instance: Instance) -> Iterator[Matching]:
     """Every perfect non-crossing matching of a small instance."""
     colors = instance.colors
     m = len(colors)
-    if m > cap:
-        raise CapExceeded(f"brute force capped at {cap} points, got {m}")
+    if m > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"brute force capped at {BRUTE_FORCE_CAP} points, got {m}")
 
     def bichromatic(i: int, j: int) -> bool:
         return colors[i - 1] != colors[j - 1]
@@ -134,7 +132,7 @@ def enumerate_perfect_noncrossing(
         yield Matching.from_pairs(edges)
 
 
-def min_length_pm(instance: Instance, cap: int = BRUTE_FORCE_CAP) -> Matching:
+def min_length_pm(instance: Instance) -> Matching:
     """A minimum-total-length perfect matching, found by brute force.
 
     Only non-crossing pairings are searched: a crossing pair of edges can
@@ -144,7 +142,7 @@ def min_length_pm(instance: Instance, cap: int = BRUTE_FORCE_CAP) -> Matching:
     """
     pts = instance.points
     best: Matching | None = None
-    for matching in enumerate_perfect_noncrossing(instance, cap):
+    for matching in enumerate_perfect_noncrossing(instance):
         edges = list(matching)
         sq = [squared_length(pts[a - 1], pts[b - 1]) for a, b in edges]
         if best is None:

@@ -8,6 +8,8 @@ that the offline union-find build replaced: it replays the region engine
 to label the tree slots."""
 from unittest import mock
 
+from helpers import point
+
 from ncmatch import engine, geometry
 from ncmatch.codecs import _assemble, catalan, read_ranked, tree_unrank
 from ncmatch.engine import OnlineAlgorithm, _bt_oracle, bt_matching
@@ -73,20 +75,20 @@ class DescentBTPlayer:
         self.root = _labeled_copy(tree_unrank(n, read_ranked(tape, catalan(n))))
 
     def decide(self, i, view, tape):
-        point = view.instance.point(i)
+        here = point(view.instance, i)
         node = self.root
         while node is not None and node.label is not None:
-            side = geometry.half_plane_side(node.label, point)
+            side = geometry.half_plane_side(node.label, here)
             node = node.left if side == LEFT else node.right
         if node is None:
             raise IllegalMatch(f"tree descent fell off at red {i}")
         k = (node.left.size if node.left else 0) + 1
-        avail = [view.instance.point(j) for j in available(view, i)]
-        ordered = clockwise_from(point, avail)
+        avail = [point(view.instance, j) for j in available(view, i)]
+        ordered = clockwise_from(here, avail)
         if k > len(ordered):
             raise IllegalMatch(f"red {i} wants blue #{k} but only {len(ordered)} available")
         partner = ordered[k - 1]
-        node.label = (point, partner)
+        node.label = (here, partner)
         return partner.arrival_index
 
 

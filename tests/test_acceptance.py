@@ -7,6 +7,8 @@ import math
 import time
 from itertools import combinations
 
+from helpers import reds
+
 from ncmatch import campaigns, generators, offline
 from ncmatch.adversaries import (
     approx_lb_rate,
@@ -132,8 +134,8 @@ def test_05_red_prefixes_agree_through_first_difference():
         fam = [(tuple(p), bnm_red_instance(p)) for p in enumerate_231_avoiding(n)]
         for (s1, a1), (s2, a2) in combinations(fam, 2):
             i = next(t for t in range(n) if s1[t] != s2[t])
-            r1 = [p.angle for p in a1.instance.reds()]
-            r2 = [p.angle for p in a2.instance.reds()]
+            r1 = [p.angle for p in reds(a1.instance)]
+            r2 = [p.angle for p in reds(a2.instance)]
             assert r1[: i + 1] == r2[: i + 1], (s1, s2)
             pairs += 1
     _finish("05 shared red prefixes", t0, 30.0, f"({pairs} pairs)")

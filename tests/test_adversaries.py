@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import combinations
 
 import pytest
 from cover_reference import pairwise_maximal, recursive_cover_size
-from helpers import bnm_blue_positions
+from helpers import bnm_blue_positions, point, reds
 
 from ncmatch import adversaries, engine, geometry, offline
 from ncmatch.adversaries import (
@@ -28,7 +29,7 @@ from ncmatch.adversaries import (
 )
 from ncmatch.campaigns import check_bnm_lb
 from ncmatch.codecs import catalan, enumerate_231_avoiding
-from ncmatch.engine import greedy, simulate
+from ncmatch.engine import asap_matching, greedy, simulate
 from ncmatch.errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
 from ncmatch.geometry import MNM, Matching
 
@@ -49,13 +50,12 @@ def test_blue_positions_small_cases():
 def test_first_red_always_at_the_bottom():
     for perm in enumerate_231_avoiding(4):
         ai = bnm_red_instance(perm)
-        assert ai.instance.point(5).angle == Fraction(3, 4)
+        assert point(ai.instance, 5).angle == Fraction(3, 4)
 
 
 def test_figure_permutation_layout():
     ai = bnm_red_instance((2, 1, 4, 3))
-    reds = ai.instance.reds()
-    by_x = sorted(reds, key=lambda p: p.angle)  # increasing angle = left to right below
+    by_x = sorted(reds(ai.instance), key=lambda p: p.angle)  # increasing angle = left to right below
     assert [p.arrival_index - 4 for p in by_x] == [2, 1, 4, 3]
 
 
@@ -63,10 +63,9 @@ def test_final_rank_equals_sigma_for_all_avoiding():
     for n in range(1, 6):
         for perm in enumerate_231_avoiding(n):
             ai = bnm_red_instance(perm)
-            reds = ai.instance.reds()
             ranks = {
                 p.arrival_index: pos + 1
-                for pos, p in enumerate(sorted(reds, key=lambda q: q.angle))
+                for pos, p in enumerate(sorted(reds(ai.instance), key=lambda q: q.angle))
             }
             assert tuple(ranks[n + i] for i in range(1, n + 1)) == tuple(perm)
 
@@ -83,8 +82,8 @@ def test_red_prefixes_agree_through_first_difference():
         fam = [(tuple(p), bnm_red_instance(p)) for p in enumerate_231_avoiding(n)]
         for (s1, a1), (s2, a2) in combinations(fam, 2):
             i = next(t for t in range(n) if s1[t] != s2[t])
-            r1 = [p.angle for p in a1.instance.reds()]
-            r2 = [p.angle for p in a2.instance.reds()]
+            r1 = [p.angle for p in reds(a1.instance)]
+            r2 = [p.angle for p in reds(a2.instance)]
             assert r1[: i + 1] == r2[: i + 1], (s1, s2)
             # and the required partners differ right there
             assert s1[i] != s2[i]
@@ -236,7 +235,7 @@ def test_markov_placement_follows_the_coins():
     # around to land east) adjacent half-circle
     for seed in range(40):
         ai = markov_instance(4, seed)
-        p3 = ai.instance.point(3).angle
+        p3 = point(ai.instance, 3).angle
         if ai.coins_r[2] == 1:
             assert p3 == Fraction(0)  # ccw of south: east midpoint
         else:
@@ -432,6 +431,69 @@ def test_coupling_invariants_on_random_traces():
         assert sum(diag.x) <= diag.isolated_count
         assert sum(diag.y[1::2]) <= sum(diag.x)
         assert diag.isolated_count == 50 - 2 * len(sim.matching)
+
+
+# the coin of each side case, by the isolation rules: F_{t+1} or R_t
+EVENT_COINS = {
+    "00": lambda f_next, r_cur: f_next,
+    "0+": lambda f_next, r_cur: 1 - r_cur,
+    "+0": lambda f_next, r_cur: r_cur,
+    "++": lambda f_next, r_cur: 1 - f_next,
+}
+
+
+def _table_diagnostics(ai, steps):
+    """Times, cases, X and Y of a trace, read off the case table."""
+    m, parent = ai.instance.size, (0, *ai.parent)
+    times, cases, xs, ys = [], [], [], []
+    for t, _available, partner, left, right in steps:
+        if partner is None or t in (2, m):
+            continue
+        case = ("+" if left > 0 else "0") + ("+" if right > 0 else "0")
+        coin = EVENT_COINS[case](ai.coins_f[t + 1], ai.coins_r[t])
+        times.append(t)
+        cases.append(case)
+        xs.append(parent[t] * coin)
+        ys.append((1 - ai.coins_f[t]) * coin)
+    return times, cases, xs, ys
+
+
+def test_asap_markov_traces_reach_the_one_sided_cases():
+    # asap leaves one free point beside some of its chords, so its matches
+    # fall under 0+ and +0 with a single point on the populated side
+    seen, single = set(), 0
+    for seed in range(4):
+        ai = markov_instance(50, seed)
+        sim = simulate(asap_matching(), ai.instance)
+        diag = coupling_diagnostics(ai, sim)
+        assert (diag.times, diag.cases, diag.x, diag.y) == _table_diagnostics(ai, sim.steps)
+        seen.update(diag.cases)
+        single += sum(1 for *_, left, right in sim.steps if 1 in (left, right))
+    assert {"00", "0+", "+0"} <= seen and single > 0
+
+
+def test_hand_built_steps_reach_the_two_sided_case():
+    # F_6 = 1 makes point 6 a fake, so point 7 is a parent with F_7 = 1;
+    # every listed match has one point on each side of its chord (case ++)
+    ai = _scripted_markov(4, [0, 0, 0, 0, 0, 0, 1, 1, 0], [0] * 9)
+    assert ai.parent == (0, 1, 1, 1, 1, 0, 1, 1)
+    steps = [
+        (2, 1, 1, 0, 0),  # t = 2 falls outside the equations
+        (3, 2, 2, 1, 1),
+        (4, 1, None, None, None),  # a skip
+        (5, 3, 4, 1, 1),
+        (6, 3, 3, 1, 1),
+        (7, 3, 5, 1, 1),
+    ]
+    sim = dataclasses.replace(simulate(greedy(), ai.instance), steps=steps)
+    diag = coupling_diagnostics(ai, sim)
+    assert diag.times == [3, 5, 6, 7]
+    assert diag.cases == ["++"] * 4
+    # the ++ coin is 1 - F_{t+1}: F_4, F_6, F_7, F_8 = 0, 1, 1, 0
+    assert diag.x == [1, 0, 0, 1]
+    # Y also needs F_t = 0, which fails at t = 7
+    assert diag.y == [1, 0, 0, 0]
+    assert (diag.times, diag.cases, diag.x, diag.y) == _table_diagnostics(ai, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from bt_reference import brute_simulate, descent_bt
+from helpers import reds
 
 from ncmatch import engine, generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance, markov_instance
@@ -143,12 +144,12 @@ def test_red_placement_matches_the_re_sorting_construction():
         sigmas.append(tree_to_perm(tree_unrank(n, rng.randrange(catalan(n)))).values)
     for sigma in sigmas:
         inst = bnm_red_instance(sigma).instance
-        assert [p.angle for p in inst.reds()] == reference_red_angles(sigma)
+        assert [p.angle for p in reds(inst)] == reference_red_angles(sigma)
     for _ in range(30):
         sigma = list(range(1, rng.randint(1, 40) + 1))
         rng.shuffle(sigma)
         inst = bnm_red_instance(sigma, allow_any=True).instance
-        assert [p.angle for p in inst.reds()] == reference_red_angles(sigma)
+        assert [p.angle for p in reds(inst)] == reference_red_angles(sigma)
 
 
 # ---------------------------------------------------------------------------

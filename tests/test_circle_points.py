@@ -7,6 +7,7 @@ normalised ``Fraction``, is kept here as the reference, and the digests
 below were taken with it.
 """
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -16,11 +17,12 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from helpers import count_hull_computations
 
 from ncmatch import adversaries, campaigns, engine, generators, geometry, offline, serial, svg
 from ncmatch.cli import main
 from ncmatch.errors import InvalidInstance, RationalTooLarge
-from ncmatch.geometry import BNM, CIRCLE, MNM, Instance, Point, circle_point, cyclic_ranks
+from ncmatch.geometry import BNM, CIRCLE, MNM, Instance, Point, circle_point
 
 
 def eager_circle_point(angle, arrival_index, color=None):
@@ -205,33 +207,69 @@ def _angle_ranks(points):
     return sorted(range(len(order)), key=order.__getitem__)
 
 
+def _polygon_ranks(points):
+    """Counterclockwise position of each point of a convex polygon, counted
+    from its leftmost (then lowest) point, by a sort of the exact directions
+    from the centroid: upper half-plane first, then by cross product."""
+    m = len(points)
+    cx, cy = sum(p.x for p in points) / m, sum(p.y for p in points) / m
+
+    def before(i, j):
+        (px, py), (qx, qy) = ((points[k].x - cx, points[k].y - cy) for k in (i, j))
+        lower_p, lower_q = py < 0 or (py == 0 and px < 0), qy < 0 or (qy == 0 and qx < 0)
+        if lower_p != lower_q:
+            return 1 if lower_p else -1
+        return -1 if px * qy - py * qx > 0 else 1
+
+    order = sorted(range(m), key=functools.cmp_to_key(before))
+    start = order.index(min(range(m), key=lambda i: (points[i].x, points[i].y)))
+    order = order[start:] + order[:start]
+    return sorted(range(m), key=order.__getitem__)
+
+
+def _reference_ranks(inst):
+    if inst.geometry == CIRCLE:
+        return _angle_ranks(inst.points)
+    return _polygon_ranks(inst.points)
+
+
+def _convex_instances():
+    yield adversaries.markov_instance(40, 2).instance
+    yield generators.random_circle_instance(30, BNM, 4)
+    yield generators.random_convex_polygon_instance(12, MNM, 1)
+    yield generators.random_convex_polygon_instance(9, BNM, 3)
+    yield adversaries.bnm_red_instance((2, 1, 3)).instance
+
+
 def test_instance_ranks_are_cached_cyclic_ranks():
-    for inst in (
-        adversaries.markov_instance(40, 2).instance,
-        generators.random_circle_instance(30, BNM, 4),
-        generators.random_convex_polygon_instance(12, MNM, 1),
-        adversaries.bnm_red_instance((2, 1, 3)).instance,
-    ):
-        # circles rank their ticks; cyclic_ranks is the hull of the rest,
-        # on the integer pairs of the points' coordinates
-        if inst.geometry == CIRCLE:
-            assert inst.ranks == _angle_ranks(inst.points)
-        else:
-            assert inst.ranks == cyclic_ranks(geometry.integer_grid(inst.points)[0])
-        assert inst.ranks is inst.ranks
+    for inst in _convex_instances():
+        # the cyclic ranks of a sort of the angles, or of the directions
+        # from a polygon's centroid
+        assert inst.ranks == _reference_ranks(inst)
+        assert inst.ranks is inst.ranks and inst.hull is inst.hull
     inst = generators.random_circle_instance(20, MNM, 9)
-    assert engine.make_engine(inst).rank_of is inst.ranks
+    eng = engine.make_engine(inst)
+    assert eng.rank_of is inst.ranks and eng.arrival_at_rank is inst.hull
+
+
+def test_hull_and_ranks_are_inverse_and_give_the_hull_order():
+    for inst in _convex_instances():
+        hull, ranks, m = inst.hull, inst.ranks, inst.size
+        # two permutations, one the other's inverse
+        assert sorted(hull) == list(range(1, m + 1)) and sorted(ranks) == list(range(m))
+        assert all(ranks[i - 1] == r for r, i in enumerate(hull))
+        # hull order and parity as computed from the reference ranks: walk
+        # clockwise from p_1, and the parity of each rank's distance from p_1's
+        ref = _reference_ranks(inst)
+        ccw = sorted(range(1, m + 1), key=lambda i: ref[i - 1])
+        r0 = ref[0]
+        assert geometry.hull_order(inst) == [ccw[(r0 - t) % m] for t in range(m)]
+        assert geometry.parity(inst) == [(r - r0) & 1 for r in ref]
 
 
 def test_a_circle_is_ranked_once_from_build_to_asap(monkeypatch):
-    # a generated circle ranks its ticks, with the sort angles go through too
-    calls, key_ranks = [], geometry._key_ranks
-
-    def counting(keys):
-        calls.append(len(keys))
-        return key_ranks(keys)
-
-    monkeypatch.setattr(geometry, "_key_ranks", counting)
+    # a generated circle sorts its ticks once, when its hull order is first read
+    calls = count_hull_computations(monkeypatch)
     inst = generators.random_circle_instance(50, MNM, 3)
     geometry.validate_instance(inst)
     assert inst.ranks is inst.ranks

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import with_edge
+from helpers import available_set, with_edge
 
 from ncmatch import adversaries, generators, geometry, offline
 from ncmatch.adversaries import (
@@ -31,7 +31,6 @@ from ncmatch.geometry import (
     RED,
     Instance,
     Matching,
-    available_set,
     chords_cross,
     circle_point,
     segments_cross,

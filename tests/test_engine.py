@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from bt_reference import available, brute_simulate, descent_bt
 from click.testing import CliRunner
-from helpers import with_edge
+from helpers import available_set, with_edge
 
 from ncmatch import engine, generators, geometry, offline, serial
 from ncmatch.adversaries import markov_instance
@@ -44,7 +44,6 @@ from ncmatch.geometry import (
     RED,
     Instance,
     Matching,
-    available_set,
     circle_point,
     cross_int,
     cyclic_turn,
@@ -261,7 +260,7 @@ def test_view_count_agrees_with_indices_on_both_engines():
 
 def test_brute_engine_integer_path_matches_available_set():
     # the plain-int crossing routine must answer exactly like the generic
-    # exact predicates behind geometry.available_set
+    # exact predicates behind available_set
     rng = random.Random(41)
     for trial in range(20):
         if trial % 2:
@@ -367,7 +366,7 @@ def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(
 def _brute_play_against_available_set(inst, rng) -> int:
     """Drive the brute engine with a random legal player (skip, or a random
     available partner) and check every arrival's count and ``has`` against
-    ``geometry.available_set``; return the matches made."""
+    ``available_set``; return the matches made."""
     eng = _BruteEngine(inst)
     m = Matching()
     for i in range(1, inst.size + 1):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from bt_reference import brute_simulate
-from helpers import with_edge
+from helpers import available_set, with_edge
 
 from ncmatch import adversaries, generators, geometry
 from ncmatch.adversaries import (
@@ -185,7 +185,7 @@ def test_planar_left_right_are_the_half_plane_counts(make):
         pts = inst.points
         m = Matching()
         for i, available, j, left, right in simulate(make(), inst).steps:
-            avail = geometry.available_set(inst, m, i)
+            avail = available_set(inst, m, i)
             assert available == len(avail)
             if j is None:
                 continue

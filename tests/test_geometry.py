@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import available_set
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from ncmatch.geometry import (
     Instance,
     Matching,
     Point,
-    available_set,
     circle_point,
     half_plane_side,
     hull_order,

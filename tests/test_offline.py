@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from helpers import blues, point
 
 from ncmatch import generators, geometry, offline
 from ncmatch.codecs import tree_size
@@ -219,12 +220,12 @@ def test_matching_to_bt_left_size_equals_clockwise_rank():
         inst = generators.random_convex_instance(5, BNM, seed)
         m = convex_noncrossing_pm(inst)
         t = matching_to_bt(inst, m)
-        r1 = inst.point(inst.n + 1)
+        r1 = point(inst, inst.n + 1)
         partner = m.partner(inst.n + 1)
-        blues = list(inst.blues())
+        by_turn = list(blues(inst))
         if r1.angle is not None:
-            blues.sort(key=lambda b: (r1.angle - b.angle) % 1)
-            rank = next(i for i, b in enumerate(blues, 1) if b.arrival_index == partner)
+            by_turn.sort(key=lambda b: (r1.angle - b.angle) % 1)
+            rank = next(i for i, b in enumerate(by_turn, 1) if b.arrival_index == partner)
             assert (tree_size(t.left) if t.left else 0) + 1 == rank
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from bt_reference import available, replay_matching_to_bt
+from helpers import blues, count_hull_computations, point, reds
 
 from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
@@ -155,7 +156,7 @@ def test_tree_build_matches_recursion_on_random_circles_and_polygons():
             for inst in insts:
                 m = convex_noncrossing_pm(inst)
                 tree = matching_to_bt(inst, m)
-                assert tree == reference_matching_to_bt(inst.blues(), inst.reds(), m)
+                assert tree == reference_matching_to_bt(blues(inst), reds(inst), m)
                 compared[inst.geometry] += 1
     assert compared["circle"] == 120 and compared["convex"] >= 200
 
@@ -166,7 +167,7 @@ def test_tree_build_matches_recursion_on_every_231_avoiding_sigma():
             inst = bnm_red_instance(sigma).instance
             for m in offline.enumerate_perfect_noncrossing(inst):
                 tree = matching_to_bt(inst, m)
-                assert tree == reference_matching_to_bt(inst.blues(), inst.reds(), m)
+                assert tree == reference_matching_to_bt(blues(inst), reds(inst), m)
 
 
 def test_tree_build_agrees_with_recursion_on_arbitrary_red_blue_matchings():
@@ -179,11 +180,11 @@ def test_tree_build_agrees_with_recursion_on_arbitrary_red_blue_matchings():
             inst = generators.random_circle_instance(n, BNM, trial)
         else:
             inst = parabola_instance(n, trial)
-        reds = list(range(n + 1, 2 * n + 1))
-        rng.shuffle(reds)
-        m = Matching.from_pairs(zip(range(1, n + 1), reds))
+        partners = list(range(n + 1, 2 * n + 1))
+        rng.shuffle(partners)
+        m = Matching.from_pairs(zip(range(1, n + 1), partners))
         new = _outcome(matching_to_bt, inst, m)
-        assert new == _outcome(reference_matching_to_bt, inst.blues(), inst.reds(), m)
+        assert new == _outcome(reference_matching_to_bt, blues(inst), reds(inst), m)
         outcomes.add(new is CrossingDetected)
     assert outcomes == {True, False}
 
@@ -284,21 +285,11 @@ def test_tree_build_rejects_non_red_blue_edges():
 
 
 def test_tree_build_reads_the_cached_ranks(monkeypatch):
-    # the hull ranks are computed once per instance; the build reads
-    # Instance.ranks and ranks nothing itself
+    # the hull order is computed once per instance; the build reads
+    # Instance.ranks and orders nothing itself
     inst = generators.random_convex_polygon_instance(60, BNM, 0)
     inst.ranks
-    calls = []
-
-    def counted(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        return wrapped
-
-    for name in ("cyclic_ranks", "_convex_hull_ccw"):
-        monkeypatch.setattr(geometry, name, counted(getattr(geometry, name)))
+    calls = count_hull_computations(monkeypatch)
     matching_to_bt(inst, convex_noncrossing_pm(inst))
     assert calls == []
 
@@ -400,8 +391,8 @@ def test_clockwise_from_matches_modular_sort():
         for i in range(1, 2 * inst.n + 1):
             cnt = eng.on_arrival(i)
             got = [eng.kth_clockwise(k) for k in range(1, cnt + 1)] if i > inst.n else []
-            anchor = inst.point(i)
-            pts = [inst.point(j) for j in available(eng, i)]
+            anchor = point(inst, i)
+            pts = [point(inst, j) for j in available(eng, i)]
             expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
             assert got == [p.arrival_index for p in expected]
             if got and moves.random() < 0.5:
