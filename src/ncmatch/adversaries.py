@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from . import geometry, offline
 from .codecs import Permutation, enumerate_231_avoiding, is_231_avoiding
 from .engine import SimulationResult
-from .errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
+from .errors import BadSubset, CapExceeded, CrossingDetected, DomainError, Not231Avoiding
 from .geometry import BLUE, BNM, CIRCLE, MNM, RED, Instance, Matching
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -165,8 +165,8 @@ def parity_fingerprint(ai: AnnotatedInstance) -> tuple[int, ...]:
 
 @dataclass
 class ConsistencyResult:
-    """Whether a prior matching extends to a perfect non-crossing matching,
-    plus the two cheap necessary conditions."""
+    """Whether a prior extends online to a perfect non-crossing matching (the
+    face rule of ``consistent``), plus the two necessary conditions."""
 
     completable: bool
     size_at_least_k: bool
@@ -176,36 +176,40 @@ class ConsistencyResult:
         return self.completable
 
 
-_CONSISTENCY_MAX_POINTS = 18
-
-
 def consistent(prior: Matching, ai: AnnotatedInstance) -> ConsistencyResult:
-    """Brute-force search for an online-realizable perfect completion.
-
-    New edges must touch an arriving point: after the fixed prefix has
-    passed, an online algorithm can only ever match an arrival against an
-    older point, never two leftover prefix points against each other.
-    Under that reading, size >= k and opposite-parity edges really are
-    necessary for consistency, and the search verifies them independently.
+    """Whether an online algorithm can complete ``prior`` to a perfect
+    non-crossing matching: after the 4k-point prefix, it can only match an
+    arrival against an older point, never two prefix points.  In convex
+    position every new edge lies inside one face of the prior chords, so
+    the prior completes iff each face holds an even number of free points
+    and no more free prefix than suffix points (sufficient too: some
+    hull-adjacent free pair is not prefix-prefix, and matching it keeps
+    both).  One pass over the hull with a stack of open chords finds each
+    free point's face.  Size >= k and opposite-parity edges are checked
+    independently.  NotConvex off convex position, CrossingDetected if two
+    prior edges cross.
     """
     inst = ai.instance
-    m = inst.size
-    if m > _CONSISTENCY_MAX_POINTS:
-        raise CapExceeded(f"consistency search capped at {_CONSISTENCY_MAX_POINTS} points")
-    k = m // 6
-    prefix = 4 * k
+    k = inst.size // 6
     chi = geometry.parity(inst)
     size_ok = len(prior) >= k
     parity_ok = all(chi[a - 1] != chi[b - 1] for a, b in prior.edges)
 
-    matched = prior.matched_indices()
-    free = [i for i in range(1, m + 1) if i not in matched]
-    # every new edge needs a suffix point: two prefix points both arrived
-    # before the suffix began
-    completions = offline.noncrossing_pairings(
-        inst, free, prior.edges, may_pair=lambda i, j: max(i, j) > prefix
-    )
-    completable = next(completions, None) is not None
+    at = [-1] * inst.size  # by arrival: the prior edge ending there
+    for x, (a, b) in enumerate(prior.edges):
+        at[a - 1] = at[b - 1] = x
+    # per face, free suffix minus free prefix points; the last is the outer face
+    surplus, is_open, stack = [0] * (len(prior) + 1), [False] * len(prior), [len(prior)]
+    for i in inst.hull:
+        x = at[i - 1]
+        if x < 0:
+            surplus[stack[-1]] += 1 if i > 4 * k else -1
+        elif not is_open[x]:
+            is_open[x] = True
+            stack.append(x)
+        elif stack.pop() != x:
+            raise CrossingDetected("two edges of the prior cross")
+    completable = all(s >= 0 and not s & 1 for s in surplus)
     return ConsistencyResult(completable, size_ok, parity_ok)
 
 

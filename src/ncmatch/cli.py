@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+from typing import NoReturn
 
 import click
 from click.core import ParameterSource
@@ -23,7 +24,7 @@ EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(json.dumps({"error": message}), err=True)
     sys.exit(code)
 
@@ -80,7 +81,6 @@ def generate(family, out, **options) -> None:
         serial.dump_instance(out, FAMILIES[family](**kwargs), meta=meta)
     except (NcmatchError, ValueError, OSError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
-        return
     click.echo(json.dumps({"written": out, "meta": meta}))
 
 
@@ -100,16 +100,13 @@ def run(algorithm, instance_path, svg_out, **options) -> None:
         ai = serial.load_instance(instance_path)
     except NcmatchError as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
-        return
     instance = ai.instance
     try:
         result = simulate(alg, instance)
     except (NotConvex, DuplicateX, InvalidInstance) as exc:
         _fail(EXIT_PRECONDITION, f"{type(exc).__name__}: {exc}")
-        return
     except NcmatchError as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
-        return
     report = {
         "algorithm": algorithm,
         "kind": instance.kind,
@@ -132,7 +129,6 @@ def run(algorithm, instance_path, svg_out, **options) -> None:
             svg.write_svg(svg_out, instance, result.matching)
         except OSError as exc:
             _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
-            return
         report["svg"] = svg_out
     click.echo(json.dumps(report))
 
@@ -153,7 +149,6 @@ def verify(check, **options) -> None:
         summary = campaigns.CHECKS[check](**{k: v for k, v in kwargs.items() if v is not None})
     except (NcmatchError, ValueError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
-        return
     click.echo(json.dumps(summary))
     if not summary["ok"]:
         sys.exit(EXIT_VERIFY_FAILED)

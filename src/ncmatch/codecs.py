@@ -55,8 +55,8 @@ def bits_for_universe(universe_size: int) -> int:
 class BinaryTree:
     """An ordered rooted binary tree node; children may be None.
 
-    Equality and hashing walk the shape without recursion, so they work on
-    trees of any depth.
+    Equality and hashing compare preorder balanced words, one per shape,
+    built without recursion, so they work on trees of any depth.
     """
 
     left: "BinaryTree | None" = None
@@ -65,16 +65,7 @@ class BinaryTree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a is None or b is None or a.__class__ is not b.__class__:
-                return False
-            todo.append((a.right, b.right))
-            todo.append((a.left, b.left))
-        return True
+        return _dyck_bits(self) == _dyck_bits(other)
 
     def __hash__(self):
         return hash(tuple(_dyck_bits(self)))

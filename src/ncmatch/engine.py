@@ -52,7 +52,7 @@ from .codecs import (
     unrank_children,
     write_ranked,
 )
-from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex
+from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex, TapeExhausted
 from .geometry import BLUE, BNM, MNM, RED, Instance, Matching
 from .offline import MatchingReport
 
@@ -543,12 +543,17 @@ class _ASAPPlayer:
 
     def begin(self, ctx, tape) -> None:
         n = ctx.n if self.known_n else elias_delta_decode(tape)
+        if tape.bits_written - tape.cursor < n - 1:  # C_n >= 2^(n-1); before catalan(n)
+            raise TapeExhausted(f"a rank for n = {n} needs at least {n - 1} bits")
         rank = read_ranked(tape, catalan(n))
         self.word = dyck_unrank(n, rank).bits
         self.step = 0
 
     def decide(self, i, view, tape):
-        bit = self.word[self.step]
+        try:
+            bit = self.word[self.step]
+        except IndexError:
+            raise IllegalMatch(f"the advice word ends before arrival {i}") from None
         self.step += 1
         if bit == 0:
             return None

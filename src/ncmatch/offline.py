@@ -77,7 +77,6 @@ def squared_length(p: Point, q: Point) -> Fraction:
 def noncrossing_pairings(
     instance: Instance,
     free: Iterable[int],
-    prior: Iterable[tuple[int, int]] = (),
     may_pair: Callable[[int, int], bool] | None = None,
     perfect: bool = True,
 ) -> Iterator[list[tuple[int, int]]]:
@@ -85,14 +84,15 @@ def noncrossing_pairings(
 
     The first undecided free point i is paired with each later undecided
     point j in turn, in the order of ``free``, when ``may_pair(i, j)``
-    allows it and the segment crosses neither a ``prior`` edge nor an edge
-    chosen before; unless ``perfect``, leaving i unmatched is tried first.  Crossings are
-    decided on the instance's ``crossing_view``.  Yields each pairing as its
-    (i, j) edges in the order chosen; (2n-1)!! leaves at worst, far fewer
-    after pruning.
+    allows it and the segment crosses no edge chosen before; unless
+    ``perfect``, leaving i unmatched is tried first.  Crossings are decided
+    on the instance's ``crossing_view``.  Yields each pairing as its (i, j)
+    edges in the order chosen; (2n-1)!! leaves at worst, far fewer after
+    pruning.  Completing a prior online needs no search:
+    ``adversaries.consistent`` counts the free points of each face.
     """
     ends, crosses = instance.crossing_view
-    segs = [(ends[a - 1], ends[b - 1]) for a, b in prior]
+    segs: list[tuple] = []
     chosen: list[tuple[int, int]] = []
 
     def rec(unmatched: list[int]) -> Iterator[list[tuple[int, int]]]:

@@ -27,7 +27,7 @@ from ncmatch.adversaries import (
     noncrossing_priors,
     parity_fingerprint,
 )
-from ncmatch.campaigns import check_bnm_lb
+from ncmatch.campaigns import check_bnm_lb, check_mnm_lb
 from ncmatch.codecs import catalan, enumerate_231_avoiding
 from ncmatch.engine import asap_matching, greedy, simulate
 from ncmatch.errors import BadSubset, CapExceeded, DomainError, Not231Avoiding
@@ -160,6 +160,17 @@ def test_consistency_conditions_are_necessary():
             if res.completable:
                 assert res.size_at_least_k
                 assert res.edges_opposite_parity
+
+
+@pytest.mark.parametrize("k, consistent_priors", [(1, 27), (2, 5193)])
+def test_members_share_the_priors_the_campaign_enumerates_once(k, consistent_priors):
+    # check_mnm_lb enumerates the priors of its first member only
+    members = list(mnm_family(k))
+    first = list(noncrossing_priors(members[0]))
+    assert all(list(noncrossing_priors(ai)) == first for ai in members[1:])
+    summary = check_mnm_lb(k)
+    assert summary["ok"], summary
+    assert summary["results"][-1]["name"].endswith(f"(of {consistent_priors})")
 
 
 def test_small_and_same_parity_priors_are_inconsistent():

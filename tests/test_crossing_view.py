@@ -21,8 +21,10 @@ from ncmatch.adversaries import (
     consistent,
     min_strategy_cover,
     mnm_family,
+    mnm_family_instance,
     noncrossing_priors,
 )
+from ncmatch.errors import CrossingDetected, NotConvex
 from ncmatch.geometry import (
     BLUE,
     BNM,
@@ -280,6 +282,11 @@ def test_consistency_and_priors_match_reference():
         gen = rng.choice([generators.random_circle_instance, non_dyadic_circle_instance,
                           generators.random_convex_polygon_instance])
         members.append(AnnotatedInstance(gen(3, MNM, rng.randrange(10**6))))
+    for _ in range(6):
+        # 12 points: an 8-point prefix, as at k = 2
+        gen = rng.choice([generators.random_circle_instance, non_dyadic_circle_instance,
+                          generators.random_convex_polygon_instance])
+        members.append(AnnotatedInstance(gen(6, MNM, rng.randrange(10**6))))
     general = AnnotatedInstance(generators.random_general_instance(3, 4))
     assert list(noncrossing_priors(general)) == list(reference_priors(general))
     for ai in members:
@@ -288,6 +295,51 @@ def test_consistency_and_priors_match_reference():
         assert len(set(priors)) == len(priors)
         for prior in priors:
             assert consistent(prior, ai) == reference_consistent(prior, ai)
+
+
+def random_noncrossing_pairs(order, rng):
+    """A random non-crossing perfect matching of the points listed in
+    convex order: pair the first with one an odd distance on, recurse on
+    both sides."""
+    pairs, todo = [], [list(order)]
+    while todo:
+        seg = todo.pop()
+        if seg:
+            j = rng.randrange(1, len(seg), 2)
+            pairs.append((seg[0], seg[j]))
+            todo += [seg[1:j], seg[j + 1 :]]
+    return pairs
+
+
+def test_consistency_matches_reference_on_thirty_points():
+    # priors of two kinds: the prefix-prefix edges of a non-crossing perfect
+    # matching, which the rest of it completes, and a random non-crossing
+    # partial matching of the prefix, which here never can be
+    ai = mnm_family_instance(5, 3, (2, 7, 15))
+    hull, prefix = ai.instance.hull, 20
+    rng = random.Random(5)
+    for _ in range(20):
+        whole = random_noncrossing_pairs(hull, rng)
+        prior = Matching.from_pairs((a, b) for a, b in whole if max(a, b) <= prefix)
+        assert consistent(prior, ai) == reference_consistent(prior, ai)
+        assert consistent(prior, ai).completable
+        part = random_noncrossing_pairs([i for i in hull if i <= prefix], rng)
+        prior = Matching.from_pairs(e for e in part if rng.random() < 0.7)
+        assert consistent(prior, ai) == reference_consistent(prior, ai)
+        assert not consistent(prior, ai).completable
+
+
+def test_consistency_rejects_crossing_priors_and_general_position():
+    ai = mnm_family_instance(1, 0, ())
+    hull = ai.instance.hull
+    a, b, c, d = (i for i in hull if i <= 4)  # the prefix in convex order
+    apart = Matching.from_pairs([(a, b), (c, d)])
+    assert consistent(apart, ai) == reference_consistent(apart, ai)
+    with pytest.raises(CrossingDetected):
+        consistent(Matching.from_pairs([(a, c), (b, d)]), ai)
+    general = AnnotatedInstance(generators.random_general_instance(3, 4))
+    with pytest.raises(NotConvex):
+        consistent(Matching(), general)
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,19 @@ def test_validate_color_and_duplicate_violations():
     assert 1 in report.duplicate_endpoints
 
 
+@pytest.mark.parametrize("convex", [True, False], ids=["square", "plane"])
+def test_validate_reports_out_of_range_edges_and_self_loops(convex):
+    # no simulation builds such an edge, so the branch is reached directly
+    inst = square_instance() if convex else generators.random_general_instance(2, 1)
+    m = inst.size
+    bad = [(0, 2), (3, m + 1), (2, 2)]
+    report = validate_matching(inst, [(1, 4), (0, 2), (m + 1, 3), (2, 2)])
+    assert sorted(report.out_of_range) == sorted(bad)
+    assert not report.valid and not report.ok
+    assert report.matched_count == 2 and not report.crossings
+    assert not report.duplicate_endpoints  # the self-loop is not reuse
+
+
 def test_validate_circle_fast_path_agrees_with_pairwise():
     rng = random.Random(9)
     for _ in range(40):
