@@ -7,6 +7,8 @@ visible) into a player phase (points revealed one at a time).  A player's
 ``region`` and ``kth_clockwise``).  The harness hands each decision to the
 engine as one ``commit(j)``, j None for a skip, which raises IllegalMatch
 unless ``has(j)`` admits j, so no simulation can commit a crossing edge.
+On BNM an engine's arrivals are the reds, n + 1..2n: it starts with the
+blue batch (arrivals 1..n) free, and a skipped red is never joined.
 
 Each geometry has one availability engine (``make_engine``): a
 laminar-region tracker in convex position (circles and polygons) and, in
@@ -53,7 +55,7 @@ from .codecs import (
     write_ranked,
 )
 from .errors import Degenerate, DuplicateX, IllegalMatch, InvalidInstance, NotConvex, TapeExhausted
-from .geometry import BLUE, BNM, MNM, RED, Instance, Matching
+from .geometry import BNM, MNM, Instance, Matching
 from .offline import MatchingReport
 
 
@@ -68,7 +70,7 @@ class _BruteEngine:
     rank r lifted to (r, r * r), whose cross products (b - a)(c - a)(c - b)
     have ``cyclic_turn``'s sign and never vanish.  Committed edges are kept
     flat as (ax, ay, bx, by), numbered 0, 1, 2, ... in commit order.  No
-    live point (unmatched, or yet to arrive) lies on a committed edge's
+    live point (in ``free``, or yet to arrive) lies on a committed edge's
     line: validated input has no collinear triple, and ``commit`` raises
     Degenerate before it would put one there.  So one bit mask per point
     places it: bit k of ``side[t]`` is set when t lies strictly left of
@@ -80,8 +82,11 @@ class _BruteEngine:
     opposite sides of line ab, which meets pq in one point strictly between
     them; the closed segments meet iff that point lies on ab, that is iff
     the turns of a and b about pq, computed inline, have a product <= 0.
-    The answers equal ``geometry.scan_available``'s; ``arrival_turns`` and
-    ``commit_turns`` count the work.
+    On BNM it starts with the blues free and a skipped red, which no one
+    may join, stays out of ``free`` and gets no mask bits, so the arrivals,
+    the reds, see blues only.  The answers equal
+    ``geometry.scan_available``'s; ``arrival_turns`` and ``commit_turns``
+    count the work.
     """
 
     work_counters = ("arrival_turns", "commit_turns")
@@ -93,20 +98,17 @@ class _BruteEngine:
         m = len(self.ends)
         self.side = [0] * (m + 1)  # by arrival index; slot 0 unused
         self.last = [0] * (m + 1)
-        self.free: list[int] = []  # unmatched arrivals, ascending
+        self.bnm = instance.kind == BNM
+        self.free = list(range(1, instance.n + 1)) if self.bnm else []  # joinable, ascending
         self.cur: tuple[int, list[int]] | None = None
         self.arrival_turns = self.commit_turns = 0
 
     def on_arrival(self, i: int) -> int:
         ends, edges, side, last = self.ends, self.edges, self.side, self.last
-        colors = self.instance.colors
-        color = colors[i - 1] if self.instance.kind == BNM else None
         (px, py), si = ends[i - 1], side[i]
         av = []
         turns = 0
         for j in self.free:
-            if color is not None and colors[j - 1] == color:
-                continue
             mask = si ^ side[j]
             qx, qy = ends[j - 1]
             dx, dy = qx - px, qy - py
@@ -140,7 +142,8 @@ class _BruteEngine:
         right of the chord, or (None, None).  IllegalMatch unless has(j), and
         Degenerate, changing nothing, if a live point is on its line."""
         if j is None:
-            self.free.append(self.cur[0])
+            if not self.bnm:  # no later arrival may join a red
+                self.free.append(self.cur[0])
             self.cur = None
             return None, None
         i, av = self.cur
@@ -180,7 +183,8 @@ class _RegionEngine:
     region's boundary only.  ``members`` and ``free``, indexed by region id,
     hold each region's two rank-sorted lists: its ranks, and the points a
     later arrival may join (every unmatched point on MNM, every unmatched
-    blue on BNM).
+    blue on BNM).  On BNM the arrivals are the reds, and the engine starts
+    with the blues free in region 0.
 
     An arrival reads its region from ``reg``.  Counts are list lengths,
     ``has`` and ``kth_clockwise`` are one bisect each, and ``min_arrival``
@@ -196,12 +200,12 @@ class _RegionEngine:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.colors = instance.colors
+        self.bnm = instance.kind == BNM
         self.rank_of = instance.ranks  # ccw hull position
         self.arrival_at_rank = instance.hull
         self.reg = [0] * len(self.rank_of)
         self.members: list[list[int]] = [list(range(len(self.rank_of)))]
-        self.free: list[list[int]] = [[]]
+        self.free: list[list[int]] = [sorted(self.rank_of[: instance.n]) if self.bnm else []]
         self.split: tuple[int, int] | None = None
         self.relabels = 0
         # (arrival, rank, region, the free ranks it may join)
@@ -210,8 +214,7 @@ class _RegionEngine:
     def on_arrival(self, i: int) -> int:
         r = self.rank_of[i - 1]
         g = self.reg[r]
-        # a blue is never available to a blue
-        av = self.free[g] if self.colors[i - 1] != BLUE else ()
+        av = self.free[g]
         self.cur = (i, r, g, av)
         return len(av)
 
@@ -251,8 +254,7 @@ class _RegionEngine:
         right of the chord, or (None, None).  IllegalMatch unless has(j)."""
         i, r, g, av = self.cur
         if j is None:
-            # reds arrive last on BNM, so no later arrival may join a red
-            if self.colors[i - 1] != RED:
+            if not self.bnm:  # no later arrival may join a red
                 insort(self.free[g], r)
             self.cur = None
             return None, None
@@ -301,13 +303,6 @@ def make_engine(instance: Instance):
 
 
 @dataclass
-class BeginContext:
-    """What a player is allowed to know before the first online arrival."""
-
-    n: int | None = None
-
-
-@dataclass
 class SimulationResult:
     """``steps`` holds ``(arrival, available, partner, left, right)`` per
     decision arrival: the available count, then the counts left and right of
@@ -326,7 +321,8 @@ class SimulationResult:
 
 @dataclass
 class OnlineAlgorithm:
-    """An oracle writing advice plus a player consuming it online."""
+    """An oracle writing advice plus a player consuming it online; the
+    player's ``begin(n, tape)`` learns n only when ``needs_n``."""
 
     name: str
     oracle: Callable[[Instance], list[int]] | None
@@ -337,14 +333,12 @@ class OnlineAlgorithm:
 
 def _play(instance: Instance, eng, player, tape: AdviceTape | None) -> list[tuple]:
     """Reveal the points one at a time, commit the player's decisions and
-    return the steps; on BNM the blues reach the engine first, unrecorded.
-    Raises IllegalMatch the moment the player names an unavailable partner."""
+    return the steps; on BNM the engine starts with the blues free, and only
+    the reds arrive.  Raises IllegalMatch the moment the player names an
+    unavailable partner."""
     n = instance.n
     first = n + 1 if instance.kind == BNM else 1
     arrive, commit = eng.on_arrival, eng.commit
-    for i in range(1, first):
-        arrive(i)
-        commit(None)
     decide = player.decide
     steps: list[tuple] = []
     step = steps.append
@@ -362,17 +356,17 @@ def simulate(alg: OnlineAlgorithm, instance: Instance) -> SimulationResult:
 
     The algorithm's precondition check runs once, before the oracle.
     Raises IllegalMatch the moment a player names an unavailable partner,
-    so a committed crossing is impossible by construction.  For BNM the
-    player learns n up front, the blues reach the engine first, unrecorded,
-    and ``steps`` covers the red (decision) arrivals only; the matching is
-    built from ``steps``.
+    so a committed crossing is impossible by construction.  The player
+    learns n up front when the algorithm ``needs_n``.  For BNM the engine
+    starts with the blues free, its arrivals are the reds, and ``steps``
+    covers those (decision) arrivals only; the matching is built from
+    ``steps``.
     """
     alg.check(instance)
     tape = AdviceTape(list(alg.oracle(instance)) if alg.oracle is not None else [])
     eng = make_engine(instance)
     player = alg.make_player()
-    knows_n = alg.needs_n or instance.kind == BNM
-    player.begin(BeginContext(n=instance.n if knows_n else None), tape)
+    player.begin(instance.n if alg.needs_n else None, tape)
     steps = _play(instance, eng, player, tape)
     # a partner j always arrived before i, so (j, i) is already ordered
     matching = Matching(frozenset([(j, i) for i, _a, j, _l, _r in steps if j is not None]))
@@ -402,8 +396,7 @@ class _BTPlayer:
     chord.  A red costs O(log a) on top of the region engine's own work.
     """
 
-    def begin(self, ctx: BeginContext, tape: AdviceTape) -> None:
-        n = ctx.n
+    def begin(self, n: int, tape: AdviceTape) -> None:
         self.lefts, self.rights, self.lsizes = unrank_children(n, read_ranked(tape, catalan(n)))
         self.slot = {0: 0}
         self.last = -1  # the node matched at the previous red
@@ -444,6 +437,7 @@ def bt_matching() -> OnlineAlgorithm:
         oracle=_bt_oracle,
         make_player=_BTPlayer,
         check=_check_convex(BNM),
+        needs_n=True,
     )
 
 
@@ -451,7 +445,7 @@ class _SortedPlayer:
     """Decodes per-point codes 0 / 10 / 11: skip, match nearest unmatched x
     on the left, or on the right; x is the arrival's exact x-key."""
 
-    def begin(self, ctx, tape) -> None:
+    def begin(self, n, tape) -> None:
         self.unmatched: list[tuple] = []  # (x-key, arrival), sorted
 
     def decide(self, i, view, tape):
@@ -541,8 +535,9 @@ class _ASAPPlayer:
         self.known_n = known_n
         self.tie_break = tie_break
 
-    def begin(self, ctx, tape) -> None:
-        n = ctx.n if self.known_n else elias_delta_decode(tape)
+    def begin(self, n, tape) -> None:
+        if not self.known_n:
+            n = elias_delta_decode(tape)
         if tape.bits_written - tape.cursor < n - 1:  # C_n >= 2^(n-1); before catalan(n)
             raise TapeExhausted(f"a rank for n = {n} needs at least {n - 1} bits")
         rank = read_ranked(tape, catalan(n))
@@ -591,7 +586,7 @@ def asap_matching(known_n: bool = True, tie_break: str = "min") -> OnlineAlgorit
 
 
 class _GreedyPlayer:
-    def begin(self, ctx, tape) -> None:
+    def begin(self, n, tape) -> None:
         pass
 
     def decide(self, i, view, tape):

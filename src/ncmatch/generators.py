@@ -12,25 +12,10 @@ import math
 import random
 
 from .errors import InvalidInstance, NotConvex
-from .geometry import (
-    BLUE,
-    BNM,
-    CONVEX,
-    GENERAL,
-    MNM,
-    RED,
-    Instance,
-    collinear_triple,
-    validate_instance,
-)
+from .geometry import CONVEX, GENERAL, MNM, Instance, collinear_triple, validate_instance
 
 _ANGLE_BITS = 20
 _GENERAL_SPAN = 10**6  # coordinates of random_general_instance lie below it
-
-
-def _arrival_colors(n: int, kind: str) -> tuple[str | None, ...]:
-    """Colours of 2n points by arrival: n blue then n red on BNM, none on MNM."""
-    return (BLUE,) * n + (RED,) * n if kind == BNM else (None,) * (2 * n)
 
 
 def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
@@ -38,7 +23,7 @@ def random_circle_instance(n: int, kind: str, seed: int) -> Instance:
     if n < 1:
         raise ValueError("need n >= 1")
     ticks = random.Random(seed).sample(range(1 << _ANGLE_BITS), 2 * n)
-    return Instance.from_ticks(ticks, 1 << _ANGLE_BITS, kind, _arrival_colors(n, kind))
+    return Instance.from_ticks(ticks, 1 << _ANGLE_BITS, kind)
 
 
 def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
@@ -55,11 +40,10 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     m = 2 * n
-    colors = _arrival_colors(n, kind)
     if m == 2:
         x1, y1 = rng.randrange(100), rng.randrange(100)
         x2, y2 = x1 + 1 + rng.randrange(100), y1 + rng.randrange(100)
-        return validate_instance(Instance(kind, CONVEX, colors, ([(x1, y1), (x2, y2)], 1)))
+        return validate_instance(Instance(kind, CONVEX, ([(x1, y1), (x2, y2)], 1)))
     for span in [6 * m + 12] * 64 + [m**3] * 64:
         vecs = _polygon_vectors(rng, m, span)
         if vecs is None:
@@ -74,7 +58,7 @@ def random_convex_polygon_instance(n: int, kind: str, seed: int) -> Instance:
         rng.shuffle(order)
         # distinct directions sorted by angle and summing to zero: a strict
         # convex polygon, which validation ranks by its hull
-        return validate_instance(Instance(kind, CONVEX, colors, ([verts[t] for t in order], 1)))
+        return validate_instance(Instance(kind, CONVEX, ([verts[t] for t in order], 1)))
     raise NotConvex(f"could not build a strict convex polygon for n={n}, seed={seed}")
 
 
@@ -147,5 +131,5 @@ def random_general_instance(n: int, seed: int) -> Instance:
         ys = [rng.randrange(_GENERAL_SPAN) for _ in range(m)]
         xy = list(zip(xs, ys))
         if collinear_triple(xy) is None:
-            return Instance(MNM, GENERAL, _arrival_colors(n, MNM), (xy, 1))
+            return Instance(MNM, GENERAL, (xy, 1))
     raise InvalidInstance(f"no draw in general position in 64 tries for n={n}, seed={seed}")

@@ -4,14 +4,16 @@ everything else is built on.
 Coordinates are exact rationals.  A point on the unit circle carries
 instead an exact turn-fraction angle in [0, 1), measured counterclockwise
 from the positive x axis; clockwise means decreasing angle.  Every
-instance is one representation: a colour column plus one integer grid
-over a unit, the least common denominator of its angles (circle ticks)
-or of its coordinates (integer (x, y) pairs; scaling every coordinate by
-it preserves orientations and intersections).  One rule makes the grid,
-``rational_grid`` with its least-terms step ``reduce_grid``, which files,
-families and points reach through ``Instance.from_rows``.  Size,
-colours, ranks, x-order, equality and hashing come from the columns, and
-``Instance.points`` is a view built from them; on circles its x/y are
+instance is one representation: its kind, its geometry and one integer
+grid over a unit, the least common denominator of its angles (circle
+ticks) or of its coordinates (integer (x, y) pairs; scaling every
+coordinate by it preserves orientations and intersections).  One rule
+makes the grid, ``rational_grid`` with its least-terms step
+``reduce_grid``, which files, families and points reach through
+``Instance.from_rows``.  Colour is arrival position: on BNM arrivals
+1..n are the blue batch and n+1..2n the reds, and MNM points have none.
+Size, colours, ranks, x-order, equality and hashing come from the grid,
+and ``Instance.points`` is a view built from it; on circles its x/y are
 placeholders (the float cosine and sine) that never reach a predicate.
 
 Each instance has one exact view, picked by ``Instance.crossing_view``:
@@ -334,26 +336,25 @@ def half_plane_side(edge: tuple[Point, Point], p: Point) -> str:
 
 @dataclass(frozen=True)
 class Instance:
-    """An ordered point sequence for one online matching problem, as
-    columns: each point's colour by arrival, and one integer grid over the
-    least common denominator of the angles or coordinates, ``(ticks,
-    unit)`` on circles and ``(xy, unit)`` with integer (x, y) pairs
-    elsewhere.  For BNM the first n points are blue (offline batch) and the
+    """An ordered point sequence for one online matching problem: its kind,
+    its geometry and one integer grid over the least common denominator of
+    the angles or coordinates, ``(ticks, unit)`` on circles and ``(xy,
+    unit)`` with integer (x, y) pairs elsewhere.  Colour is arrival
+    position: for BNM the first n points are blue (offline batch) and the
     last n red.  Construct through :meth:`from_rows` (or its adapter
     :meth:`build` from points), or :meth:`from_ticks` for circle ticks, so
     invariants are checked; internal generators that guarantee them may
-    skip validation.  Equality, hashing and ``repr`` read the columns;
-    ``points`` is a view built on first read.
+    skip validation.  Equality, hashing and ``repr`` read the grid;
+    ``colors`` and ``points`` are views built on first read.
     """
 
     kind: str
     geometry: str
-    colors: tuple
     grid: tuple
 
     def __hash__(self) -> int:
         values, unit = self.grid
-        return hash((self.kind, self.geometry, self.colors, unit, *values))
+        return hash((self.kind, self.geometry, unit, *values))
 
     def __repr__(self) -> str:
         return f"Instance(kind={self.kind!r}, geometry={self.geometry!r}, size={self.size})"
@@ -374,7 +375,9 @@ class Instance:
         """The instance of ``rows`` ``(x, y, angle, colour)`` in arrival
         order, each rational an integer pair (num, den) in any terms, on
         one ``rational_grid``: on circles, of the angles alone (x/y are
-        placeholders, unread); elsewhere, of x/y, and no row has an angle."""
+        placeholders, unread); elsewhere, of x/y, and no row has an angle.
+        The colours must be the kind's (see ``colors``), validated or not;
+        when validating, a bad size, kind or geometry is reported first."""
         if geometry == CIRCLE:
             if any(r[2] is None for r in rows):
                 raise InvalidInstance("circle instances need an angle on every point")
@@ -384,14 +387,20 @@ class Instance:
         else:
             values, unit = rational_grid([v for r in rows for v in r[:2]])
             grid = list(zip(values[::2], values[1::2])), unit
-        inst = cls(kind, geometry, tuple(r[3] for r in rows), grid)
+        inst = cls(kind, geometry, grid)
+        if [r[3] for r in rows] != list(inst.colors):
+            if validate:
+                _check_header(inst)
+            if kind == BNM:
+                raise InvalidInstance("BNM requires n blue points then n red points")
+            raise InvalidInstance("MNM points must be uncolored")
         return validate_instance(inst) if validate else inst
 
     @classmethod
-    def from_ticks(cls, ticks: list[int], unit: int, kind: str, colors=None, validate=True):
-        """Circle points at turn fractions t / unit for the ticks t, in arrival order,
-        coloured by ``colors`` (none when omitted).  Takes the list over, reduced in place."""
-        inst = cls(kind, CIRCLE, tuple(colors or [None] * len(ticks)), reduce_grid(ticks, unit))
+    def from_ticks(cls, ticks: list[int], unit: int, kind: str, validate=True):
+        """Circle points at turn fractions t / unit for the ticks t, in arrival
+        order.  Takes the list over, reduced in place."""
+        inst = cls(kind, CIRCLE, reduce_grid(ticks, unit))
         return validate_instance(inst) if validate else inst
 
     @property
@@ -400,7 +409,15 @@ class Instance:
 
     @property
     def size(self) -> int:
-        return len(self.colors)
+        return len(self.grid[0])
+
+    @cached_property
+    def colors(self) -> tuple[str | None, ...]:
+        """Each point's colour by arrival: n blue then n red on BNM, none on MNM."""
+        n = self.n
+        if self.kind == BNM:
+            return (BLUE,) * n + (RED,) * (self.size - n)
+        return (None,) * self.size
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -481,23 +498,20 @@ class Instance:
         return ranks
 
 
-def validate_instance(inst: Instance) -> Instance:
-    m = inst.size
-    if m == 0 or m % 2 != 0:
+def _check_header(inst: Instance) -> None:
+    if inst.size == 0 or inst.size % 2 != 0:
         raise InvalidInstance("instances need a positive even number of points")
     if inst.kind not in KINDS:
         raise InvalidInstance(f"unknown kind {quoted(inst.kind)}")
     if inst.geometry not in GEOMETRIES:
         raise InvalidInstance(f"unknown geometry {quoted(inst.geometry)}")
-    n = m // 2
-    colors = inst.colors
-    if inst.kind == BNM:
-        if any(c != BLUE for c in colors[:n]) or any(c != RED for c in colors[n:]):
-            raise InvalidInstance("BNM requires n blue points then n red points")
-    else:
-        if any(c is not None for c in colors):
-            raise InvalidInstance("MNM points must be uncolored")
 
+
+def validate_instance(inst: Instance) -> Instance:
+    """The instance, once its size, kind, geometry and grid are checked;
+    colours have none to check (``Instance.from_rows`` checks those it reads)."""
+    _check_header(inst)
+    m = inst.size
     values, unit = inst.grid
     if inst.geometry == CIRCLE:
         if not all(0 <= t < unit for t in values):
@@ -595,14 +609,6 @@ class Matching:
     def matched_indices(self) -> set[int]:
         return {i for e in self.edges for i in e}
 
-    def partner(self, i: int) -> int | None:
-        for a, b in self.edges:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        return None
-
 
 # ---------------------------------------------------------------------------
 # availability
@@ -612,16 +618,16 @@ def scan_available(
     instance: Instance, i: int, matched: set[int], edges: list[tuple]
 ) -> list[int]:
     """Ascending arrival indices j < i that p_i can join: j is unmatched, of
-    the other color on BNM, and the segment p_i p_j crosses none of the
-    committed ``edges``, which are given as pairs of the instance's
-    ``crossing_view`` ends."""
+    the other color on BNM (blue is arrival index <= n), and the segment
+    p_i p_j crosses none of the committed ``edges``, which are given as pairs
+    of the instance's ``crossing_view`` ends."""
     ends, crosses = instance.crossing_view
-    colors = instance.colors
-    color = colors[i - 1] if instance.kind == BNM else None
+    bnm, n = instance.kind == BNM, instance.n
+    blue = i <= n
     p = ends[i - 1]
     out = []
     for j in range(1, i):
-        if j in matched or (color is not None and colors[j - 1] == color):
+        if j in matched or (bnm and (j <= n) == blue):
             continue
         seg = (p, ends[j - 1])
         if not any(crosses(seg, e) for e in edges):

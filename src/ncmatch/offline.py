@@ -118,14 +118,14 @@ def noncrossing_pairings(
 
 
 def enumerate_perfect_noncrossing(instance: Instance) -> Iterator[Matching]:
-    """Every perfect non-crossing matching of a small instance."""
-    colors = instance.colors
-    m = len(colors)
+    """Every perfect non-crossing matching of a small instance; on BNM each
+    edge joins a blue (arrival index <= n) to a red."""
+    m, n = instance.size, instance.n
     if m > BRUTE_FORCE_CAP:
         raise CapExceeded(f"brute force capped at {BRUTE_FORCE_CAP} points, got {m}")
 
     def bichromatic(i: int, j: int) -> bool:
-        return colors[i - 1] != colors[j - 1]
+        return (i <= n) != (j <= n)
 
     may_pair = bichromatic if instance.kind == BNM else None
     for edges in noncrossing_pairings(instance, range(1, m + 1), may_pair=may_pair):
@@ -164,19 +164,18 @@ def convex_noncrossing_pm(instance: Instance) -> Matching:
     """A perfect non-crossing matching on points in convex position.
 
     Walks the hull clockwise from p_1 with a stack and pairs each point with
-    the top of the stack when the two may pair (opposite colors on BNM,
-    always on MNM), else pushes it.  That pairs every point with its first
-    balanced partner.  Deterministic, so golden tests can pin its output.
-    O(n) after the hull order.
+    the top of the stack when the two may pair (on BNM iff exactly one is
+    blue, arrival index <= n; always on MNM), else pushes it.  That pairs
+    every point with its first balanced partner.  Deterministic, so golden
+    tests can pin its output.  O(n) after the hull order.
     """
     if not instance.convex:
         raise NotConvex("convex matching construction needs convex position")
-    colors = instance.colors
-    is_bnm = instance.kind == BNM
+    is_bnm, n = instance.kind == BNM, instance.n
     edges: list[tuple[int, int]] = []
     stack: list[int] = []
     for q in geometry.hull_order(instance):
-        if stack and (not is_bnm or colors[stack[-1] - 1] != colors[q - 1]):
+        if stack and (not is_bnm or (stack[-1] <= n) != (q <= n)):
             edges.append((stack.pop(), q))
         else:
             stack.append(q)
@@ -272,7 +271,6 @@ class MatchingReport:
     duplicate_endpoints: list[int] = field(default_factory=list)
     out_of_range: list[tuple[int, int]] = field(default_factory=list)
     perfect: bool = False
-    required_perfect: bool = False
 
     @property
     def valid(self) -> bool:
@@ -283,25 +281,19 @@ class MatchingReport:
             or self.out_of_range
         )
 
-    @property
-    def ok(self) -> bool:
-        """Valid, and perfect too when perfection was demanded."""
-        return self.valid and (self.perfect or not self.required_perfect)
-
 
 def validate_matching(
-    instance: Instance,
-    matching: Matching | Sequence[tuple[int, int]],
-    require_perfect: bool = False,
+    instance: Instance, matching: Matching | Sequence[tuple[int, int]]
 ) -> MatchingReport:
-    """Report crossings, color violations, endpoint reuse and coverage."""
-    colors = instance.colors
-    m = len(colors)
+    """Report crossings, color violations (on BNM, an edge with both ends
+    blue, arrival index <= n, or both red), endpoint reuse and coverage."""
+    m, n = instance.size, instance.n
+    bnm = instance.kind == BNM
     if isinstance(matching, Matching):
         edges = sorted(matching.edges)
     else:
         edges = [(min(a, b), max(a, b)) for a, b in matching]
-    report = MatchingReport(matched_count=0, required_perfect=require_perfect)
+    report = MatchingReport(matched_count=0)
 
     seen: set[int] = set()
     usable: list[tuple[int, int]] = []
@@ -315,7 +307,7 @@ def validate_matching(
                 report.duplicate_endpoints.append(idx)
             seen.add(idx)
         usable.append(e)
-        if instance.kind == BNM and colors[a - 1] == colors[b - 1]:
+        if bnm and (a <= n) == (b <= n):
             report.color_violations.append(e)
     report.matched_count = len(seen)
 

@@ -70,8 +70,7 @@ def _labeled_copy(t):
 
 
 class DescentBTPlayer:
-    def begin(self, ctx, tape):
-        n = ctx.n
+    def begin(self, n, tape):
         self.root = _labeled_copy(tree_unrank(n, read_ranked(tape, catalan(n))))
 
     def decide(self, i, view, tape):
@@ -94,7 +93,7 @@ class DescentBTPlayer:
 
 def descent_bt():
     """`bt` with the descent player; runs on either engine."""
-    return OnlineAlgorithm("bt", _bt_oracle, DescentBTPlayer, bt_matching().check)
+    return OnlineAlgorithm("bt", _bt_oracle, DescentBTPlayer, bt_matching().check, needs_n=True)
 
 
 def replay_matching_to_bt(instance, matching):

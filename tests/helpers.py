@@ -1,5 +1,5 @@
 """Helpers that only tests call: ``with_edge`` grows a matching by one
-pair, ``bnm_blue_positions`` gives the blue points of the bichromatic
+pair, ``partner`` reads one point's partner, ``bnm_blue_positions`` gives the blue points of the bichromatic
 family as ``Point`` objects, ``point``, ``blues`` and ``reds`` read an
 instance's ``Point`` view, ``available_set`` is the brute-force
 availability query the engines are checked against, and
@@ -13,6 +13,16 @@ from ncmatch.geometry import BLUE, Instance, Matching, Point, circle_point, scan
 def with_edge(matching: Matching, i: int, j: int) -> Matching:
     """The matching plus the pair {i, j}."""
     return Matching(matching.edges | {(min(i, j), max(i, j))})
+
+
+def partner(matching: Matching, i: int) -> int | None:
+    """The point matched to i, or None if i is unmatched."""
+    for a, b in matching.edges:
+        if a == i:
+            return b
+        if b == i:
+            return a
+    return None
 
 
 def bnm_blue_positions(n: int) -> list[Point]:

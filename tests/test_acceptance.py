@@ -231,7 +231,7 @@ def test_09_offline_oracles_agree():
         else:
             inst = generators.random_convex_instance(n, MNM, seed=9000 + trial)
         m = offline.min_length_pm(inst)
-        report = offline.validate_matching(inst, m, require_perfect=True)
+        report = offline.validate_matching(inst, m)
         assert report.valid and report.perfect and not report.crossings, (trial, n)
         runs += 1
         trial += 1

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 from cover_reference import pairwise_maximal, recursive_cover_size
-from helpers import bnm_blue_positions, point, reds
+from helpers import bnm_blue_positions, partner, point, reds
 
 from ncmatch import adversaries, engine, geometry, offline
 from ncmatch.adversaries import (
@@ -96,7 +96,7 @@ def test_bt_matches_red_i_to_blue_sigma_i():
             sim = simulate(engine.bt_matching(), ai.instance)
             assert sim.violations.perfect
             for i, s in enumerate(perm, start=1):
-                assert sim.matching.partner(n + i) == s
+                assert partner(sim.matching, n + i) == s
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,37 @@ def test_equal_ticks_raise_invalid_instance():
     ],
 )
 def test_tick_instances_are_validated_on_their_columns(ticks, bits, kind, colors, message):
+    # ticks carry no colours, so the colour faults (and a BNM case, whose
+    # colours come from arrival position on ticks) are reached through rows
+    rows = [(None, None, (t, 1 << bits), c) for t, c in zip(ticks, colors or [None] * len(ticks))]
     with pytest.raises(InvalidInstance, match=message):
-        Instance.from_ticks(ticks, 1 << bits, kind, colors)
+        Instance.from_rows(rows, kind, CIRCLE)
+    if colors is None and kind != BNM:
+        with pytest.raises(InvalidInstance, match=message):
+            Instance.from_ticks(ticks, 1 << bits, kind)
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+def test_off_convention_colours_raise_whether_or_not_validated(validate):
+    # colour is arrival position, so the one check of colours from outside,
+    # in from_rows, runs with validation off as well
+    xy = [(0, 0), (4, 1), (1, 5), (6, 7)]
+    cases = [
+        (BNM, [RED, BLUE, BLUE, RED], "n blue points then n red"),
+        (BNM, [BLUE, BLUE, BLUE, RED], "n blue points then n red"),
+        (BNM, [None] * 4, "n blue points then n red"),
+        (MNM, [BLUE, BLUE, RED, RED], "MNM points must be uncolored"),
+    ]
+    for kind, colors, message in cases:
+        pts = [geometry.plane_point(x, y, i, c) for i, ((x, y), c) in enumerate(zip(xy, colors), 1)]
+        with pytest.raises(InvalidInstance, match=message):
+            Instance.build(pts, kind, CONVEX, validate=validate)
+        rows = [(None, None, (t, 16), c) for t, c in zip((1, 5, 9, 13), colors)]
+        with pytest.raises(InvalidInstance, match=message):
+            Instance.from_rows(rows, kind, CIRCLE, validate=validate)
+    # the kind's own colours pass, and ticks take them from the kind
+    assert Instance.from_ticks([1, 5, 9, 13], 16, BNM).colors == (BLUE, BLUE, RED, RED)
+    assert Instance.from_ticks([1, 5, 9, 13], 16, MNM).colors == (None,) * 4
 
 
 def test_reading_the_points_keeps_the_ticks():

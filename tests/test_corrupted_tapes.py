@@ -11,7 +11,6 @@ from ncmatch import engine, generators
 from ncmatch.codecs import AdviceTape, elias_delta_encode
 from ncmatch.engine import (
     ALGORITHMS,
-    BeginContext,
     asap_matching,
     bt_matching,
     greedy,
@@ -104,5 +103,5 @@ def test_a_corrupted_length_prefix_fails_before_catalan_is_called(monkeypatch):
     tape = AdviceTape(elias_delta_encode(1 << 40) + [0] * 64)
     player = asap_matching(known_n=False).make_player()
     with pytest.raises(TapeExhausted, match="needs at least 1099511627775 bits"):
-        player.begin(BeginContext(n=None), tape)
+        player.begin(None, tape)
     assert calls == []

@@ -60,6 +60,49 @@ def width(n: int) -> int:
 # harness fundamentals
 
 
+def _bnm_general_instance(n: int, seed: int) -> Instance:
+    """A BNM instance in general position, built from rows with its colours."""
+    xy = generators.random_general_instance(n, seed).int_xy
+    colors = [BLUE] * n + [RED] * n
+    rows = [((x, 1), (y, 1), None, c) for (x, y), c in zip(xy, colors)]
+    return Instance.from_rows(rows, BNM, GENERAL)
+
+
+@pytest.mark.parametrize(
+    "alg, make",
+    [
+        (bt_matching, lambda: generators.random_circle_instance(7, BNM, 3)),
+        (bt_matching, lambda: generators.random_convex_polygon_instance(7, BNM, 3)),
+        (greedy, lambda: generators.random_circle_instance(7, BNM, 3)),
+        (greedy, lambda: generators.random_convex_polygon_instance(7, BNM, 3)),
+        (greedy, lambda: _bnm_general_instance(7, 3)),
+    ],
+    ids=["bt-circle", "bt-polygon", "greedy-circle", "greedy-polygon", "greedy-general"],
+)
+def test_bnm_engines_see_exactly_the_red_arrivals(monkeypatch, alg, make):
+    # the blue batch is free from the start: simulate hands the engine the
+    # reds n + 1..2n and nothing else, on either engine
+    inst = make()
+    arrivals, make_engine = [], engine.make_engine
+
+    def recording(instance):
+        eng = make_engine(instance)
+        on_arrival = eng.on_arrival
+
+        def arrive(i):
+            arrivals.append(i)
+            return on_arrival(i)
+
+        eng.on_arrival = arrive
+        return eng
+
+    monkeypatch.setattr(engine, "make_engine", recording)
+    sim = simulate(alg(), inst)
+    assert arrivals == list(range(inst.n + 1, 2 * inst.n + 1))
+    assert [step[0] for step in sim.steps] == arrivals
+    assert sim.violations.valid
+
+
 def test_greedy_two_points():
     inst = Instance.build([plane_point(0, 0, 1), plane_point(1, 2, 2)], MNM, GENERAL)
     sim = simulate(greedy(), inst)
@@ -149,6 +192,12 @@ def _convex_instances(n: int, kind: str, seed: int):
     return [gen(n, kind, seed) for gen in CONVEX_GENERATORS]
 
 
+def _first_arrival(inst) -> int:
+    """An engine's first arrival: n + 1 on BNM, whose engines start with
+    the blues (arrivals 1..n) free, else 1."""
+    return inst.n + 1 if inst.kind == BNM else 1
+
+
 def test_engines_agree_step_by_step():
     rng = random.Random(17)
     runs = []
@@ -203,13 +252,14 @@ def test_engines_agree_under_random_play_on_bnm():
         n = inst.n
         moves = random.Random(trial)
         e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
-        for i in range(1, 2 * n + 1):
+        # both engines start with the blues free; the reds arrive
+        for i in range(n + 1, 2 * n + 1):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
             idx1, idx2 = available(e1, i), available(e2, i)
             assert c1 == c2 == len(idx1) and idx1 == idx2
             assert e1.min_arrival() == e2.min_arrival()
             assert e1.max_arrival() == e2.max_arrival()
-            if i > n and idx1 and moves.random() < 0.7:
+            if idx1 and moves.random() < 0.7:
                 j = moves.choice(idx1)
                 assert e1.commit(j) == e2.commit(j)
             else:
@@ -232,7 +282,7 @@ def test_engines_agree_under_random_play_at_up_to_forty_pairs():
         ranks = inst.ranks
         moves = random.Random(trial)
         e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
-        for i in range(1, 2 * n + 1):
+        for i in range(_first_arrival(inst), 2 * n + 1):
             c1, c2 = e1.on_arrival(i), e2.on_arrival(i)
             idx1, idx2 = available(e1, i), available(e2, i)
             assert c1 == c2 == len(idx1) and idx1 == idx2
@@ -307,12 +357,18 @@ def _grid_instance(rng, kind, side):
 
 
 def _refused(eng, inst, matched, i, j) -> bool:
-    """Whether a live point (unmatched, or yet to arrive) lies on the line
-    of i and j; if so, committing j must raise Degenerate and leave the
-    engine's masks, free points and edges as they were, and the arrival is
-    skipped instead."""
-    ends = inst.int_xy
-    live = [t for t in range(1, inst.size + 1) if t not in matched and t not in (i, j)]
+    """Whether a live point (unmatched and joinable, or yet to arrive) lies
+    on the line of i and j; if so, committing j must raise Degenerate and
+    leave the engine's masks, free points and edges as they were, and the
+    arrival is skipped instead.  On BNM a skipped red can never be joined,
+    so it is not live."""
+    ends, n = inst.int_xy, inst.n
+    dead = range(n + 1, i) if inst.kind == BNM else ()
+    live = [
+        t
+        for t in range(1, inst.size + 1)
+        if t not in matched and t not in (i, j) and t not in dead
+    ]
     if all(cross_int(ends[i - 1], ends[j - 1], ends[t - 1]) for t in live):
         return False
     before = (list(eng.side), list(eng.last), list(eng.free), list(eng.edges))
@@ -339,7 +395,7 @@ def test_brute_engine_with_its_blocker_cache_agrees_with_the_scan_at_every_step(
             inst = generators.random_general_instance(1 + trial % 12, rng.randrange(10**6))
         eng = _BruteEngine(inst)
         matched, edges = set(), []
-        for i in range(1, inst.size + 1):
+        for i in range(_first_arrival(inst), inst.size + 1):
             si = eng.side[i]
             for j in eng.free:
                 if eng.last[j]:
@@ -369,7 +425,7 @@ def _brute_play_against_available_set(inst, rng) -> int:
     ``available_set``; return the matches made."""
     eng = _BruteEngine(inst)
     m = Matching()
-    for i in range(1, inst.size + 1):
+    for i in range(_first_arrival(inst), inst.size + 1):
         cnt = eng.on_arrival(i)
         expected = sorted(available_set(inst, m, i))
         assert cnt == len(expected)
@@ -450,7 +506,7 @@ def test_brute_engine_on_degenerate_grid_points_agrees_with_the_scan(kind):
         m, ends = inst.size, inst.int_xy
         eng = _BruteEngine(inst)
         matched, edges = set(), []
-        for i in range(1, m + 1):
+        for i in range(_first_arrival(inst), m + 1):
             expected = scan_available(inst, i, matched, edges)
             assert eng.on_arrival(i) == len(expected)
             assert available(eng, i) == expected
@@ -508,14 +564,11 @@ def test_an_illegal_commit_leaves_the_region_engine_untouched():
             moves = random.Random(trial)
             e1, e2 = _RegionEngine(inst), _BruteEngine(inst)
             matched = set()
-            for i in range(1, 2 * n + 1):
+            for i in range(_first_arrival(inst), 2 * n + 1):
                 assert e1.on_arrival(i) == e2.on_arrival(i)
-                blue = kind == BNM and i <= n
                 refused = {0: "zero", i: "late", i + 1: "late"}
                 for j in range(1, i):
-                    if blue:
-                        refused[j] = "blue"
-                    elif kind == BNM and j > n:
+                    if kind == BNM and j > n:
                         refused[j] = "red"
                     elif j in matched:
                         refused[j] = "matched"
@@ -532,7 +585,7 @@ def test_an_illegal_commit_leaves_the_region_engine_untouched():
                 assert e1.commit(j) == e2.commit(j)
                 if j is not None:
                     matched |= {i, j}
-    assert seen == {"zero", "late", "blue", "red", "matched", "other region"}
+    assert seen == {"zero", "late", "red", "matched", "other region"}
 
 
 # ---------------------------------------------------------------------------

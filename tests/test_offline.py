@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from helpers import blues, point
+from helpers import blues, partner, point
 
 from ncmatch import generators, geometry, offline
 from ncmatch.codecs import tree_size
@@ -101,14 +101,14 @@ def test_min_length_matches_unpruned_float_oracle():
             for a, b in m.edges
         )
         assert got <= _min_length_float_oracle(inst) + 1e-6
-        report = validate_matching(inst, m, require_perfect=True)
+        report = validate_matching(inst, m)
         assert report.valid and report.perfect
 
 
 def test_min_length_never_crosses_on_circles():
     for seed in range(20):
         inst = generators.random_circle_instance(5, MNM, seed)
-        report = validate_matching(inst, min_length_pm(inst), require_perfect=True)
+        report = validate_matching(inst, min_length_pm(inst))
         assert report.valid and report.perfect
 
 
@@ -144,7 +144,7 @@ def test_convex_noncrossing_pm_valid_on_random_instances():
         for kind in (MNM, BNM):
             inst = generators.random_convex_instance(6, kind, seed)
             m = convex_noncrossing_pm(inst)
-            report = validate_matching(inst, m, require_perfect=True)
+            report = validate_matching(inst, m)
             assert report.valid and report.perfect, (seed, kind, report)
 
 
@@ -176,13 +176,12 @@ def test_convex_noncrossing_pm_golden_on_the_unique_instance():
     assert sorted(convex_noncrossing_pm(inst).edges) == [(1, 6), (2, 5), (3, 8), (4, 7)]
 
 
-def test_validate_report_ok_requires_perfection_only_on_demand():
+def test_validate_report_separates_validity_from_perfection():
     inst = square_instance()
-    half = Matching.from_pairs([(1, 2)])
-    assert validate_matching(inst, half).ok
-    assert not validate_matching(inst, half, require_perfect=True).ok
-    full = Matching.from_pairs([(1, 2), (3, 4)])
-    assert validate_matching(inst, full, require_perfect=True).ok
+    half = validate_matching(inst, Matching.from_pairs([(1, 2)]))
+    assert half.valid and not half.perfect
+    full = validate_matching(inst, Matching.from_pairs([(1, 2), (3, 4)]))
+    assert full.valid and full.perfect
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def test_matching_to_bt_two_edges_nested_shape():
     ai = bnm_red_instance((1, 2))
     inst = ai.instance
     m = Matching.from_pairs([(1, 3), (2, 4)])
-    assert validate_matching(inst, m, require_perfect=True).perfect
+    assert validate_matching(inst, m).perfect
     t = matching_to_bt(inst, m)
     assert tree_size(t) == 2
     assert t.left is None and tree_size(t.right) == 1
@@ -221,11 +220,11 @@ def test_matching_to_bt_left_size_equals_clockwise_rank():
         m = convex_noncrossing_pm(inst)
         t = matching_to_bt(inst, m)
         r1 = point(inst, inst.n + 1)
-        partner = m.partner(inst.n + 1)
+        mate = partner(m, inst.n + 1)
         by_turn = list(blues(inst))
         if r1.angle is not None:
             by_turn.sort(key=lambda b: (r1.angle - b.angle) % 1)
-            rank = next(i for i, b in enumerate(by_turn, 1) if b.arrival_index == partner)
+            rank = next(i for i, b in enumerate(by_turn, 1) if b.arrival_index == mate)
             assert (tree_size(t.left) if t.left else 0) + 1 == rank
 
 
@@ -262,7 +261,7 @@ def test_validate_reports_out_of_range_edges_and_self_loops(convex):
     bad = [(0, 2), (3, m + 1), (2, 2)]
     report = validate_matching(inst, [(1, 4), (0, 2), (m + 1, 3), (2, 2)])
     assert sorted(report.out_of_range) == sorted(bad)
-    assert not report.valid and not report.ok
+    assert not report.valid and not report.perfect
     assert report.matched_count == 2 and not report.crossings
     assert not report.duplicate_endpoints  # the self-loop is not reuse
 

@@ -322,7 +322,7 @@ def test_validate_matching_reports_equal_the_reference():
         order = list(range(1, 61))
         random.Random(seed).shuffle(order)
         edges = list(zip(order[::2], order[1::2]))
-        report = offline.validate_matching(big, edges, require_perfect=True)
+        report = offline.validate_matching(big, edges)
         assert report.crossings == reference_crossings(big, edges)
         assert report.crossings  # random pairings cross
     # x from three values only: vertical segments, equal and touching
@@ -405,7 +405,7 @@ def test_validate_matching_sweeps_ten_thousand_disjoint_segments():
     inst = Instance.build(pts, MNM, GENERAL, validate=False)
     edges = [(2 * i + 1, 2 * i + 2) for i in range(k)]
     started = time.perf_counter()
-    report = offline.validate_matching(inst, edges, require_perfect=True)
+    report = offline.validate_matching(inst, edges)
     elapsed = time.perf_counter() - started
     assert report.perfect and report.crossings == []
     assert elapsed < budget, f"audit took {elapsed:.2f}s, budget {budget}s"

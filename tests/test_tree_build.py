@@ -14,7 +14,7 @@ from ncmatch import generators, geometry, offline
 from ncmatch.adversaries import bnm_red_instance
 from ncmatch.codecs import BinaryTree, bits_for_universe, catalan, enumerate_231_avoiding
 from ncmatch.engine import bt_matching, make_engine, simulate
-from ncmatch.errors import CrossingDetected, Degenerate, NotConvex, NotPerfect
+from ncmatch.errors import CrossingDetected, Degenerate, InvalidInstance, NotConvex, NotPerfect
 from ncmatch.geometry import (
     BLUE,
     BNM,
@@ -314,15 +314,14 @@ def test_convex_pm_matches_the_recursion_on_circles_and_polygons():
         assert convex_noncrossing_pm(inst) == reference_convex_noncrossing_pm(inst)
 
 
-def test_convex_pm_rejects_an_unbalanced_color_sequence():
-    # three blues and one red: no perfect red-blue matching exists
+def test_an_unbalanced_color_sequence_cannot_be_built():
+    # three blues and one red: colour is arrival position on BNM, so such
+    # a sequence is refused when built, validated or not
     colors = [BLUE, BLUE, BLUE, RED]
     pts = [circle_point(Fraction(t, 4), t + 1, c) for t, c in enumerate(colors)]
-    inst = Instance.build(pts, BNM, geometry.CIRCLE, validate=False)
-    with pytest.raises(NotPerfect):
-        convex_noncrossing_pm(inst)
-    with pytest.raises(NotPerfect):
-        reference_convex_noncrossing_pm(inst)
+    for validate in (True, False):
+        with pytest.raises(InvalidInstance, match="n blue points then n red"):
+            Instance.build(pts, BNM, geometry.CIRCLE, validate=validate)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reverse"])
@@ -388,9 +387,9 @@ def test_clockwise_from_matches_modular_sort():
         inst = generators.random_circle_instance(rng.randint(1, 30), BNM, trial)
         moves = random.Random(trial)
         eng = make_engine(inst)
-        for i in range(1, 2 * inst.n + 1):
+        for i in range(inst.n + 1, 2 * inst.n + 1):  # the engine starts with the blues free
             cnt = eng.on_arrival(i)
-            got = [eng.kth_clockwise(k) for k in range(1, cnt + 1)] if i > inst.n else []
+            got = [eng.kth_clockwise(k) for k in range(1, cnt + 1)]
             anchor = point(inst, i)
             pts = [point(inst, j) for j in available(eng, i)]
             expected = sorted(pts, key=lambda p: (anchor.angle - p.angle) % 1)
