@@ -531,12 +531,11 @@ def _asap_word(instance: Instance, tie_break: str) -> DyckWord:
 
 
 class _ASAPPlayer:
-    def __init__(self, known_n: bool, tie_break: str):
-        self.known_n = known_n
+    def __init__(self, tie_break: str):
         self.tie_break = tie_break
 
     def begin(self, n, tape) -> None:
-        if not self.known_n:
+        if n is None:  # not given (needs_n is false): an Elias delta prefix carries it
             n = elias_delta_decode(tape)
         if tape.bits_written - tape.cursor < n - 1:  # C_n >= 2^(n-1); before catalan(n)
             raise TapeExhausted(f"a rank for n = {n} needs at least {n - 1} bits")
@@ -579,7 +578,7 @@ def asap_matching(known_n: bool = True, tie_break: str = "min") -> OnlineAlgorit
     return OnlineAlgorithm(
         name="asap",
         oracle=oracle,
-        make_player=lambda: _ASAPPlayer(known_n, tie_break),
+        make_player=lambda: _ASAPPlayer(tie_break),
         check=_check_convex(MNM),
         needs_n=known_n,
     )
