@@ -122,6 +122,7 @@ def run(algorithm, instance_path, svg_out, **options) -> None:
             "color": len(result.violations.color_violations),
             "duplicate_endpoints": len(result.violations.duplicate_endpoints),
         },
+        "work": result.work,
         "meta": ai.meta,
     }
     if svg_out:

@@ -148,15 +148,20 @@ def plane_point(x, y, arrival_index: int, color: str | None = None) -> Point:
 def rational_grid(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """The rationals num / den of integer ``pairs`` (den > 0, in any terms) over
     their least common denominator, and that unit: the one rule for every grid.
-    Power-of-two denominators scale by shifts, others by their lcm, which is capped."""
-    dens = {d for _, d in pairs}
-    if all(d.bit_count() == 1 for d in dens):
-        width = max(dens, default=1).bit_length()
+    Power-of-two denominators scale by shifts, decided with the widest in one
+    pass that hashes none; others by their lcm, which is capped."""
+    width = 1
+    for _, d in pairs:
+        if d.bit_count() != 1:
+            break
+        if (bits := d.bit_length()) > width:
+            width = bits
+    else:
         # a shift by 0 would copy the numerator
         values = [num << k if (k := width - d.bit_length()) else num for num, d in pairs]
         return reduce_grid(values, 1 << width - 1)
     unit = 1
-    for d in dens:
+    for d in {d for _, d in pairs}:
         unit = math.lcm(unit, d)
         if unit.bit_length() > _MAX_UNIT_BITS:  # unrelated denominators of a crafted file
             raise RationalTooLarge(

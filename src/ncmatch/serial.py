@@ -7,8 +7,17 @@ permutations, interval choices).
 
 On circles the angles are the points: the loader still parses x/y, so a
 malformed one is an error, but keeps only the angles' ticks, and the
-writer derives x/y from each angle again, one point at a time.  Files
-that ``generate`` wrote round-trip to identical bytes.
+writer derives x/y from each angle again.  Files that ``generate`` wrote
+round-trip to identical bytes.
+
+``instance_to_json`` and ``annotated_to_json`` return the document as a
+dict; ``dump_instance`` writes the bytes ``json.dump`` writes of that
+dict with ``indent=2``, plus a newline, but streams the points: it
+formats and writes a few at a time from the grid, so it never holds the
+points list, and the memory it needs does not grow with the file.  It
+checks the interpreter's int-to-str digit limit before it opens the
+file, so an instance with a literal past the limit raises
+``RationalTooLarge`` and leaves the path as it was.
 
 The loader parses each literal to its two integers, in the terms written,
 and hands the rows of pairs to ``Instance.from_rows``, so it builds no
@@ -22,6 +31,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Any
 
 from .adversaries import AnnotatedInstance
@@ -82,21 +92,33 @@ def point_to_json(p: Point) -> dict:
     return out
 
 
-def instance_to_json(
-    instance: Instance, annotations: dict | None = None, meta: dict | None = None
-) -> dict:
+def _document(instance: Instance, annotations: dict | None, meta: dict | None) -> dict:
+    """The file's fields in the order written, the one layout of both
+    forms: "points" is an iterator of ``point_to_json`` dicts, each built
+    from the grid when reached."""
     return {
         "schema": SCHEMA_VERSION,
         "kind": instance.kind,
         "geometry": instance.geometry,
         "n": instance.n,
-        "points": [point_to_json(p) for p in instance.iter_points()],
+        "points": map(point_to_json, instance.iter_points()),
         "annotations": annotations or {},
         "meta": meta or {},
     }
 
 
-def annotated_to_json(ai: AnnotatedInstance) -> dict:
+def _listed(doc: dict) -> dict:
+    doc["points"] = list(doc["points"])
+    return doc
+
+
+def instance_to_json(
+    instance: Instance, annotations: dict | None = None, meta: dict | None = None
+) -> dict:
+    return _listed(_document(instance, annotations, meta))
+
+
+def _annotations(ai: AnnotatedInstance) -> dict:
     ann: dict[str, Any] = {}
     if ai.parent is not None:
         ann["parent"] = list(ai.parent)
@@ -108,7 +130,11 @@ def annotated_to_json(ai: AnnotatedInstance) -> dict:
     if ai.hidden_choice is not None:
         ann["j"] = ai.hidden_choice[0]
         ann["intervals"] = list(ai.hidden_choice[1])
-    return instance_to_json(ai.instance, annotations=ann, meta=ai.meta)
+    return ann
+
+
+def annotated_to_json(ai: AnnotatedInstance) -> dict:
+    return _listed(_document(ai.instance, _annotations(ai), dict(ai.meta)))
 
 
 def _row_from_json(rp: Any, idx: int, circle: bool) -> tuple:
@@ -164,15 +190,63 @@ def _annotated(data: dict, kind: str, geometry_: str, raw_points: list) -> Annot
         raise InvalidInstance(f"malformed annotations: {exc!r}") from exc
 
 
+def _check_digit_limit(instance: Instance) -> None:
+    """Raise ``RationalTooLarge`` if any literal of ``instance`` would pass
+    the interpreter's int-to-str digit limit.  The limit grows with
+    magnitude and ignores the sign, and every literal's integers are at most
+    the widest integer on the grid (a circle's angle reduces mod 1 to terms
+    no larger than the unit, and its float x/y have at most 324 digits,
+    under the limit's 640-digit floor), so one conversion of that integer
+    settles it.  Only past it are the points formatted, to raise for the
+    first literal that fails, as the dict form does."""
+    values, widest = instance.grid
+    if instance.geometry != CIRCLE:
+        widest = max(widest, max(map(abs, chain.from_iterable(values)), default=0))
+    try:
+        str(widest)
+    except ValueError:
+        for p in instance.iter_points():
+            point_to_json(p)
+
+
+_ENCODER = json.JSONEncoder(indent=2)
+_POINTS_PER_WRITE = 16  # an encoder call costs about as much as encoding a point
+
+
+def _write_document(fh, doc: dict) -> None:
+    """``json.dump(doc, fh, indent=2)`` of a ``_document``, its points
+    encoded and written a few at a time.  A value one level down is its own
+    encoding with every line break indented two more spaces, since no JSON
+    string holds a raw line break."""
+    sep = "{"
+    for key, value in doc.items():
+        fh.write(f"{sep}\n  {_ENCODER.encode(key)}: ")
+        sep = ","
+        if key != "points":
+            for chunk in _ENCODER.iterencode(value):
+                fh.write(chunk.replace("\n", "\n  "))
+            continue
+        item_sep = "["
+        for batch in iter(lambda: list(islice(value, _POINTS_PER_WRITE)), []):
+            # the batch encoded as a list, less its brackets, one level down
+            fh.write(item_sep + _ENCODER.encode(batch)[1:-2].replace("\n", "\n  "))
+            item_sep = ","
+        fh.write("[]" if item_sep == "[" else "\n  ]")
+    fh.write("\n}")
+
+
 def dump_instance(path, ai_or_instance, meta: dict | None = None) -> None:
+    """Write the instance file: the bytes of ``json.dump`` of its dict form
+    with ``indent=2``, and a newline, a few points at a time.  An
+    ``AnnotatedInstance``'s meta is merged with ``meta`` into a new dict."""
     if isinstance(ai_or_instance, AnnotatedInstance):
-        doc = annotated_to_json(ai_or_instance)
-        if meta:
-            doc["meta"].update(meta)
+        ai = ai_or_instance
+        instance, ann, meta = ai.instance, _annotations(ai), {**ai.meta, **(meta or {})}
     else:
-        doc = instance_to_json(ai_or_instance, meta=meta)
+        instance, ann = ai_or_instance, None
+    _check_digit_limit(instance)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        _write_document(fh, _document(instance, ann, meta))
         fh.write("\n")
 
 

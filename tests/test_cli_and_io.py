@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ncmatch import adversaries, campaigns, cli, generators, serial
 from ncmatch.cli import main
+from ncmatch.engine import ALGORITHMS, simulate
 from ncmatch.errors import (
     IllegalMatch,
     InvalidInstance,
@@ -629,7 +630,7 @@ _REPORT = (
     '{{"algorithm": "{alg}", "kind": "{kind}", "geometry": "{geometry}", "n": {n}, '
     '"matched": {matched}, "unmatched": {unmatched}, "perfect": {perfect}, '
     '"bits_written": {bits}, "bits_read": {bits}, "violations": {{"crossings": 0, '
-    '"color": 0, "duplicate_endpoints": 0}}, "meta": {meta}}}\n'
+    '"color": 0, "duplicate_endpoints": 0}}, "work": {work}, "meta": {meta}}}\n'
 )
 
 
@@ -648,8 +649,6 @@ def run_files(tmp_path):
 
 
 def test_cli_run_choices_come_from_the_registry():
-    from ncmatch.engine import ALGORITHMS
-
     res = CliRunner().invoke(main, ["run", "--help"])
     assert res.exit_code == 0
     assert "{" + "|".join(ALGORITHMS) + "}" in res.output
@@ -666,7 +665,10 @@ def test_cli_run_choices_come_from_the_registry():
         (
             ["asap", "--unknown-n", "--tie-break", "max"],
             "mnm",
-            dict(kind="MNM", geometry="circle", n=6, matched=12, bits=13, seed=4),
+            dict(
+                kind="MNM", geometry="circle", n=6, matched=12, bits=13, seed=4,
+                options=dict(known_n=False, tie_break="max"),
+            ),
         ),
         (["sorted"], "gen", dict(kind="MNM", geometry="general", n=6, matched=12, bits=18, seed=5)),
         (["greedy"], "mk", dict(kind="MNM", geometry="circle", n=8, matched=14, bits=0, seed=2)),
@@ -685,11 +687,31 @@ def test_cli_run_reports_are_byte_identical(run_files, args, file, fields):
     else:
         meta = {"family": family[file], "seed": seed}
     meta["generator"] = f"ncmatch-{__version__}"
+    algorithm = ALGORITHMS[alg](**fields.get("options", {}))
+    work = simulate(algorithm, serial.load_instance(run_files / f"{file}.json").instance).work
     assert res.stdout == _REPORT.format(
         alg=alg, kind=fields["kind"], geometry=fields["geometry"], n=n, matched=matched,
         unmatched=2 * n - matched, perfect=json.dumps(matched == 2 * n),
-        bits=fields["bits"], meta=json.dumps(meta),
+        bits=fields["bits"], work=json.dumps(work), meta=json.dumps(meta),
     )
+
+
+@pytest.mark.parametrize(
+    "alg, file, counters",
+    [
+        ("asap", "mnm", ["relabels"]),
+        ("greedy", "mk", ["relabels"]),
+        ("sorted", "gen", ["arrival_turns", "commit_turns"]),
+        ("greedy", "gen", ["arrival_turns", "commit_turns"]),
+    ],
+)
+def test_cli_run_reports_the_engine_work(run_files, alg, file, counters):
+    path = run_files / f"{file}.json"
+    res = CliRunner().invoke(main, ["run", alg, str(path)])
+    assert res.exit_code == 0, res.output
+    work = simulate(ALGORITHMS[alg](), serial.load_instance(path).instance).work
+    assert list(work) == counters and all(v > 0 for v in work.values())
+    assert json.loads(res.stdout)["work"] == work
 
 
 @pytest.mark.parametrize(
