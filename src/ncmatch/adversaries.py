@@ -184,10 +184,10 @@ def consistent(prior: Matching, ai: AnnotatedInstance) -> ConsistencyResult:
     the prior completes iff each face holds an even number of free points
     and no more free prefix than suffix points (sufficient too: some
     hull-adjacent free pair is not prefix-prefix, and matching it keeps
-    both).  One pass over the hull with a stack of open chords finds each
-    free point's face.  Size >= k and opposite-parity edges are checked
-    independently.  NotConvex off convex position, CrossingDetected if two
-    prior edges cross.
+    both).  Each free point's face comes from ``offline._enclosing``, the
+    one scan of the prior's chords along the hull.  Size >= k and
+    opposite-parity edges are checked independently.  NotConvex off convex
+    position, CrossingDetected if two prior edges cross.
     """
     inst = ai.instance
     k = inst.size // 6
@@ -195,20 +195,13 @@ def consistent(prior: Matching, ai: AnnotatedInstance) -> ConsistencyResult:
     size_ok = len(prior) >= k
     parity_ok = all(chi[a - 1] != chi[b - 1] for a, b in prior.edges)
 
-    at = [-1] * inst.size  # by arrival: the prior edge ending there
-    for x, (a, b) in enumerate(prior.edges):
-        at[a - 1] = at[b - 1] = x
+    scan = offline._enclosing(inst.ranks, prior.edges)
+    if scan is None:
+        raise CrossingDetected("two edges of the prior cross")
     # per face, free suffix minus free prefix points; the last is the outer face
-    surplus, is_open, stack = [0] * (len(prior) + 1), [False] * len(prior), [len(prior)]
-    for i in inst.hull:
-        x = at[i - 1]
-        if x < 0:
-            surplus[stack[-1]] += 1 if i > 4 * k else -1
-        elif not is_open[x]:
-            is_open[x] = True
-            stack.append(x)
-        elif stack.pop() != x:
-            raise CrossingDetected("two edges of the prior cross")
+    surplus, hull = [0] * (len(prior) + 1), inst.hull
+    for r, f in scan[1].items():
+        surplus[f] += 1 if hull[r] > 4 * k else -1
     completable = all(s >= 0 and not s & 1 for s in surplus)
     return ConsistencyResult(completable, size_ok, parity_ok)
 

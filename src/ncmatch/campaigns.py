@@ -21,6 +21,7 @@ from .adversaries import (
 )
 from .codecs import catalan, enumerate_231_avoiding, enumerate_dyck, enumerate_trees
 from .engine import greedy, simulate
+from .errors import CapExceeded
 
 
 def _entry(name: str, expected, measured, ok: bool | None = None) -> dict:
@@ -60,12 +61,21 @@ def check_bnm_lb(n: int = 3) -> dict:
     return _finish("bnm-lb", {"n": n}, results)
 
 
+_MNM_LB_MAX_K = 5  # 354 522 members held at once; k = 6 has 5 546 382
+
+
 def check_mnm_lb(k: int = 2) -> dict:
     """Family size matches the binomial sum and the parity fingerprint is
     injective; at k <= 2, every member has a completable prior and every
     consistent prior (by the face rule of ``adversaries.consistent``)
     satisfies the two necessary conditions.  Every member has the same 4k
-    fixed points, so the priors of the first serve all."""
+    fixed points, so the priors of the first serve all.  The whole family
+    is held at once, so k past ``_MNM_LB_MAX_K`` raises ``CapExceeded``
+    before any member is built."""
+    if k < 1:
+        raise ValueError("need k >= 1")  # an empty family has no fingerprint
+    if k > _MNM_LB_MAX_K:
+        raise CapExceeded(f"mnm-lb capped at k <= {_MNM_LB_MAX_K}")
     deep = k <= 2
     members = list(mnm_family(k))
     expected_size = mnm_family_size(k)
@@ -85,19 +95,12 @@ def check_mnm_lb(k: int = 2) -> dict:
 
     if deep:
         priors = list(adversaries.noncrossing_priors(members[0]))
-        completable = 0
-        bad_conditions = 0
-        priors_checked = 0
+        completable = priors_checked = bad_conditions = 0
         for ai in members:
-            found = False
-            for prior in priors:
-                res = adversaries.consistent(prior, ai)
-                if res.completable:
-                    found = True
-                    priors_checked += 1
-                    if not (res.size_at_least_k and res.edges_opposite_parity):
-                        bad_conditions += 1
-            completable += found
+            done = [res for res in (adversaries.consistent(p, ai) for p in priors) if res]
+            completable += bool(done)
+            priors_checked += len(done)
+            bad_conditions += sum(not (r.size_at_least_k and r.edges_opposite_parity) for r in done)
         results.append(_entry("members with perfect completion", len(members), completable))
         results.append(
             _entry(

@@ -98,7 +98,7 @@ def run(algorithm, instance_path, svg_out, **options) -> None:
     try:
         alg = ALGORITHMS[algorithm](**_options_for(ALGORITHMS, algorithm, options))
         ai = serial.load_instance(instance_path)
-    except NcmatchError as exc:
+    except (NcmatchError, OSError) as exc:
         _fail(EXIT_BAD_INPUT, f"{type(exc).__name__}: {exc}")
     instance = ai.instance
     try:

@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -350,7 +350,7 @@ class Instance:
     :meth:`build` from points), or :meth:`from_ticks` for circle ticks, so
     invariants are checked; internal generators that guarantee them may
     skip validation.  Equality, hashing and ``repr`` read the grid;
-    ``colors`` and ``points`` are views built on first read.
+    ``points`` is a view built on first read, ``colors`` one built on each.
     """
 
     kind: str
@@ -393,7 +393,7 @@ class Instance:
             values, unit = rational_grid([v for r in rows for v in r[:2]])
             grid = list(zip(values[::2], values[1::2])), unit
         inst = cls(kind, geometry, grid)
-        if [r[3] for r in rows] != list(inst.colors):
+        if [r[3] for r in rows] != list(inst._color_run()):
             if validate:
                 _check_header(inst)
             if kind == BNM:
@@ -416,13 +416,17 @@ class Instance:
     def size(self) -> int:
         return len(self.grid[0])
 
-    @cached_property
+    @property
     def colors(self) -> tuple[str | None, ...]:
-        """Each point's colour by arrival: n blue then n red on BNM, none on MNM."""
+        """Each point's colour by arrival: n blue then n red on BNM, none on
+        MNM.  Built on each read from ``_color_run``, and kept by no one."""
+        return tuple(self._color_run())
+
+    def _color_run(self) -> Iterator[str | None]:
         n = self.n
         if self.kind == BNM:
-            return (BLUE,) * n + (RED,) * (self.size - n)
-        return (None,) * self.size
+            return chain(repeat(BLUE, n), repeat(RED, self.size - n))
+        return repeat(None, self.size)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -433,10 +437,10 @@ class Instance:
         reached and kept by no one, unlike ``points``."""
         values, unit = self.grid
         if self.geometry == CIRCLE:
-            return grid_points(values, unit, self.colors)
+            return grid_points(values, unit, self._color_run())
         return (
             Point(Fraction(x, unit), Fraction(y, unit), i, color)
-            for i, ((x, y), color) in enumerate(zip(values, self.colors), start=1)
+            for i, ((x, y), color) in enumerate(zip(values, self._color_run()), start=1)
         )
 
     @property

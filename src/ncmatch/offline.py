@@ -8,7 +8,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import geometry
 from .codecs import BinaryTree, _assemble
@@ -35,19 +35,12 @@ BRUTE_FORCE_CAP = 12
 _PRECISIONS = (40, 80, 160, 320)
 
 
-def _sqrt_interval(value: Fraction, digits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= sqrt(value) * 10^digits < hi."""
-    scaled = value.numerator * 10 ** (2 * digits) // value.denominator
-    lo = isqrt(scaled)
-    return lo, lo + 1
-
-def _sum_interval(values: Sequence[Fraction], digits: int) -> tuple[int, int]:
-    lo = hi = 0
-    for v in values:
-        a, b = _sqrt_interval(v, digits)
-        lo += a
-        hi += b
-    return lo, hi
+def _floor_sum(values: Sequence[Fraction], digits: int) -> int:
+    """The sum of floor(sqrt(v) * 10^digits) over ``values``: each term is
+    less than 1 below its root's, so the total lies below the true one by
+    less than len(values)."""
+    scale = 10 ** (2 * digits)
+    return sum(isqrt(v.numerator * scale // v.denominator) for v in values)
 
 
 def compare_length_sums(sq_a: Sequence[Fraction], sq_b: Sequence[Fraction]) -> int:
@@ -57,11 +50,10 @@ def compare_length_sums(sq_a: Sequence[Fraction], sq_b: Sequence[Fraction]) -> i
     input this package produces, e.g. the symmetric square).
     """
     for digits in _PRECISIONS:
-        alo, ahi = _sum_interval(sq_a, digits)
-        blo, bhi = _sum_interval(sq_b, digits)
-        if ahi <= blo:
+        alo, blo = _floor_sum(sq_a, digits), _floor_sum(sq_b, digits)
+        if alo + len(sq_a) <= blo:
             return -1
-        if bhi <= alo:
+        if blo + len(sq_b) <= alo:
             return 1
     return 0
 
@@ -75,23 +67,22 @@ def squared_length(p: Point, q: Point) -> Fraction:
 
 
 def noncrossing_pairings(
-    instance: Instance,
-    free: Iterable[int],
-    may_pair: Callable[[int, int], bool] | None = None,
-    perfect: bool = True,
+    instance: Instance, free: Iterable[int], perfect: bool = True
 ) -> Iterator[list[tuple[int, int]]]:
     """Depth-first search over non-crossing pairings of the free points.
 
     The first undecided free point i is paired with each later undecided
-    point j in turn, in the order of ``free``, when ``may_pair(i, j)``
-    allows it and the segment crosses no edge chosen before; unless
-    ``perfect``, leaving i unmatched is tried first.  Crossings are decided
-    on the instance's ``crossing_view``.  Yields each pairing as its (i, j)
-    edges in the order chosen; (2n-1)!! leaves at worst, far fewer after
-    pruning.  Completing a prior online needs no search:
-    ``adversaries.consistent`` counts the free points of each face.
+    point j in turn, in the order of ``free``, when the two may pair (on
+    BNM iff exactly one is blue, arrival index <= n; always on MNM) and the
+    segment crosses no edge chosen before; unless ``perfect``, leaving i
+    unmatched is tried first.  Crossings are decided on the instance's
+    ``crossing_view``.  Yields each pairing as its (i, j) edges in the
+    order chosen; (2n-1)!! leaves at worst, far fewer after pruning.
+    Completing a prior online needs no search: ``adversaries.consistent``
+    counts the free points of each face.
     """
     ends, crosses = instance.crossing_view
+    bnm, n = instance.kind == BNM, instance.n
     segs: list[tuple] = []
     chosen: list[tuple[int, int]] = []
 
@@ -103,7 +94,7 @@ def noncrossing_pairings(
         if not perfect:
             yield from rec(rest)
         for pos, j in enumerate(rest):
-            if may_pair is not None and not may_pair(i, j):
+            if bnm and (i <= n) == (j <= n):
                 continue
             seg = (ends[i - 1], ends[j - 1])
             if any(crosses(seg, e) for e in segs):
@@ -120,15 +111,10 @@ def noncrossing_pairings(
 def enumerate_perfect_noncrossing(instance: Instance) -> Iterator[Matching]:
     """Every perfect non-crossing matching of a small instance; on BNM each
     edge joins a blue (arrival index <= n) to a red."""
-    m, n = instance.size, instance.n
+    m = instance.size
     if m > BRUTE_FORCE_CAP:
         raise CapExceeded(f"brute force capped at {BRUTE_FORCE_CAP} points, got {m}")
-
-    def bichromatic(i: int, j: int) -> bool:
-        return (i <= n) != (j <= n)
-
-    may_pair = bichromatic if instance.kind == BNM else None
-    for edges in noncrossing_pairings(instance, range(1, m + 1), may_pair=may_pair):
+    for edges in noncrossing_pairings(instance, range(1, m + 1)):
         yield Matching.from_pairs(edges)
 
 
@@ -212,9 +198,10 @@ def bt_children(instance: Instance, matching: Matching) -> tuple[list[int], list
             raise NotPerfect(f"edge {(b, r)} is not red-blue")
         chords[r - n - 1] = (b, r)
     rank = instance.ranks
-    outer = _enclosing(rank, chords)
-    if outer is None:
+    scan = _enclosing(rank, chords)
+    if scan is None:
         raise CrossingDetected("two edges of the matching cross")
+    outer = scan[0]
     lefts, rights = [-1] * n, [-1] * n
     root, weight, first = list(range(n + 1)), [1] * (n + 1), [-1] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -237,23 +224,29 @@ def _find(root: list[int], f: int) -> int:
     return f
 
 
-def _enclosing(rank: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int] | None:
-    """For chords in convex position, the index of the chord directly
-    enclosing each (len(edges) for none), or None if two cross: O(m), as
-    non-crossing chords close like balanced parentheses along the hull."""
+def _enclosing(
+    rank: Sequence[int], edges: Collection[tuple[int, int]]
+) -> tuple[list[int], dict[int, int]] | None:
+    """One scan along the hull of chords in convex position: the index of
+    the chord directly enclosing each, and the face of each free hull rank
+    (the innermost chord around it), by rank; len(edges) stands for no
+    chord, the outer face.  None if two chords cross.  The package's one
+    open-chord stack: the audit, the bt tree and ``adversaries.consistent``
+    read it.  O(m), as non-crossing chords close like balanced parentheses
+    along the hull."""
     at = [-1] * len(rank)
     for x, (a, b) in enumerate(edges):
         at[rank[a - 1]] = at[rank[b - 1]] = x
-    outer, stack = [-1] * len(edges), []
-    for x in at:
+    outer, face, stack = [-1] * len(edges), {}, [len(edges)]
+    for r, x in enumerate(at):
         if x < 0:
-            continue
-        if outer[x] < 0:
-            outer[x] = stack[-1] if stack else len(edges)
+            face[r] = stack[-1]
+        elif outer[x] < 0:
+            outer[x] = stack[-1]
             stack.append(x)
         elif stack.pop() != x:
             return None
-    return outer
+    return outer, face
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from ncmatch import adversaries, campaigns, cli, generators, serial
 from ncmatch.cli import main
 from ncmatch.engine import ALGORITHMS, simulate
 from ncmatch.errors import (
+    CapExceeded,
     IllegalMatch,
     InvalidInstance,
     NcmatchError,
@@ -296,6 +297,37 @@ def test_cli_verify_bnm_lb_fails_fast_past_the_cap():
     assert res.exit_code == 2
     assert "CapExceeded" in res.output
     assert elapsed < 0.5
+
+
+def test_mnm_lb_refuses_k_outside_one_to_its_cap_before_building_a_member(monkeypatch):
+    # k = 5 holds 354 522 members at once; k = 6 would hold 5 546 382
+    def unbuilt(*args):
+        raise AssertionError("a family member was built")
+
+    monkeypatch.setattr(adversaries, "mnm_family_instance", unbuilt)
+    with pytest.raises(CapExceeded, match="k <= 5"):
+        campaigns.check_mnm_lb(6)
+    res = CliRunner().invoke(main, ["verify", "mnm-lb", "--k", "6"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"].startswith("CapExceeded")
+    for k in ("0", "-1"):  # k < 0 would list no member to fingerprint
+        res = CliRunner().invoke(main, ["verify", "mnm-lb", "--k", k])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr) == {"error": "ValueError: need k >= 1"}
+
+
+def test_run_exits_2_when_the_instance_file_cannot_be_read(tmp_path, monkeypatch):
+    # tests may run as root, which a file mode of 000 does not stop
+    path = tmp_path / "unreadable.json"
+    serial.dump_instance(path, generators.random_circle_instance(3, MNM, 0))
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(serial, "open", refuse, raising=False)
+    res = CliRunner().invoke(main, ["run", "greedy", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "PermissionError: [Errno 13] Permission denied"}
 
 
 def test_cli_verify_bnm_lb_results_at_n_3():

@@ -121,6 +121,15 @@ def test_off_convention_colours_raise_whether_or_not_validated(validate):
     assert Instance.from_ticks([1, 5, 9, 13], 16, MNM).colors == (None,) * 4
 
 
+def test_loading_writing_and_building_points_keep_no_colour_tuple(tmp_path):
+    src, dst = tmp_path / "markov.json", tmp_path / "again.json"
+    serial.dump_instance(src, adversaries.markov_instance(50, 1))
+    inst = serial.load_instance(src).instance
+    serial.dump_instance(dst, inst)
+    assert [p.color for p in inst.points] == list(inst.colors) == [None] * 100
+    assert "colors" not in vars(inst)
+
+
 def test_reading_the_points_keeps_the_ticks():
     inst = generators.random_circle_instance(20, BNM, 3)
     ranks, grid = inst.ranks, inst.grid

@@ -211,11 +211,6 @@ def random_instances(count, kinds=(MNM, BNM), sizes=range(1, 6)):
     return out
 
 
-def bichromatic(instance):
-    pts = instance.points
-    return lambda i, j: pts[i - 1].color != pts[j - 1].color
-
-
 def mnm_members():
     return [ai for k in (1, 2) for ai in mnm_family(k)]
 
@@ -264,8 +259,7 @@ def test_pairing_search_matches_reference_on_families_and_random_instances():
     family += [bnm_red_instance(s, allow_any=True).instance for s in ((2, 3, 1), (2, 1, 3))]
     for inst in family + random_instances(15):
         expected = list(reference_pairings(inst))
-        may_pair = bichromatic(inst) if inst.kind == BNM else None
-        got = list(offline.noncrossing_pairings(inst, range(1, inst.size + 1), may_pair=may_pair))
+        got = list(offline.noncrossing_pairings(inst, range(1, inst.size + 1)))
         assert got == expected
         assert list(offline.enumerate_perfect_noncrossing(inst)) == [
             Matching.from_pairs(e) for e in expected
@@ -309,6 +303,39 @@ def random_noncrossing_pairs(order, rng):
             pairs.append((seg[0], seg[j]))
             todo += [seg[1:j], seg[j + 1 :]]
     return pairs
+
+
+def reference_enclosing(rank, edges):
+    """The chord scan by brute force on rank intervals: each chord's and
+    each free rank's innermost enclosing chord, len(edges) for none."""
+    spans = [tuple(sorted((rank[a - 1], rank[b - 1]))) for a, b in edges]
+
+    def innermost(inside):
+        around = [(hi - lo, x) for x, (lo, hi) in enumerate(spans) if inside(lo, hi)]
+        return min(around)[1] if around else len(edges)
+
+    outer = [innermost(lambda lo, hi, s=s: lo < s[0] and s[1] < hi) for s in spans]
+    ends = {r for s in spans for r in s}
+    face = {r: innermost(lambda lo, hi, r=r: lo < r < hi) for r in range(len(rank)) if r not in ends}
+    return outer, face
+
+
+def test_chord_scan_matches_brute_force_on_partial_matchings():
+    rng = random.Random(34)
+    gens = [generators.random_circle_instance, non_dyadic_circle_instance,
+            generators.random_convex_polygon_instance]
+    for trial in range(300):
+        inst = gens[trial % 3](rng.randint(1, 7), MNM, rng.randrange(10**6))
+        whole = random_noncrossing_pairs(inst.hull, rng)
+        edges = [e for e in whole if rng.random() < 0.6]
+        rank = inst.ranks
+        assert offline._enclosing(rank, edges) == reference_enclosing(rank, edges)
+        if len(inst.hull) >= 4:
+            a, b, c, d = (inst.hull[r] for r in sorted(rng.sample(range(inst.size), 4)))
+            assert offline._enclosing(rank, [(a, c), (b, d)]) is None
+            assert offline._enclosing(rank, [(a, d), (b, c)]) == reference_enclosing(
+                rank, [(a, d), (b, c)]
+            )
 
 
 def test_consistency_matches_reference_on_thirty_points():
